@@ -9,6 +9,7 @@ from .bounds import (
     NoiseModel,
     cem_loss,
     cem_loss_grad,
+    cem_step,
     cond_entropy_lower,
     gaussian_entropy,
     mi_upper_bound,
@@ -21,6 +22,7 @@ from .mixture import (
     BatchAssignment,
     GaussianComponent,
     GaussianMixture,
+    MixtureState,
     assign_nearest,
     fit_init,
     posterior_utility,
@@ -40,11 +42,13 @@ __all__ = [
     "JointGaussianSpec",
     "LossBreakdown",
     "McEstimate",
+    "MixtureState",
     "NoiseModel",
     "TrainingConfig",
     "assign_nearest",
     "cem_loss",
     "cem_loss_grad",
+    "cem_step",
     "cond_entropy_lower",
     "evaluate_utility",
     "fit_init",

@@ -9,6 +9,11 @@ isotropic corruption of variance v is
 
 Log-determinant ratios are always computed as differences of logs, never
 as determinant quotients.
+
+For diagonal mixtures the bound and its gradient are array kernels over
+all components at once; :func:`cem_step` fuses them with the mixture's
+per-batch update (:func:`~cemlab.mixture.blend_batch`) into the training
+loop's single step.
 """
 
 from __future__ import annotations
@@ -18,8 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveDefinite, ShapeMismatch, StaleState
-from .mixture import BatchAssignment, GaussianMixture, batch_tag, blend_coefficient
-from .numerics import LOG_2PI, Covariance, logdet
+from .mixture import (
+    BatchAssignment,
+    GaussianMixture,
+    MixtureState,
+    batch_tag,
+    blend_batch,
+    blend_coefficients,
+)
+from .numerics import LOG_2PI, Covariance, check_diagonal, logdet
 
 LOG_2PIE = LOG_2PI + 1.0
 
@@ -43,6 +55,14 @@ class NoiseModel:
         return Covariance.diagonal(
             np.full(self.dim, self.std**2, dtype=np.float64), ridge=0.0
         )
+
+    def logdet(self) -> float:
+        """Log-determinant of :attr:`cov`, without building it."""
+        if self.std <= 0:
+            raise NonPositiveDefinite("noise covariance is PD only for std > 0")
+        entries = np.full(self.dim, self.std**2)
+        check_diagonal(entries, 0.0)
+        return float(np.sum(np.log(entries)))
 
 
 @dataclass
@@ -108,11 +128,50 @@ def mixture_entropy_upper(mix: GaussianMixture, noise: NoiseModel) -> float:
     return float(total)
 
 
+def _widened_ridged(var: np.ndarray, ridge, noise: NoiseModel) -> np.ndarray:
+    """Ridged diagonals of the noise-widened components, checked as
+    :meth:`Covariance.add_diagonal_noise` checks them."""
+    widened = var + noise.std**2
+    check_diagonal(widened, ridge)
+    return widened + ridge
+
+
+def _penalty(weights: np.ndarray, denom: np.ndarray, ld_noise: float) -> float:
+    """The MI bound from the weights, the ridged widened diagonals ``denom``
+    and the noise log-determinant; components are added in order, as a
+    running sum."""
+    terms = weights * (
+        -np.log(weights) + 0.5 * (np.sum(np.log(denom), axis=1) - ld_noise)
+    )
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total
+
+
+def _penalty_grad(
+    weights: np.ndarray,
+    coef: np.ndarray,
+    dev: np.ndarray,
+    assign: BatchAssignment,
+    denom: np.ndarray,
+) -> np.ndarray:
+    """Per-row gradient (pi_j * c_j) * dev / (n_j * denom_j) of the bound,
+    for rows assigned to component j."""
+    idx = assign.indices
+    scale = (weights * coef)[idx][:, None]
+    return scale * dev / (assign.counts[idx][:, None] * denom[idx])
+
+
 def mi_upper_bound(mix: GaussianMixture, noise: NoiseModel) -> float:
     """Upper bound on the information the noisy feature carries about the
     clean feature; equals :func:`mixture_entropy_upper` minus the noise
     entropy. Nonnegative for PSD component covariances."""
-    ld_noise = logdet(noise.cov)
+    ld_noise = noise.logdet()
+    if all(comp.cov.is_diagonal for comp in mix.components):
+        state = MixtureState.of(mix)
+        denom = _widened_ridged(state.var, state.ridge, noise)
+        return _penalty(state.weights, denom, ld_noise)
     v = noise.std**2
     total = 0.0
     for comp in mix.components:
@@ -192,18 +251,33 @@ def cem_loss_grad(
     z = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if mix.update_tag is None or mix.update_tag != batch_tag(assign, z):
         raise StaleState("mixture covariances were not updated for this batch")
-    v = noise.std**2
-    grad = np.zeros_like(z)
-    for j, comp in enumerate(mix.components):
-        n_j = int(assign.counts[j])
-        if n_j == 0:
-            continue
-        members = assign.indices == j
-        c = blend_coefficient(comp.weight, n_j, mix.dataset_size)
-        denom = comp.cov.add_diagonal_noise(v).ridged_entries()
-        dev = z[members] - comp.mean
-        grad[members] = comp.weight * c * dev / (n_j * denom)
-    return grad
+    state = MixtureState.of(mix)
+    coef = blend_coefficients(state.weights, assign.counts, mix.dataset_size)
+    denom = _widened_ridged(state.var, state.ridge, noise)
+    dev = z - state.means[assign.indices]
+    return _penalty_grad(state.weights, coef, dev, assign, denom)
+
+
+def cem_step(
+    state: MixtureState,
+    assign: BatchAssignment,
+    batch: np.ndarray,
+    noise: NoiseModel,
+) -> tuple[MixtureState, float, np.ndarray]:
+    """One training batch on the array-form mixture: the weight and
+    covariance updates, the penalty on the updated mixture, and the
+    penalty's gradient with respect to each row of ``batch``.
+
+    Gives the same bits as :func:`~cemlab.mixture.update_weights`,
+    :func:`~cemlab.mixture.update_covariance`, :func:`cem_loss` and
+    :func:`cem_loss_grad` in turn. The gradient belongs to the state it
+    returns, so no staleness check is needed. Raises
+    :class:`~cemlab.errors.NonPositiveDefinite` where those would.
+    """
+    state, coef, dev = blend_batch(state, assign, batch)
+    denom = _widened_ridged(state.var, state.ridge, noise)
+    penalty = _penalty(state.weights, denom, noise.logdet())
+    return state, penalty, _penalty_grad(state.weights, coef, dev, assign, denom)
 
 
 def bounds_report(

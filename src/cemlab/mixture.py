@@ -10,6 +10,14 @@ The streaming updates blend batch statistics into the running mixture:
 with c_j clamped to [0, 1] and dS_j the diagonal covariance of the newly
 assigned samples about the stored mean. Means are refreshed only by the
 full refit, never inside the batch loop.
+
+The arithmetic lives in array kernels over the whole mixture
+(:func:`blend_weights`, :func:`blend_coefficients`,
+:func:`blend_variances`). :func:`blend_batch` runs them on a
+:class:`MixtureState` for the training loop; :func:`update_weights` and
+:func:`update_covariance` are adapters that run the same kernels on a
+:class:`GaussianMixture`. Per-component sums repeat NumPy's own order of
+addition, so both forms give the same bits as a ``np.mean`` per component.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import DegenerateData, ParseError, ShapeMismatch
-from .numerics import Covariance, gaussian_logpdf
+from .numerics import Covariance, check_diagonal, gaussian_logpdf
 
 WEIGHT_FLOOR = 1e-8
 
@@ -61,6 +69,50 @@ class BatchAssignment:
     batch_size: int
 
 
+@dataclass(frozen=True)
+class MixtureState:
+    """A diagonal mixture as plain arrays: the form the training step runs on.
+
+    ``var`` holds the raw diagonal variances; ``ridge`` is added to them
+    before any logarithm or division, as :class:`Covariance` does.
+    """
+
+    weights: np.ndarray   # (k,)
+    means: np.ndarray     # (k, d)
+    var: np.ndarray       # (k, d)
+    ridge: np.ndarray     # (k, 1)
+    dataset_size: int
+
+    @staticmethod
+    def of(mix: GaussianMixture) -> "MixtureState":
+        """The array form of a mixture whose covariances are all diagonal."""
+        if not all(c.cov.is_diagonal for c in mix.components):
+            raise ShapeMismatch("streaming updates support diagonal covariances only")
+        return MixtureState(
+            weights=mix.weights(),
+            means=mix.means(),
+            var=np.stack([c.cov.entries for c in mix.components]),
+            ridge=np.array([[c.cov.ridge] for c in mix.components]),
+            dataset_size=mix.dataset_size,
+        )
+
+    def to_mixture(self) -> GaussianMixture:
+        """The component-list form. Variances must already have passed
+        :func:`~cemlab.numerics.check_diagonal`."""
+        components = [
+            GaussianComponent(
+                weight=float(w),
+                mean=mean.copy(),
+                cov=Covariance(dim=var.size, entries=var.copy(), ridge=float(r[0])),
+            )
+            for w, mean, var, r in zip(self.weights, self.means, self.var, self.ridge)
+        ]
+        return GaussianMixture(
+            components=components, dim=self.means.shape[1],
+            dataset_size=self.dataset_size,
+        )
+
+
 def _floor_and_renormalize(weights: np.ndarray) -> np.ndarray:
     w = np.maximum(weights, WEIGHT_FLOOR)
     return w / w.sum()
@@ -92,6 +144,30 @@ def _nearest(x: np.ndarray, means: np.ndarray) -> np.ndarray:
     # ties toward the lowest index.
     dist = np.linalg.norm(x[:, None, :] - means[None, :, :], axis=2)
     return np.argmin(dist, axis=1)
+
+
+def _component_sums(rows: np.ndarray, indices: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) per-component sums of ``rows`` with the bits of
+    ``rows[indices == j].sum(axis=0)``, so ``sums[j] / n_j`` is that
+    component's ``mean(axis=0)``.
+
+    NumPy sums the rows of a (n, d >= 2) array one after another, which
+    ``bincount`` reproduces for all components at once; a single column
+    it sums pairwise, so ``d == 1`` goes component by component.
+    """
+    d = rows.shape[1]
+    if d == 1:
+        return np.array([[rows[indices == j, 0].sum()] for j in range(k)])
+    flat = (indices[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=k * d).reshape(k, d)
+
+
+def _component_means(rows, indices, counts, fallback):
+    """Per-component means of ``rows``; ``fallback`` rows where a component
+    has no members."""
+    present = (counts > 0)[:, None]
+    sums = _component_sums(rows, indices, counts.shape[0])
+    return np.where(present, sums / np.where(present, counts[:, None], 1), fallback)
 
 
 def fit_init(
@@ -129,57 +205,109 @@ def fit_init(
 
     assign = _nearest(x, means)
     for _ in range(iters):
-        for j in range(k):
-            members = assign == j
-            if members.any():
-                means[j] = x[members].mean(axis=0)
+        counts = np.bincount(assign, minlength=k)
+        means = _component_means(x, assign, counts, means)
         new_assign = _nearest(x, means)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
 
-    counts = np.bincount(assign, minlength=k).astype(np.float64)
-    weights = _floor_and_renormalize(counts / n)
-    components = []
-    for j in range(k):
-        members = assign == j
-        if members.any():
-            dev = x[members] - means[j]
-            var = np.mean(dev * dev, axis=0)
-        else:
-            var = np.zeros(d)
-        components.append(
-            GaussianComponent(
-                weight=float(weights[j]),
-                mean=means[j].copy(),
-                cov=Covariance.diagonal(var, ridge=ridge),
-            )
-        )
-    return GaussianMixture(components=components, dim=d, dataset_size=n)
+    counts = np.bincount(assign, minlength=k)
+    weights = _floor_and_renormalize(counts.astype(np.float64) / n)
+    dev = x - means[assign]
+    var = _component_means(dev * dev, assign, counts, 0.0)
+    check_diagonal(var, ridge)
+    state = MixtureState(
+        weights=weights, means=means, var=var, ridge=np.full((k, 1), ridge),
+        dataset_size=n,
+    )
+    return state.to_mixture()
 
 
-def assign_nearest(batch: np.ndarray, mix: GaussianMixture) -> BatchAssignment:
+def assign_nearest(batch: np.ndarray, mix) -> BatchAssignment:
     """Map each sample to the component with the nearest mean (Euclidean,
-    ties to the lowest index)."""
+    ties to the lowest index). ``mix`` is a :class:`GaussianMixture` or
+    the (k, d) array of its means."""
+    means = mix.means() if isinstance(mix, GaussianMixture) else mix
     z = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if z.shape[1] != mix.dim:
-        raise ShapeMismatch(f"batch dim {z.shape[1]} != mixture dim {mix.dim}")
-    idx = _nearest(z, mix.means())
-    counts = np.bincount(idx, minlength=mix.k)
+    if z.shape[1] != means.shape[1]:
+        raise ShapeMismatch(f"batch dim {z.shape[1]} != mixture dim {means.shape[1]}")
+    idx = _nearest(z, means)
+    counts = np.bincount(idx, minlength=means.shape[0])
     return BatchAssignment(indices=idx, counts=counts, batch_size=z.shape[0])
 
 
+# -- array kernels --------------------------------------------------------
+
+def blend_weights(
+    weights: np.ndarray, counts: np.ndarray, batch_size: int, dataset_size: int
+) -> np.ndarray:
+    """Blend batch cluster frequencies into the weights, floored and
+    renormalized."""
+    if batch_size > dataset_size:
+        raise ShapeMismatch(
+            f"batch size {batch_size} exceeds dataset size {dataset_size}"
+        )
+    raw = (weights * (dataset_size - batch_size) + counts) / dataset_size
+    return _floor_and_renormalize(raw)
+
+
+def blend_coefficients(
+    weights: np.ndarray, counts: np.ndarray, dataset_size: int
+) -> np.ndarray:
+    """The covariance blend coefficients n_j / (pi_j * N), clamped to [0, 1],
+    and 0 for components with no samples.
+
+    The clamp keeps the blend convex when a rare component receives a
+    disproportionately large batch share.
+    """
+    return np.where(
+        counts > 0, np.minimum(1.0, counts / (weights * dataset_size)), 0.0
+    )
+
+
+def blend_variances(
+    var: np.ndarray,
+    dev: np.ndarray,
+    indices: np.ndarray,
+    counts: np.ndarray,
+    coef: np.ndarray,
+) -> np.ndarray:
+    """(1 - c_j) * var_j + c_j * mean of the squared deviations ``dev``
+    (batch rows minus their component's mean) over component j's rows.
+    Components with no samples keep their variances."""
+    delta = _component_means(dev * dev, indices, counts, 0.0)
+    c = coef[:, None]
+    return np.where((counts > 0)[:, None], (1.0 - c) * var + c * delta, var)
+
+
+def blend_batch(
+    state: MixtureState, assign: BatchAssignment, batch: np.ndarray
+) -> tuple[MixtureState, np.ndarray, np.ndarray]:
+    """One batch of streaming updates on the array form: weights, then
+    covariances blended with coefficients from the new weights.
+
+    Returns the new state, the blend coefficients, and each row's deviation
+    from its component mean, which the penalty gradient reuses. Raises
+    :class:`~cemlab.errors.NonPositiveDefinite` on variances
+    :meth:`Covariance.diagonal` would reject.
+    """
+    n_total = state.dataset_size
+    weights = blend_weights(state.weights, assign.counts, assign.batch_size, n_total)
+    coef = blend_coefficients(weights, assign.counts, n_total)
+    dev = batch - state.means[assign.indices]
+    var = blend_variances(state.var, dev, assign.indices, assign.counts, coef)
+    check_diagonal(var, state.ridge)
+    return replace(state, weights=weights, var=var), coef, dev
+
+
+# -- adapters over the kernels for the component-list form ----------------
+
 def update_weights(mix: GaussianMixture, assign: BatchAssignment) -> GaussianMixture:
     """Blend batch cluster frequencies into the mixture weights."""
-    n_total = mix.dataset_size
-    if assign.batch_size > n_total:
-        raise ShapeMismatch(
-            f"batch size {assign.batch_size} exceeds dataset size {n_total}"
-        )
-    raw = (
-        mix.weights() * (n_total - assign.batch_size) + assign.counts
-    ) / n_total
-    weights = _floor_and_renormalize(raw)
+    weights = blend_weights(
+        mix.weights(), assign.counts, assign.batch_size, mix.dataset_size
+    )
     components = [
         replace(comp, weight=float(w)) for comp, w in zip(mix.components, weights)
     ]
@@ -196,17 +324,6 @@ def batch_tag(assign: BatchAssignment, batch: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def blend_coefficient(weight: float, count: int, dataset_size: int) -> float:
-    """The covariance blend coefficient n_j / (pi_j * N), clamped to [0, 1].
-
-    The clamp keeps the blend convex when a rare component receives a
-    disproportionately large batch share.
-    """
-    if count <= 0:
-        return 0.0
-    return min(1.0, count / (weight * dataset_size))
-
-
 def update_covariance(
     mix: GaussianMixture, assign: BatchAssignment, batch: np.ndarray
 ) -> GaussianMixture:
@@ -219,22 +336,15 @@ def update_covariance(
     z = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if z.shape[0] != assign.batch_size:
         raise ShapeMismatch("batch does not match assignment")
-    components = []
-    for j, comp in enumerate(mix.components):
-        n_j = int(assign.counts[j])
-        if n_j == 0:
-            components.append(comp)
-            continue
-        if not comp.cov.is_diagonal:
-            raise ShapeMismatch("streaming updates support diagonal covariances only")
-        members = z[assign.indices == j]
-        dev = members - comp.mean
-        delta = np.mean(dev * dev, axis=0)
-        c = blend_coefficient(comp.weight, n_j, mix.dataset_size)
-        new_var = (1.0 - c) * comp.cov.entries + c * delta
-        components.append(
-            replace(comp, cov=Covariance.diagonal(new_var, ridge=comp.cov.ridge))
-        )
+    state = MixtureState.of(mix)
+    coef = blend_coefficients(state.weights, assign.counts, mix.dataset_size)
+    dev = z - state.means[assign.indices]
+    var = blend_variances(state.var, dev, assign.indices, assign.counts, coef)
+    components = [
+        replace(comp, cov=Covariance.diagonal(v, ridge=comp.cov.ridge)) if n_j > 0
+        else comp
+        for comp, v, n_j in zip(mix.components, var, assign.counts)
+    ]
     return GaussianMixture(
         components=components,
         dim=mix.dim,

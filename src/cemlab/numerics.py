@@ -19,6 +19,22 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 DEFAULT_RIDGE = 1e-6
 
 
+def check_diagonal(entries: np.ndarray, ridge) -> None:
+    """Raise :class:`NonPositiveDefinite` unless every diagonal entry is
+    finite, nonnegative, and positive once ridged.
+
+    ``entries`` may hold one diagonal or a (k, d) stack of them; ``ridge``
+    broadcasts against it. These are the checks behind
+    :meth:`Covariance.diagonal`, shared with the array-form mixture step.
+    """
+    if not np.isfinite(entries).all():
+        raise NonPositiveDefinite("diagonal entries must be finite")
+    if (entries < 0).any():
+        raise NonPositiveDefinite("diagonal entries must be nonnegative")
+    if (entries + ridge <= 0).any():
+        raise NonPositiveDefinite("zero diagonal entries require a positive ridge")
+
+
 @dataclass
 class Covariance:
     """A symmetric PSD covariance with a diagonal or full representation.
@@ -37,14 +53,7 @@ class Covariance:
     @staticmethod
     def diagonal(entries, ridge: float = DEFAULT_RIDGE) -> "Covariance":
         e = np.asarray(entries, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(e)):
-            raise NonPositiveDefinite("diagonal entries must be finite")
-        if np.any(e < 0):
-            raise NonPositiveDefinite("diagonal entries must be nonnegative")
-        if np.any(e + ridge <= 0):
-            raise NonPositiveDefinite(
-                "zero diagonal entries require a positive ridge"
-            )
+        check_diagonal(e, ridge)
         return Covariance(dim=e.size, entries=e, ridge=ridge)
 
     @staticmethod

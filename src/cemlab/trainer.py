@@ -6,6 +6,10 @@ decoder.
 The entropy-penalty gradient enters at the noise-layer output and flows
 into the encoder only; the decoder sees task gradients alone, since the
 penalty depends on the features and not on the decoder parameters.
+
+Inside an epoch the mixture is held as a :class:`MixtureState` of plain
+arrays; one :func:`cem_step` per batch updates it and returns the penalty
+and its gradient.
 """
 
 from __future__ import annotations
@@ -15,15 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import NoiseModel, cem_loss, cem_loss_grad
+from .bounds import NoiseModel, cem_step
 from .data import Dataset
 from .errors import NonFinite, NonPositiveDefinite, UnknownDefense
 from .mixture import (
     GaussianMixture,
+    MixtureState,
     assign_nearest,
+    blend_batch,
     fit_init,
-    update_covariance,
-    update_weights,
 )
 from .network import (
     NeuralModule,
@@ -149,7 +153,8 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
     mixture (means warm-started from the previous epoch), then sweeps
     batches: assign to nearest component, update weights then covariances,
     combine the defense-hook task loss with the entropy penalty, and take
-    one SGD step on both halves of the network.
+    one SGD step on both halves of the network. The returned mixture is the
+    state after the last batch.
     """
     x_train, y_train = data.train_arrays()
     n_train = x_train.shape[0]
@@ -188,13 +193,12 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
         return TrainResult(encoder, decoder, refit(encoder, 0, None), [])
 
     history: list[LossBreakdown] = []
-    mix = None
-    prev_means = None
+    state = None
     penalty_on = noise.std > 0
     for epoch in range(cfg.epochs):
         lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.decay_every())
-        mix = refit(encoder, epoch, prev_means)
-        prev_means = mix.means()
+        prev_means = None if state is None else state.means
+        state = MixtureState.of(refit(encoder, epoch, prev_means))
 
         order = _rng(cfg.seed, 5, epoch).permutation(n_train)
         sums = np.zeros(3)  # l_d, l_c, accuracy accumulators
@@ -210,22 +214,23 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
                 )
                 logits, tape_dec = forward(decoder, zb)
 
-                assign = assign_nearest(zb, mix)
-                mix = update_weights(mix, assign)
-                mix = update_covariance(mix, assign, zb)
+                assign = assign_nearest(zb, state.means)
+                if penalty_on:
+                    state, l_c, penalty_grad = cem_step(state, assign, zb, noise)
+                else:
+                    state, l_c = blend_batch(state, assign, zb)[0], 0.0
                 if cfg.debug_checks:
-                    assert abs(mix.weights().sum() - 1.0) < 1e-9
+                    assert abs(state.weights.sum() - 1.0) < 1e-9
 
                 l_d, grad_logits, grad_feats = defense_hook(
                     cfg.defense, xb, z_hat, zb, logits, yb
                 )
-                l_c = cem_loss(mix, noise) if penalty_on else 0.0
 
                 dec_grads, g_z = backward(decoder, tape_dec, grad_logits)
                 if grad_feats is not None:
                     g_z = g_z + grad_feats
                 if cfg.lam > 0:
-                    g_z = g_z + cfg.lam * cem_loss_grad(zb, assign, mix, noise)
+                    g_z = g_z + cfg.lam * penalty_grad
                 enc_grads, _ = backward(encoder, tape_enc, g_z)
                 encoder = sgd_step(encoder, enc_grads, lr, cfg.momentum)
                 decoder = sgd_step(decoder, dec_grads, lr, cfg.momentum)
@@ -246,7 +251,7 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
                 accuracy=float(acc_mean),
             )
         )
-    return TrainResult(encoder, decoder, mix, history)
+    return TrainResult(encoder, decoder, state.to_mixture(), history)
 
 
 def evaluate_utility(

@@ -1,0 +1,189 @@
+"""The array kernels against per-component references, with exact
+equality: the training history's bytes depend on it.
+
+The fused training step (`cem_step`) is checked against the public chain
+(`assign_nearest`, `update_weights`, `update_covariance`, `cem_loss`,
+`cem_loss_grad`) and against a per-component reference of the streaming
+arithmetic; the vectorized refit (`fit_init`) against a per-component
+Lloyd loop."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cemlab.bounds import NoiseModel, cem_loss, cem_loss_grad, cem_step
+from cemlab.errors import NonPositiveDefinite
+from cemlab.mixture import (
+    GaussianComponent,
+    GaussianMixture,
+    MixtureState,
+    assign_nearest,
+    fit_init,
+    update_covariance,
+    update_weights,
+)
+from cemlab.numerics import Covariance
+
+
+def nearest(x, means):
+    return np.argmin(np.linalg.norm(x[:, None, :] - means[None], axis=2), axis=1)
+
+
+def reference_step(mix, batch, noise):
+    """One batch, component by component, with NumPy reductions per
+    component and a running sum over components."""
+    z = np.asarray(batch, dtype=np.float64)
+    idx = nearest(z, np.stack([c.mean for c in mix.components]))
+    counts = np.bincount(idx, minlength=mix.k)
+    n_total, b = mix.dataset_size, z.shape[0]
+    raw = np.array([c.weight for c in mix.components]) * (n_total - b) + counts
+    w = np.maximum(raw / n_total, 1e-8)
+    w = w / w.sum()
+    v = noise.std**2
+    ld_noise = float(np.sum(np.log(np.full(mix.dim, v))))
+    var, penalty = [], 0.0
+    grad = np.zeros_like(z)
+    for j, comp in enumerate(mix.components):
+        n_j = int(counts[j])
+        entries = comp.cov.entries
+        if n_j > 0:
+            dev = z[idx == j] - comp.mean
+            c = min(1.0, n_j / (float(w[j]) * n_total))
+            entries = (1.0 - c) * entries + c * np.mean(dev * dev, axis=0)
+        denom = entries + v + comp.cov.ridge
+        penalty += float(w[j]) * (
+            -np.log(float(w[j])) + 0.5 * (float(np.sum(np.log(denom))) - ld_noise)
+        )
+        if n_j > 0:
+            grad[idx == j] = float(w[j]) * c * dev / (n_j * denom)
+        var.append(entries)
+    return w, np.stack(var), penalty, grad
+
+
+def reference_fit(x, k, iters, init_means):
+    """Warm-started Lloyd rounds and the final within-cluster variances,
+    component by component."""
+    means = init_means.copy()
+    assign = nearest(x, means)
+    for _ in range(iters):
+        for j in range(k):
+            if (assign == j).any():
+                means[j] = x[assign == j].mean(axis=0)
+        new_assign = nearest(x, means)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    w = np.maximum(np.bincount(assign, minlength=k) / x.shape[0], 1e-8)
+    var = np.zeros((k, x.shape[1]))
+    for j in range(k):
+        if (assign == j).any():
+            dev = x[assign == j] - means[j]
+            var[j] = np.mean(dev * dev, axis=0)
+    return w / w.sum(), means, var
+
+
+def random_case(seed, k, d, n_batch, rare):
+    """A diagonal mixture, a batch and a noise model. Some components get
+    tiny weights (blend coefficients that clamp to 1); batches smaller than
+    k leave components without samples."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.05, 1.0, size=k)
+    raw[:rare] = rng.uniform(1e-7, 1e-3, size=min(rare, k))
+    ridges = rng.choice([0.0, 1e-6, 0.01], size=k)
+    comps = [
+        GaussianComponent(
+            weight=float(w),
+            mean=rng.uniform(-3.0, 3.0, size=d),
+            cov=Covariance.diagonal(rng.uniform(0.01, 2.0, size=d), ridge=float(r)),
+        )
+        for w, r in zip(raw / raw.sum(), ridges)
+    ]
+    n_total = int(n_batch * rng.integers(1, 5))
+    mix = GaussianMixture(components=comps, dim=d, dataset_size=n_total)
+    batch = rng.uniform(-4.0, 4.0, size=(n_batch, d))
+    return mix, batch, NoiseModel(std=float(rng.uniform(0.01, 1.0)), dim=d)
+
+
+@given(
+    k=st.integers(min_value=1, max_value=9),
+    d=st.integers(min_value=1, max_value=8),
+    n_batch=st.integers(min_value=1, max_value=64),
+    rare=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=150, deadline=None)
+def test_fused_step_equals_public_chain(k, d, n_batch, rare, seed):
+    mix, batch, noise = random_case(seed, k, d, n_batch, rare)
+    assign = assign_nearest(batch, mix)
+    mid = update_weights(mix, assign)
+    updated = update_covariance(mid, assign, batch)
+    penalty = cem_loss(updated, noise)
+    grad = cem_loss_grad(batch, assign, updated, noise)
+
+    state, fused_penalty, fused_grad = cem_step(
+        MixtureState.of(mix), assign, batch, noise
+    )
+    assert np.array_equal(state.weights, updated.weights())
+    assert np.array_equal(state.var, np.stack([c.cov.entries for c in updated.components]))
+    assert fused_penalty == penalty
+    assert np.array_equal(fused_grad, grad)
+
+    ref_w, ref_var, ref_penalty, ref_grad = reference_step(mix, batch, noise)
+    assert np.array_equal(state.weights, ref_w)
+    assert np.array_equal(state.var, ref_var)
+    assert fused_penalty == ref_penalty
+    assert np.array_equal(fused_grad, ref_grad)
+
+
+@given(
+    k=st.integers(min_value=1, max_value=9),
+    d=st.integers(min_value=1, max_value=6),
+    n=st.integers(min_value=9, max_value=200),
+    iters=st.integers(min_value=0, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=100, deadline=None)
+def test_refit_equals_per_component_lloyd(k, d, n, iters, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) + rng.integers(0, 3, size=(n, 1)) * 4.0
+    init = rng.uniform(-2.0, 10.0, size=(k, d))
+    mix = fit_init(x, k, seed=0, iters=iters, init_means=init, ridge=1e-6)
+    ref_w, ref_means, ref_var = reference_fit(x, k, iters, init)
+    assert np.array_equal(mix.weights(), ref_w)
+    assert np.array_equal(mix.means(), ref_means)
+    assert np.array_equal(np.stack([c.cov.entries for c in mix.components]), ref_var)
+
+
+def test_cases_reach_empty_and_clamped_components():
+    """The generator above does produce the edge cases it claims to."""
+    empty = clamped = False
+    for seed in range(200):
+        mix, batch, noise = random_case(seed, 9, 3, 4, 3)
+        assign = assign_nearest(batch, mix)
+        mid = update_weights(mix, assign)
+        empty |= bool(np.any(assign.counts == 0))
+        raw = assign.counts / (mid.weights() * mix.dataset_size)
+        clamped |= bool(np.any(raw[assign.counts > 0] > 1.0))
+    assert empty and clamped
+
+
+def test_state_round_trip(rng):
+    mix = fit_init(rng.standard_normal((40, 3)), k=4, seed=1, ridge=0.5)
+    back = MixtureState.of(mix).to_mixture()
+    for a, b in zip(mix.components, back.components):
+        assert a.weight == b.weight and a.cov.ridge == b.cov.ridge
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.cov.entries, b.cov.entries)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+def test_non_finite_batch_raises(bad):
+    mix, batch, noise = random_case(3, 3, 2, 6, 0)
+    batch[2, 1] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        assign = assign_nearest(batch, mix)
+        with pytest.raises(NonPositiveDefinite, match="finite"):
+            cem_step(MixtureState.of(mix), assign, batch, noise)
+        with pytest.raises(NonPositiveDefinite, match="finite"):
+            update_covariance(update_weights(mix, assign), assign, batch)

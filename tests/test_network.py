@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from cemlab.bounds import NoiseModel
 from cemlab.errors import LabelOutOfRange, NonFinite, ParseError, ShapeMismatch, StaleTape
 from cemlab.network import (
     Layer,
     NeuralModule,
+    _logsumexp_rows,
     backward,
     forward,
     init_network,
@@ -276,6 +278,48 @@ class TestTaskLoss:
             task_loss(np.zeros((2, 3)), np.array([0, 3]))
         with pytest.raises(LabelOutOfRange):
             task_loss(np.zeros((2, 3)), np.array([-1, 0]))
+
+
+
+class TestLogsumexpRows:
+    """The task loss's row-wise logsumexp must give scipy's bits exactly."""
+
+    def check(self, z):
+        z = np.asarray(z, dtype=np.float64)
+        with np.errstate(all="ignore"):
+            expected = logsumexp(z, axis=1)
+        assert np.array_equal(_logsumexp_rows(z), expected, equal_nan=True)
+
+    def test_random_rows(self, rng):
+        for scale in (1e-3, 1.0, 30.0, 300.0):
+            for cols in (1, 2, 3, 7, 8, 9, 17):
+                self.check(scale * rng.standard_normal((64, cols)))
+
+    def test_tied_maxima(self, rng):
+        z = rng.integers(-2, 3, size=(200, 5)).astype(np.float64)
+        z[0] = 4.0
+        self.check(z)
+        self.check(np.zeros((3, 4)))
+
+    def test_non_finite_rows(self):
+        inf, nan = np.inf, np.nan
+        self.check([
+            [inf, 0.0, 1.0],
+            [inf, inf, -1.0],
+            [-inf, 0.0, 2.0],
+            [-inf, -inf, -inf],
+            [nan, 0.0, 1.0],
+            [nan, inf, -inf],
+            [inf, -inf, 0.0],
+            [1e308, 1e308, 0.0],
+            [-1e308, 1e308, 1e308],
+            [710.0, 0.0, -710.0],
+        ])
+
+    def test_single_non_finite_row_among_finite(self, rng):
+        z = rng.standard_normal((16, 3))
+        z[5] = -np.inf
+        self.check(z)
 
 
 class TestCheckpoint:
