@@ -25,11 +25,10 @@ from .mixture import (
     MixtureState,
     assign_nearest,
     fit_init,
-    posterior_utility,
     update_covariance,
     update_weights,
 )
-from .numerics import Covariance, McEstimate, gaussian_logpdf, logdet, mc_entropy, trace
+from .numerics import Covariance, McEstimate, logdet, mc_entropy, trace
 from .trainer import LossBreakdown, TrainingConfig, evaluate_utility, train
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "evaluate_utility",
     "fit_init",
     "gaussian_entropy",
-    "gaussian_logpdf",
     "load_csv",
     "logdet",
     "mc_entropy",
@@ -61,7 +59,6 @@ __all__ = [
     "minimal_mse_oracle",
     "mixture_entropy_upper",
     "mse_floor",
-    "posterior_utility",
     "synth_blobs",
     "trace",
     "train",

@@ -21,6 +21,7 @@ from .network import (
     noise_inject,
     sgd_step,
 )
+from .numerics import derived_seed, seeded_rng
 
 
 @dataclass
@@ -63,11 +64,6 @@ def psnr(mse: float) -> float:
     return float(-10.0 * np.log10(mse))
 
 
-def _rng_seed(seed: int, *tags: int) -> int:
-    ss = np.random.SeedSequence([seed & (2**63 - 1), *tags])
-    return int(np.random.default_rng(ss).integers(2**62))
-
-
 def _recon_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Per-dimension mean squared error and its gradient."""
     n, d = target.shape
@@ -91,15 +87,13 @@ def train_attacker(
     d_in = x_train.shape[1]
     dims = [encoder.out_dim, *cfg.hidden_dims, d_in]
     activations = ["relu"] * len(cfg.hidden_dims) + [cfg.output_activation]
-    attacker = init_network(dims, activations, _rng_seed(cfg.seed, 10))
+    attacker = init_network(dims, activations, derived_seed(cfg.seed, 10))
 
     feats_clean, _ = forward(encoder, x_train)
     n = x_train.shape[0]
     for epoch in range(cfg.epochs):
-        feats = noise_inject(feats_clean, noise, _rng_seed(cfg.seed, 11, epoch))
-        order = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed & (2**63 - 1), 12, epoch])
-        ).permutation(n)
+        feats = noise_inject(feats_clean, noise, derived_seed(cfg.seed, 11, epoch))
+        order = seeded_rng(cfg.seed, 12, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
             pred, tape = forward(attacker, feats[rows])
@@ -124,7 +118,7 @@ def reconstruction_mse(
     feats_clean, _ = forward(encoder, inputs)
     total = 0.0
     for draw in range(n_draws):
-        feats = noise_inject(feats_clean, noise, _rng_seed(seed, 30, draw))
+        feats = noise_inject(feats_clean, noise, derived_seed(seed, 30, draw))
         pred, _ = forward(attacker, feats)
         diff = pred - inputs
         total += float(np.mean(diff * diff))
@@ -143,10 +137,10 @@ def evaluate_attack(
     """Reconstruction MSE and PSNR per split, over fresh noise draws so
     memorized noise realizations cannot help the attacker."""
     mse_train = reconstruction_mse(
-        attacker, encoder, noise, train_split, _rng_seed(seed, 20)
+        attacker, encoder, noise, train_split, derived_seed(seed, 20)
     )
     mse_infer = reconstruction_mse(
-        attacker, encoder, noise, test_split, _rng_seed(seed, 21)
+        attacker, encoder, noise, test_split, derived_seed(seed, 21)
     )
     return AttackReport(
         mse_train=mse_train,

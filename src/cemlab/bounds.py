@@ -10,10 +10,11 @@ isotropic corruption of variance v is
 Log-determinant ratios are always computed as differences of logs, never
 as determinant quotients.
 
-For diagonal mixtures the bound and its gradient are array kernels over
-all components at once; :func:`cem_step` fuses them with the mixture's
-per-batch update (:func:`~cemlab.mixture.blend_batch`) into the training
-loop's single step.
+Mixtures are diagonal. The bound and its gradient are array kernels over
+all components at once: :func:`mi_upper_bound` and
+:func:`mixture_entropy_upper` run them on a mixture, and :func:`cem_step`
+fuses them with the mixture's per-batch update
+(:func:`~cemlab.mixture.blend_batch`) into the training loop's single step.
 """
 
 from __future__ import annotations
@@ -115,33 +116,21 @@ def gaussian_entropy(c: Covariance) -> float:
     return 0.5 * (c.dim * LOG_2PIE + logdet(c))
 
 
-def mixture_entropy_upper(mix: GaussianMixture, noise: NoiseModel) -> float:
-    """Closed-form upper bound on the entropy of the noisy mixture:
-    sum_i pi_i * (-log pi_i + entropy of the widened component)."""
-    v = noise.std**2
-    total = 0.0
-    for comp in mix.components:
-        widened = comp.cov.add_diagonal_noise(v)
-        total += comp.weight * (
-            -np.log(comp.weight) + gaussian_entropy(widened)
-        )
-    return float(total)
-
-
 def _widened_ridged(var: np.ndarray, ridge, noise: NoiseModel) -> np.ndarray:
     """Ridged diagonals of the noise-widened components, checked as
-    :meth:`Covariance.add_diagonal_noise` checks them."""
+    :meth:`Covariance.diagonal` checks them."""
     widened = var + noise.std**2
     check_diagonal(widened, ridge)
     return widened + ridge
 
 
-def _penalty(weights: np.ndarray, denom: np.ndarray, ld_noise: float) -> float:
-    """The MI bound from the weights, the ridged widened diagonals ``denom``
-    and the noise log-determinant; components are added in order, as a
-    running sum."""
+def _penalty(weights: np.ndarray, denom: np.ndarray, ld_ref: float) -> float:
+    """sum_i pi_i * (-log pi_i + 0.5 * (logdet_i - ld_ref)) from the weights
+    and the ridged widened diagonals ``denom``. With the noise
+    log-determinant as ``ld_ref`` this is the MI bound. Components are added
+    in order, as a running sum."""
     terms = weights * (
-        -np.log(weights) + 0.5 * (np.sum(np.log(denom), axis=1) - ld_noise)
+        -np.log(weights) + 0.5 * (np.sum(np.log(denom), axis=1) - ld_ref)
     )
     total = 0.0
     for term in terms.tolist():
@@ -163,23 +152,27 @@ def _penalty_grad(
     return scale * dev / (assign.counts[idx][:, None] * denom[idx])
 
 
+def _mixture_bound(mix: GaussianMixture, noise: NoiseModel, ld_ref: float) -> float:
+    state = MixtureState.of(mix)
+    denom = _widened_ridged(state.var, state.ridge, noise)
+    return _penalty(state.weights, denom, ld_ref)
+
+
 def mi_upper_bound(mix: GaussianMixture, noise: NoiseModel) -> float:
     """Upper bound on the information the noisy feature carries about the
     clean feature; equals :func:`mixture_entropy_upper` minus the noise
     entropy. Nonnegative for PSD component covariances."""
-    ld_noise = noise.logdet()
-    if all(comp.cov.is_diagonal for comp in mix.components):
-        state = MixtureState.of(mix)
-        denom = _widened_ridged(state.var, state.ridge, noise)
-        return _penalty(state.weights, denom, ld_noise)
-    v = noise.std**2
-    total = 0.0
-    for comp in mix.components:
-        widened = comp.cov.add_diagonal_noise(v)
-        total += comp.weight * (
-            -np.log(comp.weight) + 0.5 * (logdet(widened) - ld_noise)
-        )
-    return float(total)
+    return _mixture_bound(mix, noise, noise.logdet())
+
+
+def mixture_entropy_upper(mix: GaussianMixture, noise: NoiseModel) -> float:
+    """Closed-form upper bound on the entropy of the noisy mixture:
+    sum_i pi_i * (-log pi_i + entropy of the widened component).
+
+    A widened component's entropy 0.5 * (d * log(2*pi*e) + logdet) is the
+    MI bound's term with -d * log(2*pi*e) in place of the noise
+    log-determinant."""
+    return _mixture_bound(mix, noise, -mix.dim * LOG_2PIE)
 
 
 def cond_entropy_lower(h_x: float, mi: float) -> float:

@@ -11,10 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -324,33 +321,32 @@ def _sweep_point(config: dict, variance: float, out_dir: Path) -> dict:
     }
 
 
+def _sweep_csv_row(row: dict) -> str:
+    fields = [
+        _fmt(row["variance"]),
+        "" if row["rel_cond_entropy"] is None else _fmt(row["rel_cond_entropy"]),
+        "" if row["mse_train"] is None else _fmt(row["mse_train"]),
+        "" if row["mse_infer"] is None else _fmt(row["mse_infer"]),
+        "" if row["accuracy"] is None else _fmt(row["accuracy"]),
+        row["error"],
+    ]
+    return ",".join(fields) + "\n"
+
+
 def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
-    """Train one fresh model per noise variance and record the robustness
-    curve. Rows are flushed as they complete; the final file is rewritten
-    in grid order. CEM_LAB_THREADS caps concurrent grid points."""
+    """Train one fresh model per noise variance, in grid order, and record
+    the robustness curve. Each row is appended to sweep.csv as its point
+    finishes, so an interrupted sweep keeps the rows it finished."""
     if not grid:
         raise ValueError("sweep grid is empty")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
-    header = "variance,rel_cond_entropy,mse_train,mse_infer,accuracy,error\n"
-    lock = threading.Lock()
-    run_id = run_id_for(config)
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# run_id={run_id}\n")
-        fh.write(header)
+        fh.write(f"# run_id={run_id_for(config)}\n")
+        fh.write("variance,rel_cond_entropy,mse_train,mse_infer,accuracy,error\n")
 
-    def fmt_row(row: dict) -> str:
-        fields = [
-            _fmt(row["variance"]),
-            "" if row["rel_cond_entropy"] is None else _fmt(row["rel_cond_entropy"]),
-            "" if row["mse_train"] is None else _fmt(row["mse_train"]),
-            "" if row["mse_infer"] is None else _fmt(row["mse_infer"]),
-            "" if row["accuracy"] is None else _fmt(row["accuracy"]),
-            row["error"],
-        ]
-        return ",".join(fields) + "\n"
-
-    def job(i: int, variance: float) -> dict:
+    rows = []
+    for i, variance in enumerate(grid):
         try:
             row = _sweep_point(config, variance, out_dir / f"point_{i:02d}")
         except (CemError, ValueError, OSError) as exc:
@@ -362,22 +358,9 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
                 "accuracy": None,
                 "error": f"{type(exc).__name__}: {exc}",
             }
-        with lock, open(csv_path, "a", encoding="utf-8", newline="") as fh:
-            fh.write(fmt_row(row))
-        return row
-
-    workers = max(1, int(os.environ.get("CEM_LAB_THREADS", "1")))
-    if workers == 1:
-        rows = [job(i, v) for i, v in enumerate(grid)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, range(len(grid)), grid))
-
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# run_id={run_id}\n")
-        fh.write(header)
-        for row in rows:
-            fh.write(fmt_row(row))
+        with open(csv_path, "a", encoding="utf-8", newline="") as fh:
+            fh.write(_sweep_csv_row(row))
+        rows.append(row)
     return rows
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelOutOfRange, ParseError, ShapeMismatch
+from .numerics import seeded_rng
 
 
 @dataclass
@@ -73,7 +74,7 @@ def synth_blobs(
         raise ValueError("need at least 2 samples per class")
     if d < n_classes:
         raise ValueError(f"simplex placement needs d >= n_classes, got d={d}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 0xDA]))
+    rng = seeded_rng(seed, 0xDA)
     means = np.zeros((n_classes, d))
     means[np.arange(n_classes), np.arange(n_classes)] = 1.0
 
@@ -136,7 +137,7 @@ def load_csv(path, n_classes: int, seed: int = 0) -> Dataset:
         raise ParseError(f"{path}: no data rows")
     inputs = normalize_unit(np.array(rows, dtype=np.float64))
     labels = np.array(labels, dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 0xDA]))
+    rng = seeded_rng(seed, 0xDA)
     train_idx, test_idx = _stratified_split(labels, 0.8, rng)
     return Dataset(
         inputs=inputs,

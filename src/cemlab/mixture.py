@@ -1,6 +1,6 @@
-"""k-component Gaussian mixture over noisy features: initial k-means++ fit,
-per-batch streaming weight/covariance updates, and the posterior-utility
-responsibility.
+"""k-component diagonal Gaussian mixture over noisy features: initial
+k-means++ fit, per-batch streaming weight/covariance updates, and
+checkpoints.
 
 The streaming updates blend batch statistics into the running mixture:
 
@@ -27,10 +27,9 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateData, ParseError, ShapeMismatch
-from .numerics import Covariance, check_diagonal, gaussian_logpdf
+from .numerics import Covariance, check_diagonal, seeded_rng
 
 WEIGHT_FLOOR = 1e-8
 
@@ -85,9 +84,10 @@ class MixtureState:
 
     @staticmethod
     def of(mix: GaussianMixture) -> "MixtureState":
-        """The array form of a mixture whose covariances are all diagonal."""
+        """The array form of a mixture; raises :class:`ShapeMismatch` if any
+        component holds a full covariance."""
         if not all(c.cov.is_diagonal for c in mix.components):
-            raise ShapeMismatch("streaming updates support diagonal covariances only")
+            raise ShapeMismatch("mixtures support diagonal covariances only")
         return MixtureState(
             weights=mix.weights(),
             means=mix.means(),
@@ -194,7 +194,7 @@ def fit_init(
         raise DegenerateData(f"need at least k={k} samples, got {n}")
     if _distinct_rows(x) < k:
         raise DegenerateData(f"fewer than k={k} distinct feature vectors")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 0x6D]))
+    rng = seeded_rng(seed, 0x6D)
 
     if init_means is not None:
         means = np.asarray(init_means, dtype=np.float64).copy()
@@ -353,37 +353,19 @@ def update_covariance(
     )
 
 
-def posterior_utility(z, mix: GaussianMixture, noise, j: int) -> float:
-    """Responsibility of component j for the noisy feature z, computed with
-    every component covariance widened by the noise variance."""
-    if not 0 <= j < mix.k:
-        raise ShapeMismatch(f"component index {j} out of range for k={mix.k}")
-    noise_var = noise.std**2
-    log_terms = np.array(
-        [
-            np.log(comp.weight)
-            + gaussian_logpdf(z, comp.mean, comp.cov.add_diagonal_noise(noise_var))
-            for comp in mix.components
-        ]
-    )
-    return float(np.exp(log_terms[j] - logsumexp(log_terms)))
-
-
 def save_mixture(mix: GaussianMixture, path) -> None:
-    """Write the mixture checkpoint (JSON; diagonal covariances only)."""
-    for c in mix.components:
-        if not c.cov.is_diagonal:
-            raise ShapeMismatch("mixture checkpoints support diagonal covariances only")
+    """Write the mixture checkpoint (JSON)."""
+    state = MixtureState.of(mix)
     doc = {
         "dim": mix.dim,
         "dataset_size": mix.dataset_size,
         "components": [
             {
-                "weight": float(c.weight),
-                "mean": [float(v) for v in c.mean],
-                "cov_diag": [float(v) for v in c.cov.entries],
+                "weight": float(w),
+                "mean": [float(v) for v in mean],
+                "cov_diag": [float(v) for v in var],
             }
-            for c in mix.components
+            for w, mean, var in zip(state.weights, state.means, state.var)
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LabelOutOfRange, NonFinite, ParseError, ShapeMismatch, StaleTape
+from .numerics import seeded_rng
 
-ACTIVATIONS = ("relu", "tanh", "identity", "softmax", "sigmoid")
+ACTIVATIONS = ("relu", "identity", "sigmoid")
 
 
 @dataclass
@@ -74,7 +75,7 @@ def init_network(dims: list[int], activations: list[str], seed: int) -> NeuralMo
     """Seeded He/Xavier-style initialization; biases start at zero."""
     if len(activations) != len(dims) - 1:
         raise ShapeMismatch("need one activation per layer")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 0x4E]))
+    rng = seeded_rng(seed, 0x4E)
     layers = []
     for fan_in, fan_out, act in zip(dims[:-1], dims[1:], activations):
         scale = np.sqrt(2.0 / fan_in) if act == "relu" else np.sqrt(1.0 / fan_in)
@@ -114,7 +115,7 @@ def init_looks_linear(
             f"looks-linear init needs hidden >= 2 and d_z <= hidden//2, "
             f"got hidden={hidden}, d_z={d_z}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 0x11]))
+    rng = seeded_rng(seed, 0x11)
     r = _cropped_orthogonal(half, d_in, rng)
     p = _cropped_orthogonal(d_z, half, rng)
     layers = [
@@ -129,16 +130,10 @@ def init_looks_linear(
 def _apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
     if kind == "identity":
         return z
     if kind == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
-    if kind == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -147,15 +142,10 @@ def _activation_backward(
 ) -> np.ndarray:
     if kind == "relu":
         return grad_out * (pre > 0)
-    if kind == "tanh":
-        return grad_out * (1.0 - post * post)
     if kind == "identity":
         return grad_out
     if kind == "sigmoid":
         return grad_out * post * (1.0 - post)
-    if kind == "softmax":
-        inner = np.sum(grad_out * post, axis=1, keepdims=True)
-        return post * (grad_out - inner)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -185,7 +175,7 @@ def noise_inject(feats: np.ndarray, noise, seed: int) -> np.ndarray:
     x = np.asarray(feats, dtype=np.float64)
     if noise.std == 0:
         return x.copy()
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 0xE9]))
+    rng = seeded_rng(seed, 0xE9)
     return x + noise.std * rng.standard_normal(x.shape)
 
 

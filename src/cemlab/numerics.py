@@ -1,4 +1,4 @@
-"""Positive-definite covariance handling, Gaussian log-densities, and the
+"""Positive-definite covariance handling, seed derivation, and the
 Monte-Carlo entropy oracle.
 
 All entropies are in nats. Every routine takes an explicit seed where
@@ -17,6 +17,18 @@ from .errors import NonPositiveDefinite, ShapeMismatch
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 DEFAULT_RIDGE = 1e-6
+
+
+def seeded_rng(seed: int, *tags: int) -> np.random.Generator:
+    """The generator for one named random stream: ``seed`` (masked to 63
+    bits) followed by integer ``tags`` forms the entropy of its
+    :class:`~numpy.random.SeedSequence`."""
+    return np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), *tags]))
+
+
+def derived_seed(seed: int, *tags: int) -> int:
+    """A child seed in [0, 2**62), drawn from :func:`seeded_rng`."""
+    return int(seeded_rng(seed, *tags).integers(2**62))
 
 
 def check_diagonal(entries: np.ndarray, ridge) -> None:
@@ -79,31 +91,17 @@ class Covariance:
     def is_diagonal(self) -> bool:
         return self.entries is not None
 
-    def ridged_entries(self) -> np.ndarray:
-        """Diagonal entries with the ridge applied (diagonal repr only)."""
-        if self.entries is None:
-            raise ShapeMismatch("not a diagonal covariance")
-        return self.entries + self.ridge
-
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of the ridged matrix (full repr only)."""
         if self._chol is None:
             raise ShapeMismatch("not a full covariance")
         return self._chol
 
-    def add_diagonal_noise(self, variance: float) -> "Covariance":
-        """Covariance of the sum with independent isotropic noise."""
-        if self.is_diagonal:
-            return Covariance.diagonal(self.entries + variance, ridge=self.ridge)
-        return Covariance.full(
-            self.matrix + variance * np.eye(self.dim), ridge=self.ridge
-        )
-
 
 def logdet(c: Covariance) -> float:
     """Log-determinant of the ridged covariance, in nats."""
     if c.is_diagonal:
-        return float(np.sum(np.log(c.ridged_entries())))
+        return float(np.sum(np.log(c.entries + c.ridge)))
     return float(2.0 * np.sum(np.log(np.diag(c.chol()))))
 
 
@@ -112,35 +110,6 @@ def trace(c: Covariance) -> float:
     if c.is_diagonal:
         return float(np.sum(c.entries))
     return float(np.trace(c.matrix))
-
-
-def gaussian_logpdf(x, mean, c: Covariance):
-    """Multivariate normal log-density at ``x``.
-
-    ``x`` may be a single d-vector or an (N, d) batch; the return value is
-    a scalar or an (N,) array accordingly. The ridge participates exactly
-    as it does in :func:`logdet`, so the density integrates to one against
-    the ridged covariance.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != c.dim or mean.size != c.dim:
-        raise ShapeMismatch(
-            f"point dim {pts.shape[1]} / mean dim {mean.size} vs covariance dim {c.dim}"
-        )
-    dev = pts - mean
-    if c.is_diagonal:
-        var = c.ridged_entries()
-        maha = np.sum(dev * dev / var, axis=1)
-        ld = np.sum(np.log(var))
-    else:
-        sol = np.linalg.solve(c.chol(), dev.T)
-        maha = np.sum(sol * sol, axis=0)
-        ld = 2.0 * np.sum(np.log(np.diag(c.chol())))
-    out = -0.5 * (c.dim * LOG_2PI + ld + maha)
-    return float(out[0]) if single else out
 
 
 @dataclass
@@ -162,7 +131,7 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     expectation and carries a 1/sqrt(n) standard error; results are
     deterministic for a fixed seed. Intended sample sizes are >= 1e4.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1)]))
+    rng = seeded_rng(seed)
     weights = np.array([comp.weight for comp in mix.components])
     means = np.stack([comp.mean for comp in mix.components])
     noise_var = noise.std**2

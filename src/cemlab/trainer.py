@@ -39,7 +39,9 @@ from .network import (
     sgd_step,
     task_loss,
 )
+from .numerics import derived_seed, seeded_rng
 
+# Both kinds train on the plain task loss; `none` injects no noise.
 DEFENSE_KINDS = ("none", "noise_only")
 
 
@@ -60,7 +62,6 @@ class TrainingConfig:
     hidden: int = 32
     feature_scale: float = 2.0   # encoder init scale per layer
     gmm_iters: int = 10
-    debug_checks: bool = False
 
     def __post_init__(self):
         if self.defense not in DEFENSE_KINDS:
@@ -106,29 +107,6 @@ class TrainResult:
     history: list[LossBreakdown] = field(default_factory=list)
 
 
-def _rng(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), *tags]))
-
-
-def _derived_seed(seed: int, *tags: int) -> int:
-    return int(_rng(seed, *tags).integers(2**62))
-
-
-def defense_hook(kind, x, z_hat, z, logits, labels):
-    """Baseline-defense contract: returns (task loss, gradient w.r.t.
-    logits, extra gradient w.r.t. features or None).
-
-    ``none`` and ``noise_only`` both reduce to plain cross-entropy; for
-    ``noise_only`` the obfuscation lives in the noise layer, so no extra
-    term appears here. New defenses plug in by returning their own loss
-    contributions.
-    """
-    if kind not in DEFENSE_KINDS:
-        raise UnknownDefense(f"unknown defense kind {kind!r}")
-    l_d, grad_logits = task_loss(logits, labels)
-    return l_d, grad_logits, None
-
-
 def _noise_model(cfg: TrainingConfig) -> NoiseModel:
     std = cfg.noise_std if cfg.defense == "noise_only" else 0.0
     return NoiseModel(std=std, dim=cfg.d_z)
@@ -136,12 +114,12 @@ def _noise_model(cfg: TrainingConfig) -> NoiseModel:
 
 def build_models(cfg: TrainingConfig, d_in: int, n_classes: int):
     enc = init_looks_linear(
-        d_in, cfg.hidden, cfg.d_z, _derived_seed(cfg.seed, 1),
+        d_in, cfg.hidden, cfg.d_z, derived_seed(cfg.seed, 1),
         scale=cfg.feature_scale,
     )
     dec = init_network(
         [cfg.d_z, cfg.hidden, n_classes], ["relu", "identity"],
-        _derived_seed(cfg.seed, 2),
+        derived_seed(cfg.seed, 2),
     )
     return enc, dec
 
@@ -152,7 +130,7 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
     Each epoch re-encodes the training set with fresh noise, refits the
     mixture (means warm-started from the previous epoch), then sweeps
     batches: assign to nearest component, update weights then covariances,
-    combine the defense-hook task loss with the entropy penalty, and take
+    combine the task loss with the entropy penalty, and take
     one SGD step on both halves of the network. The returned mixture is the
     state after the last batch.
     """
@@ -178,10 +156,10 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
         feats, _ = forward(enc, x_train)
         if not np.all(np.isfinite(feats)):
             raise NonFinite(f"training diverged at epoch {epoch}: non-finite features")
-        noisy = noise_inject(feats, noise, _derived_seed(cfg.seed, 3, epoch))
+        noisy = noise_inject(feats, noise, derived_seed(cfg.seed, 3, epoch))
         try:
             return fit_init(
-                noisy, k, _derived_seed(cfg.seed, 4, epoch), iters=cfg.gmm_iters,
+                noisy, k, derived_seed(cfg.seed, 4, epoch), iters=cfg.gmm_iters,
                 init_means=means, ridge=mixture_ridge,
             )
         except NonPositiveDefinite as exc:
@@ -200,7 +178,7 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
         prev_means = None if state is None else state.means
         state = MixtureState.of(refit(encoder, epoch, prev_means))
 
-        order = _rng(cfg.seed, 5, epoch).permutation(n_train)
+        order = seeded_rng(cfg.seed, 5, epoch).permutation(n_train)
         sums = np.zeros(3)  # l_d, l_c, accuracy accumulators
         n_batches = 0
         for start in range(0, n_train, cfg.batch_size):
@@ -210,7 +188,7 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
             try:
                 z_hat, tape_enc = forward(encoder, xb)
                 zb = noise_inject(
-                    z_hat, noise, _derived_seed(cfg.seed, 6, epoch, n_batches)
+                    z_hat, noise, derived_seed(cfg.seed, 6, epoch, n_batches)
                 )
                 logits, tape_dec = forward(decoder, zb)
 
@@ -219,16 +197,9 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
                     state, l_c, penalty_grad = cem_step(state, assign, zb, noise)
                 else:
                     state, l_c = blend_batch(state, assign, zb)[0], 0.0
-                if cfg.debug_checks:
-                    assert abs(state.weights.sum() - 1.0) < 1e-9
 
-                l_d, grad_logits, grad_feats = defense_hook(
-                    cfg.defense, xb, z_hat, zb, logits, yb
-                )
-
+                l_d, grad_logits = task_loss(logits, yb)
                 dec_grads, g_z = backward(decoder, tape_dec, grad_logits)
-                if grad_feats is not None:
-                    g_z = g_z + grad_feats
                 if cfg.lam > 0:
                     g_z = g_z + cfg.lam * penalty_grad
                 enc_grads, _ = backward(encoder, tape_enc, g_z)

@@ -45,7 +45,7 @@ from cemlab.network import (
     task_loss,
 )
 from cemlab.numerics import mc_entropy
-from cemlab.trainer import TrainingConfig, defense_hook, evaluate_utility, train
+from cemlab.trainer import TrainingConfig, evaluate_utility, train
 from conftest import central_diff, rel_error
 
 # Desk-scale calibrated settings for the criterion runs; the published
@@ -240,17 +240,13 @@ def test_criterion_5_gradient_fidelity():
             fd_w = central_diff(loss_of_weights, layer.weights, step=1e-5)
             worst = max(worst, rel_error(grads[li][0], fd_w))
 
-    # Defense-hook logits gradients (20).
-    for kind in ("none", "noise_only"):
-        for _ in range(10):
-            logits = rng.standard_normal((6, 4))
-            labels = rng.integers(0, 4, size=6)
-            _, grad, _ = defense_hook(kind, None, None, None, logits, labels)
-            fd = central_diff(
-                lambda z: defense_hook(kind, None, None, None, z, labels)[0],
-                logits, step=1e-5,
-            )
-            worst = max(worst, rel_error(grad, fd))
+    # Task-loss logits gradients (20).
+    for _ in range(20):
+        logits = rng.standard_normal((6, 4))
+        labels = rng.integers(0, 4, size=6)
+        _, grad = task_loss(logits, labels)
+        fd = central_diff(lambda z: task_loss(z, labels)[0], logits, step=1e-5)
+        worst = max(worst, rel_error(grad, fd))
 
     report(5, "analytic gradients match central finite differences",
            worst <= 1e-4, f"max relative error = {worst:.2e}", started)

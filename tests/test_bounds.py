@@ -147,7 +147,9 @@ class TestCondEntropyAndFloor:
             d_x = int(rng.integers(1, 7))
             d_z = int(rng.integers(1, d_x + 1))  # full-rank channel output
             spec = random_spec(rng, d_x=d_x, d_z=d_z)
-            # Feature mixture: one Gaussian with the channel's output covariance.
+            # Feature mixture: one Gaussian with the eigenvalues of the
+            # channel's output covariance on its diagonal. The bound is
+            # invariant under rotation of the feature space.
             sx = spec.x_cov_matrix()
             z_cov = spec.channel @ sx @ spec.channel.T
             mix_z = GaussianMixture(
@@ -155,7 +157,9 @@ class TestCondEntropyAndFloor:
                     GaussianComponent(
                         weight=1.0,
                         mean=np.zeros(spec.noise.dim),
-                        cov=Covariance.full(0.5 * (z_cov + z_cov.T), ridge=0.0),
+                        cov=Covariance.diagonal(
+                            np.linalg.eigvalsh(0.5 * (z_cov + z_cov.T)), ridge=0.0
+                        ),
                     )
                 ],
                 dim=spec.noise.dim,

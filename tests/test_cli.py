@@ -18,6 +18,7 @@ from cemlab.cli import (
 )
 from cemlab.mixture import save_mixture
 from cemlab.numerics import Covariance
+from cemlab import cli
 from cemlab import mixture as mixture_mod
 
 TINY = {
@@ -217,11 +218,21 @@ class TestSweepAndReport:
         lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3  # comment, header, one row
 
-    def test_threaded_sweep_matches_grid_order(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CEM_LAB_THREADS", "2")
+    def test_sweep_appends_rows_in_grid_order(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "sweep" / "sweep.csv"
+        lines_before_point = []
+        run_point = cli._sweep_point
+
+        def counting_point(config, variance, out_dir):
+            lines_before_point.append(len(csv_path.read_text().splitlines()))
+            return run_point(config, variance, out_dir)
+
+        monkeypatch.setattr(cli, "_sweep_point", counting_point)
         rows = cmd_sweep(tiny_config(), [0.04, 0.09], tmp_path / "sweep")
         assert [row["variance"] for row in rows] == [0.04, 0.09]
-        lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        # The first point's row is on disk before the second point starts.
+        assert lines_before_point == [2, 3]
+        lines = csv_path.read_text().splitlines()
         assert len(lines) == 4
         assert lines[2].startswith("0.04,") and lines[3].startswith("0.09,")
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cemlab.bounds import NoiseModel
 from cemlab.errors import DegenerateData, ParseError, ShapeMismatch
 from cemlab.mixture import (
     BatchAssignment,
@@ -14,7 +13,6 @@ from cemlab.mixture import (
     assign_nearest,
     fit_init,
     load_mixture,
-    posterior_utility,
     save_mixture,
     update_covariance,
     update_weights,
@@ -217,37 +215,6 @@ class TestUpdateCovariance:
             new_dist = abs(float(mix.components[0].cov.entries[0]) - delta)
             assert new_dist == pytest.approx((1.0 - c) * dist, rel=1e-9)
             dist = new_dist
-
-
-class TestPosteriorUtility:
-    def test_identical_components_symmetric(self):
-        k = 4
-        mix = make_mixture([1 / k] * k, np.zeros((k, 2)), np.ones((k, 2)))
-        noise = NoiseModel(std=0.5, dim=2)
-        for j in range(k):
-            assert posterior_utility([0.3, -0.2], mix, noise, j) == pytest.approx(
-                1 / k, abs=1e-12
-            )
-
-    def test_dominant_component(self):
-        mix = make_mixture([0.5, 0.5], [[0.0], [100.0]], [[1e-12], [1e-12]])
-        noise = NoiseModel(std=1.0, dim=1)
-        assert posterior_utility([0.0], mix, noise, 0) >= 1.0 - 1e-10
-
-    def test_midpoint_symmetry(self):
-        mix = make_mixture([0.5, 0.5], [[-1.0], [1.0]], [[0.0], [0.0]])
-        noise = NoiseModel(std=1.0, dim=1)
-        assert posterior_utility([0.0], mix, noise, 0) == pytest.approx(0.5, abs=1e-9)
-        assert posterior_utility([0.0], mix, noise, 1) == pytest.approx(0.5, abs=1e-9)
-
-    def test_responsibilities_sum_to_one(self, rng):
-        mix = make_mixture(
-            [0.2, 0.5, 0.3], rng.standard_normal((3, 2)), np.ones((3, 2)) * 0.5
-        )
-        noise = NoiseModel(std=0.3, dim=2)
-        z = rng.standard_normal(2)
-        total = sum(posterior_utility(z, mix, noise, j) for j in range(3))
-        assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSerialization:

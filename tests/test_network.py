@@ -78,13 +78,6 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(m, np.zeros((2, 4)))
 
-    def test_softmax_rows_normalized(self, rng):
-        m = NeuralModule(
-            layers=[Layer(weights=np.eye(3), bias=np.zeros(3), activation="softmax")]
-        )
-        out, _ = forward(m, rng.standard_normal((5, 3)))
-        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
-
 
 class TestNoiseInject:
     def test_zero_std_is_identity(self, rng):

@@ -4,9 +4,8 @@ import pytest
 from cemlab.bounds import NoiseModel
 from cemlab.errors import NonPositiveDefinite
 from cemlab.mixture import GaussianComponent, GaussianMixture
-from cemlab.numerics import Covariance, gaussian_logpdf, logdet, mc_entropy, trace
+from cemlab.numerics import Covariance, logdet, mc_entropy, trace
 
-HALF_LOG_2PI = 0.9189385332046727
 HALF_LOG_2PIE = 1.4189385332046727
 LOG2 = 0.6931471805599453
 
@@ -83,54 +82,6 @@ class TestTrace:
             a = 0.5 * (a + a.T)
             c = Covariance.full(a, ridge=0.0)
             assert abs(trace(c) - np.sum(np.linalg.eigvalsh(a))) <= 1e-10
-
-
-class TestGaussianLogpdf:
-    def test_standard_normal_at_mode(self):
-        c = Covariance.diagonal([1.0], ridge=0.0)
-        assert gaussian_logpdf([0.0], [0.0], c) == pytest.approx(
-            -HALF_LOG_2PI, abs=1e-12
-        )
-
-    def test_mode_any_dim(self):
-        for d in (1, 3, 7):
-            c = Covariance.diagonal(np.ones(d), ridge=0.0)
-            x = np.zeros(d)
-            assert gaussian_logpdf(x, x, c) == pytest.approx(
-                -d * HALF_LOG_2PI, abs=1e-12
-            )
-
-    def test_unit_offset(self):
-        # Hand substitution: -1/2 - log(2 pi)/2
-        c = Covariance.diagonal([1.0], ridge=0.0)
-        assert gaussian_logpdf([1.0], [0.0], c) == pytest.approx(
-            -0.5 - HALF_LOG_2PI, abs=1e-12
-        )
-
-    def test_full_matches_diagonal(self, rng):
-        entries = rng.uniform(0.5, 2.0, size=4)
-        x = rng.standard_normal(4)
-        mean = rng.standard_normal(4)
-        c_diag = Covariance.diagonal(entries, ridge=0.0)
-        c_full = Covariance.full(np.diag(entries), ridge=0.0)
-        assert gaussian_logpdf(x, mean, c_diag) == pytest.approx(
-            gaussian_logpdf(x, mean, c_full), abs=1e-10
-        )
-
-    def test_integrates_to_one(self):
-        sigma = 1.7
-        c = Covariance.diagonal([sigma**2], ridge=0.0)
-        grid = np.linspace(-10 * sigma, 10 * sigma, 200_001)
-        density = np.exp(gaussian_logpdf(grid[:, None], [0.0], c))
-        integral = np.trapezoid(density, grid)
-        assert abs(integral - 1.0) <= 1e-6
-
-    def test_batch_evaluation(self, rng):
-        c = Covariance.diagonal([0.5, 2.0], ridge=0.0)
-        pts = rng.standard_normal((5, 2))
-        batched = gaussian_logpdf(pts, [0.0, 0.0], c)
-        singles = [gaussian_logpdf(p, [0.0, 0.0], c) for p in pts]
-        assert np.allclose(batched, singles, atol=1e-12)
 
 
 class TestMcEntropy:

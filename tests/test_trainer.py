@@ -4,13 +4,8 @@ import pytest
 from cemlab.bounds import NoiseModel
 from cemlab.data import synth_blobs
 from cemlab.errors import NonFinite, UnknownDefense
-from cemlab.network import Layer, NeuralModule, init_network
-from cemlab.trainer import (
-    TrainingConfig,
-    defense_hook,
-    evaluate_utility,
-    train,
-)
+from cemlab.network import Layer, NeuralModule, init_network, task_loss
+from cemlab.trainer import TrainingConfig, evaluate_utility, train
 from conftest import central_diff, rel_error
 
 
@@ -53,7 +48,7 @@ class TestTrain:
     def test_loss_ledger_identity(self, small_blobs):
         cfg = TrainingConfig(
             lam=2.0, noise_std=0.05, defense="noise_only",
-            epochs=4, seed=2, lr=0.001, batch_size=16, debug_checks=True,
+            epochs=4, seed=2, lr=0.001, batch_size=16,
         )
         result = train(cfg, small_blobs)
         for row in result.history:
@@ -108,35 +103,28 @@ class TestTrain:
 
 
 class TestDefenseHook:
+    """Under every defense kind the trainer's task term is plain
+    :func:`task_loss`; the kind only decides whether noise is injected, and
+    an unknown kind fails when the config is built."""
+
     def test_none_is_task_loss_passthrough(self):
         logits = np.array([[50.0, 0.0], [0.0, 50.0]])
         labels = np.array([0, 1])
-        l_d, grad, extra = defense_hook("none", None, None, None, logits, labels)
+        l_d, grad = task_loss(logits, labels)
         assert l_d < 1e-20
-        assert extra is None
         assert grad.shape == logits.shape
 
-    def test_noise_only_matches_none_at_zero_std(self, rng):
-        logits = rng.standard_normal((6, 3))
-        labels = rng.integers(0, 3, size=6)
-        out_none = defense_hook("none", None, None, None, logits, labels)
-        out_noise = defense_hook("noise_only", None, None, None, logits, labels)
-        assert out_none[0] == out_noise[0]
-        assert np.array_equal(out_none[1], out_noise[1])
-
     def test_gradients_match_finite_differences(self, rng):
-        for kind in ("none", "noise_only"):
+        for _ in range(2):
             logits = rng.standard_normal((5, 4))
             labels = rng.integers(0, 4, size=5)
-            _, grad, _ = defense_hook(kind, None, None, None, logits, labels)
-            fd = central_diff(
-                lambda z: defense_hook(kind, None, None, None, z, labels)[0], logits
-            )
+            _, grad = task_loss(logits, labels)
+            fd = central_diff(lambda z: task_loss(z, labels)[0], logits)
             assert rel_error(grad, fd) <= 1e-5
 
     def test_unknown_kind(self):
         with pytest.raises(UnknownDefense):
-            defense_hook("prune", None, None, None, np.zeros((1, 2)), np.zeros(1, int))
+            TrainingConfig(defense="prune")
 
 
 class TestEvaluateUtility:
