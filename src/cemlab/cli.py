@@ -284,6 +284,11 @@ def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.Atta
 def cmd_bounds(run: str, h_x_offset: float | None = None) -> bounds.BoundsReport:
     manifest, base = _load_manifest(run)
     config = manifest.config
+    if float(config["noise_std"]) <= 0:
+        raise ValueError(
+            f"the leakage bound needs noise_std > 0; run {manifest.run_id} "
+            f"has noise_std={config['noise_std']}"
+        )
     mix = mixture.load_mixture(_artifact_path(manifest, base, "mixture"))
     noise = bounds.NoiseModel(std=float(config["noise_std"]), dim=int(config["d_z"]))
     offset = float(config["h_x_offset"]) if h_x_offset is None else float(h_x_offset)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LabelOutOfRange, NonFinite, ParseError, ShapeMismatch, StaleTape
-from .numerics import seeded_rng
+from .numerics import logsumexp_rows, seeded_rng
 
 ACTIVATIONS = ("relu", "identity", "sigmoid")
 
@@ -227,24 +227,6 @@ def sgd_step(
     return NeuralModule(layers=layers, velocity=velocity)
 
 
-def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of a 2-D float64 array, bit-identical to
-    ``scipy.special.logsumexp(z, axis=1)`` (scipy 1.17) without its
-    array-API dispatch: the row maxima are split out of the sum, and rows
-    whose result is not finite fall back to ``log(sum(exp(z)))``."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = z.max(axis=1, keepdims=True)
-        is_top = z == top
-        m = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
-        s = np.exp(np.where(is_top, -np.inf, z) - top).sum(axis=1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + top)[:, 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.exp(z[bad]).sum(axis=1))
-    return out
-
-
 def task_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy in nats plus its gradient w.r.t. logits."""
     z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
@@ -254,7 +236,7 @@ def task_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
         raise ShapeMismatch(f"{y.size} labels for {n} rows of logits")
     if np.any(y < 0) or np.any(y >= n_classes):
         raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
-    log_z = _logsumexp_rows(z)
+    log_z = logsumexp_rows(z)
     loss = float(np.mean(log_z - z[np.arange(n), y]))
     probs = np.exp(z - log_z[:, None])
     probs[np.arange(n), y] -= 1.0

@@ -1,5 +1,5 @@
-"""Positive-definite covariance handling, seed derivation, and the
-Monte-Carlo entropy oracle.
+"""Positive-definite covariance handling, seed derivation, a row-wise
+log-sum-exp, and the Monte-Carlo entropy oracle.
 
 All entropies are in nats. Every routine takes an explicit seed where
 randomness is involved; nothing touches numpy's global generator.
@@ -10,13 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NonPositiveDefinite, ShapeMismatch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 DEFAULT_RIDGE = 1e-6
+
+# Rows per block of the Monte-Carlo oracle. Its working memory is a few
+# (block, d) and (block, k) arrays whatever the sample count; 2**12 to 2**15
+# run at about the same speed.
+_MC_BLOCK = 2**15
 
 
 def seeded_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -112,6 +116,24 @@ def trace(c: Covariance) -> float:
     return float(np.trace(c.matrix))
 
 
+def logsumexp_rows(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of a 2-D float64 array, bit-identical to
+    ``scipy.special.logsumexp(z, axis=1)`` (scipy 1.17) without its
+    array-API dispatch: the row maxima are split out of the sum, and rows
+    whose result is not finite fall back to ``log(sum(exp(z)))``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = z.max(axis=1, keepdims=True)
+        is_top = z == top
+        m = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
+        s = np.exp(np.where(is_top, -np.inf, z) - top).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + top)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(z[bad]).sum(axis=1))
+    return out
+
+
 @dataclass
 class McEstimate:
     """A Monte-Carlo estimate with its standard error and provenance."""
@@ -129,8 +151,18 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     Samples z from the mixture with each component covariance widened by
     the noise variance, then averages -log p(z). The estimate is exact in
     expectation and carries a 1/sqrt(n) standard error; results are
-    deterministic for a fixed seed. Intended sample sizes are >= 1e4.
+    deterministic for a fixed seed. Intended sample sizes are >= 1e4;
+    fewer than 2 samples raise :class:`ValueError`, because the standard
+    error is undefined.
+
+    The samples are processed in blocks of rows, so memory beyond the
+    (n_samples,) choices and -log p(z) stays fixed. The component choices
+    are drawn first for all samples, then the standard normals block by
+    block; the generator fills them in order, so the stream, and every bit
+    of the result, is the same as drawing one (n_samples, d) array.
     """
+    if n_samples < 2:
+        raise ValueError(f"mc_entropy needs n_samples >= 2, got {n_samples}")
     rng = seeded_rng(seed)
     weights = np.array([comp.weight for comp in mix.components])
     means = np.stack([comp.mean for comp in mix.components])
@@ -141,22 +173,25 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     variances = np.stack(
         [np.asarray(comp.cov.entries, dtype=np.float64) for comp in mix.components]
     ) + noise_var
+    std = np.sqrt(variances)
+    log_weights = np.log(weights)
+    # d*log(2*pi) + log-determinant of each widened component.
+    log_norms = [d * LOG_2PI + np.sum(np.log(variances[i])) for i in range(k)]
 
     choices = rng.choice(k, size=n_samples, p=weights / weights.sum())
-    draws = means[choices] + rng.standard_normal((n_samples, d)) * np.sqrt(
-        variances[choices]
-    )
-
-    # log p(z) under the mixture, via logsumexp over components.
-    log_terms = np.empty((n_samples, k))
-    for i in range(k):
-        dev = draws - means[i]
-        log_terms[:, i] = np.log(weights[i]) - 0.5 * (
-            d * LOG_2PI
-            + np.sum(np.log(variances[i]))
-            + np.sum(dev * dev / variances[i], axis=1)
-        )
-    neg_logp = -logsumexp(log_terms, axis=1)
+    neg_logp = np.empty(n_samples)
+    log_terms = np.empty((min(n_samples, _MC_BLOCK), k))
+    for start in range(0, n_samples, _MC_BLOCK):
+        c = choices[start:start + _MC_BLOCK]
+        draws = means[c] + rng.standard_normal((c.size, d)) * std[c]
+        # log p(z) under the mixture, via logsumexp over components.
+        terms = log_terms[: c.size]
+        for i in range(k):
+            dev = draws - means[i]
+            terms[:, i] = log_weights[i] - 0.5 * (
+                log_norms[i] + np.sum(dev * dev / variances[i], axis=1)
+            )
+        neg_logp[start:start + c.size] = -logsumexp_rows(terms)
     value = float(np.mean(neg_logp))
     std_error = float(np.std(neg_logp, ddof=1) / np.sqrt(n_samples))
     return McEstimate(value=value, std_error=std_error, n_samples=n_samples, seed=seed)

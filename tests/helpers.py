@@ -1,10 +1,11 @@
 """Shared fixtures-by-hand for bound and adversary tests."""
 
 import numpy as np
+from scipy.special import logsumexp
 
 from cemlab.bounds import JointGaussianSpec, NoiseModel
 from cemlab.mixture import GaussianComponent, GaussianMixture
-from cemlab.numerics import Covariance
+from cemlab.numerics import LOG_2PI, Covariance, McEstimate, seeded_rng
 
 
 def make_mixture(weights, means, variances, n=100, ridge=0.0):
@@ -61,3 +62,35 @@ def random_spec(rng, d_x=None, d_z=None):
         channel=rng.standard_normal((d_z, d_x)),
         noise=NoiseModel(std=float(rng.uniform(0.2, 1.2)), dim=d_z),
     )
+
+
+def mc_entropy_whole_array(mix, noise, n_samples, seed):
+    """Reference Monte-Carlo entropy oracle: the whole-array form that
+    ``numerics.mc_entropy`` streams in row blocks. Every intermediate is
+    built at full (n_samples, ...) length and the row-wise log-sum-exp is
+    scipy's; the blocked oracle must reproduce its bits."""
+    rng = seeded_rng(seed)
+    weights = np.array([comp.weight for comp in mix.components])
+    means = np.stack([comp.mean for comp in mix.components])
+    noise_var = noise.std**2
+    k, d = means.shape
+    variances = np.stack(
+        [np.asarray(comp.cov.entries, dtype=np.float64) for comp in mix.components]
+    ) + noise_var
+
+    choices = rng.choice(k, size=n_samples, p=weights / weights.sum())
+    draws = means[choices] + rng.standard_normal((n_samples, d)) * np.sqrt(
+        variances[choices]
+    )
+    log_terms = np.empty((n_samples, k))
+    for i in range(k):
+        dev = draws - means[i]
+        log_terms[:, i] = np.log(weights[i]) - 0.5 * (
+            d * LOG_2PI
+            + np.sum(np.log(variances[i]))
+            + np.sum(dev * dev / variances[i], axis=1)
+        )
+    neg_logp = -logsumexp(log_terms, axis=1)
+    value = float(np.mean(neg_logp))
+    std_error = float(np.std(neg_logp, ddof=1) / np.sqrt(n_samples))
+    return McEstimate(value=value, std_error=std_error, n_samples=n_samples, seed=seed)

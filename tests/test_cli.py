@@ -209,6 +209,15 @@ class TestBoundsCommand:
             minimal_mse_oracle(spec), abs=1e-9
         )
 
+    def test_noise_free_run_is_a_config_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(defense="none", lam=0.0, noise_std=0.0), run_dir)
+        with pytest.raises(ValueError, match="noise_std > 0"):
+            cmd_bounds(str(run_dir))
+        assert main(["bounds", str(run_dir)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (run_dir / "bounds_report.json").exists()
+
 
 class TestSweepAndReport:
     def test_single_point_sweep(self, tmp_path):

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from helpers import make_mixture, mc_entropy_whole_array, random_mixture
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cemlab.bounds import NoiseModel
 from cemlab.errors import NonPositiveDefinite
 from cemlab.mixture import GaussianComponent, GaussianMixture
-from cemlab.numerics import Covariance, logdet, mc_entropy, trace
+from cemlab.numerics import _MC_BLOCK, Covariance, logdet, mc_entropy, trace
 
 HALF_LOG_2PIE = 1.4189385332046727
 LOG2 = 0.6931471805599453
@@ -119,3 +124,63 @@ class TestMcEntropy:
             ratios.append(small.std_error / large.std_error)
         for r in ratios:
             assert 1.2 <= r <= 1.7
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_samples_rejected(self, n):
+        mix = mix_1d([1.0], [0.0], [1.0])
+        with pytest.raises(ValueError, match="n_samples"):
+            mc_entropy(mix, NoiseModel(std=0.5, dim=1), n_samples=n, seed=0)
+
+    def test_peak_memory_is_bounded(self):
+        """One call at 10^6 samples, k=9, d=8 stays far below the ~580 MB
+        that full-length (n, d) intermediates take."""
+        mix = random_mixture(np.random.default_rng(5), 9, 8)
+        noise = NoiseModel(std=0.3, dim=8)
+        tracemalloc.start()
+        try:
+            mc_entropy(mix, noise, n_samples=10**6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
+
+
+class TestMcEntropyBlocks:
+    """The row-blocked oracle reproduces the whole-array reference bit for
+    bit, on both sides of every block boundary."""
+
+    @pytest.mark.parametrize(
+        "n", [2, 777, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 3 * _MC_BLOCK + 7]
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(
+        k=st.integers(1, 9),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        n_zero_weights=st.integers(0, 8),
+        zero_variances=st.booleans(),
+        noise_std=st.sampled_from([0.0, 0.05, 1.3]),
+    )
+    @example(k=9, d=8, seed=0, n_zero_weights=3, zero_variances=False, noise_std=0.0)
+    @example(k=5, d=3, seed=1, n_zero_weights=0, zero_variances=True, noise_std=0.0)
+    def test_matches_whole_array_reference(
+        self, n, k, d, seed, n_zero_weights, zero_variances, noise_std
+    ):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.05, 1.0, size=k)
+        weights[: min(n_zero_weights, k - 1)] = 0.0
+        variances = rng.uniform(0.05, 2.0, size=(k, d))
+        if zero_variances:
+            variances[rng.random((k, d)) < 0.5] = 0.0
+        mix = make_mixture(
+            weights / weights.sum(),
+            rng.uniform(-3.0, 3.0, size=(k, d)),
+            variances,
+            ridge=1e-12,
+        )
+        noise = NoiseModel(std=noise_std, dim=d)
+        with np.errstate(all="ignore"):
+            got = mc_entropy(mix, noise, n_samples=n, seed=seed)
+            want = mc_entropy_whole_array(mix, noise, n_samples=n, seed=seed)
+        assert repr(got.value) == repr(want.value)
+        assert repr(got.std_error) == repr(want.std_error)
