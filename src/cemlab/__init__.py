@@ -29,7 +29,7 @@ from .mixture import (
     update_weights,
 )
 from .numerics import Covariance, McEstimate, logdet, mc_entropy, trace
-from .trainer import LossBreakdown, TrainingConfig, evaluate_utility, train
+from .trainer import LossBreakdown, TrainingConfig, evaluate_utility, train, train_many
 
 __all__ = [
     "BatchAssignment",
@@ -62,6 +62,7 @@ __all__ = [
     "synth_blobs",
     "trace",
     "train",
+    "train_many",
     "update_covariance",
     "update_weights",
 ]

@@ -14,7 +14,8 @@ Mixtures are diagonal. The bound and its gradient are array kernels over
 all components at once: :func:`mi_upper_bound` and
 :func:`mixture_entropy_upper` run them on a mixture, and :func:`cem_step`
 fuses them with the mixture's per-batch update
-(:func:`~cemlab.mixture.blend_batch`) into the training loop's single step.
+(:func:`~cemlab.mixture.blend_batch`) into the training loop's single step,
+for one run or a stack of them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .mixture import (
     BatchAssignment,
     GaussianMixture,
     MixtureState,
+    _per_row,
     batch_tag,
     blend_batch,
     blend_coefficients,
@@ -116,26 +118,33 @@ def gaussian_entropy(c: Covariance) -> float:
     return 0.5 * (c.dim * LOG_2PIE + logdet(c))
 
 
-def _widened_ridged(var: np.ndarray, ridge, noise: NoiseModel) -> np.ndarray:
-    """Ridged diagonals of the noise-widened components, checked as
-    :meth:`Covariance.diagonal` checks them."""
-    widened = var + noise.std**2
+def _widened_ridged(var: np.ndarray, ridge, noise_var) -> np.ndarray:
+    """Ridged diagonals of the components widened by the noise variance,
+    checked as :meth:`Covariance.diagonal` checks them."""
+    widened = var + noise_var
     check_diagonal(widened, ridge)
     return widened + ridge
 
 
-def _penalty(weights: np.ndarray, denom: np.ndarray, ld_ref: float) -> float:
+def _running_sum(values: list[float]) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _penalty(weights: np.ndarray, denom: np.ndarray, ld_ref):
     """sum_i pi_i * (-log pi_i + 0.5 * (logdet_i - ld_ref)) from the weights
     and the ridged widened diagonals ``denom``. With the noise
     log-determinant as ``ld_ref`` this is the MI bound. Components are added
-    in order, as a running sum."""
+    in order, as a running sum. For a stack of runs ``ld_ref`` is (R, 1)
+    and the result an (R,) array."""
     terms = weights * (
-        -np.log(weights) + 0.5 * (np.sum(np.log(denom), axis=1) - ld_ref)
+        -np.log(weights) + 0.5 * (np.sum(np.log(denom), axis=-1) - ld_ref)
     )
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    return total
+    if terms.ndim == 1:
+        return _running_sum(terms.tolist())
+    return np.array([_running_sum(row) for row in terms.tolist()])
 
 
 def _penalty_grad(
@@ -148,13 +157,13 @@ def _penalty_grad(
     """Per-row gradient (pi_j * c_j) * dev / (n_j * denom_j) of the bound,
     for rows assigned to component j."""
     idx = assign.indices
-    scale = (weights * coef)[idx][:, None]
-    return scale * dev / (assign.counts[idx][:, None] * denom[idx])
+    scale = _per_row(weights * coef, idx)[..., None]
+    return scale * dev / (_per_row(assign.counts, idx)[..., None] * _per_row(denom, idx))
 
 
 def _mixture_bound(mix: GaussianMixture, noise: NoiseModel, ld_ref: float) -> float:
     state = MixtureState.of(mix)
-    denom = _widened_ridged(state.var, state.ridge, noise)
+    denom = _widened_ridged(state.var, state.ridge, noise.std**2)
     return _penalty(state.weights, denom, ld_ref)
 
 
@@ -246,7 +255,7 @@ def cem_loss_grad(
         raise StaleState("mixture covariances were not updated for this batch")
     state = MixtureState.of(mix)
     coef = blend_coefficients(state.weights, assign.counts, mix.dataset_size)
-    denom = _widened_ridged(state.var, state.ridge, noise)
+    denom = _widened_ridged(state.var, state.ridge, noise.std**2)
     dev = z - state.means[assign.indices]
     return _penalty_grad(state.weights, coef, dev, assign, denom)
 
@@ -255,21 +264,28 @@ def cem_step(
     state: MixtureState,
     assign: BatchAssignment,
     batch: np.ndarray,
-    noise: NoiseModel,
+    noise_var,
+    noise_logdet,
 ) -> tuple[MixtureState, float, np.ndarray]:
     """One training batch on the array-form mixture: the weight and
     covariance updates, the penalty on the updated mixture, and the
     penalty's gradient with respect to each row of ``batch``.
+    ``noise_var`` and ``noise_logdet`` are the noise model's ``std**2`` and
+    ``logdet()``.
 
     Gives the same bits as :func:`~cemlab.mixture.update_weights`,
     :func:`~cemlab.mixture.update_covariance`, :func:`cem_loss` and
     :func:`cem_loss_grad` in turn. The gradient belongs to the state it
     returns, so no staleness check is needed. Raises
     :class:`~cemlab.errors.NonPositiveDefinite` where those would.
+
+    On a stack of runs, ``noise_var`` is (R, 1, 1), ``noise_logdet`` (R, 1)
+    and the penalty an (R,) array, each run with the bits it gets alone;
+    errors are raised per run (see :class:`~cemlab.errors.CemError`).
     """
     state, coef, dev = blend_batch(state, assign, batch)
-    denom = _widened_ridged(state.var, state.ridge, noise)
-    penalty = _penalty(state.weights, denom, noise.logdet())
+    denom = _widened_ridged(state.var, state.ridge, noise_var)
+    penalty = _penalty(state.weights, denom, noise_logdet)
     return state, penalty, _penalty_grad(state.weights, coef, dev, assign, denom)
 
 

@@ -177,13 +177,25 @@ def write_history_csv(path: Path, run_id: str, history) -> None:
             )
 
 
+def noise_model(config: dict) -> bounds.NoiseModel:
+    """The noise a run's config injects: none under ``defense="none"``,
+    whatever its ``noise_std``."""
+    std = trainer.effective_noise_std(str(config["defense"]), float(config["noise_std"]))
+    return bounds.NoiseModel(std=std, dim=int(config["d_z"]))
+
+
 def cmd_train(config: dict, out_dir: Path) -> RunManifest:
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_id = run_id_for(config)
     ds = build_dataset(config)
-    cfg = training_config(config)
-    result = trainer.train(cfg, ds)
+    result = trainer.train(training_config(config), ds)
+    return save_run(config, result, out_dir)
 
+
+def save_run(config: dict, result: trainer.TrainResult, out_dir: Path) -> RunManifest:
+    """Write a trained run's checkpoints, history and manifest under
+    ``out_dir``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    run_id = run_id_for(config)
     artifacts = {
         "encoder": "encoder.json",
         "decoder": "decoder.json",
@@ -226,7 +238,7 @@ def run_floor(manifest: RunManifest, base: Path) -> float:
     """MSE floor at the run's relative-entropy convention (stated offset)."""
     mix = mixture.load_mixture(_artifact_path(manifest, base, "mixture"))
     config = manifest.config
-    noise = bounds.NoiseModel(std=float(config["noise_std"]), dim=int(config["d_z"]))
+    noise = noise_model(config)
     h_cond = bounds.cond_entropy_lower(
         float(config["h_x_offset"]), bounds.mi_upper_bound(mix, noise)
     )
@@ -242,7 +254,7 @@ def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.Atta
                 config[key] = value
     encoder = network.load_network(_artifact_path(manifest, base, "encoder"))
     ds = build_dataset(manifest.config)
-    noise = bounds.NoiseModel(std=float(config["noise_std"]), dim=int(config["d_z"]))
+    noise = noise_model(config)
     atk_cfg = adversary.AttackConfig(
         epochs=int(config["attack_epochs"]),
         lr=float(config["attack_lr"]),
@@ -251,7 +263,7 @@ def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.Atta
     attacker = adversary.train_attacker(encoder, noise, ds, atk_cfg)
     x_train, _ = ds.train_arrays()
     x_test, _ = ds.test_arrays()
-    floor = run_floor(manifest, base) if float(config["noise_std"]) > 0 else None
+    floor = run_floor(manifest, base) if noise.std > 0 else None
     report = adversary.evaluate_attack(
         attacker, encoder, noise, x_train, x_test, seed=atk_cfg.seed, floor=floor
     )
@@ -284,13 +296,14 @@ def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.Atta
 def cmd_bounds(run: str, h_x_offset: float | None = None) -> bounds.BoundsReport:
     manifest, base = _load_manifest(run)
     config = manifest.config
-    if float(config["noise_std"]) <= 0:
+    noise = noise_model(config)
+    if noise.std <= 0:
         raise ValueError(
             f"the leakage bound needs noise_std > 0; run {manifest.run_id} "
-            f"has noise_std={config['noise_std']}"
+            f"injects noise_std={noise.std} (noise_std={config['noise_std']}, "
+            f"defense={config['defense']!r})"
         )
     mix = mixture.load_mixture(_artifact_path(manifest, base, "mixture"))
-    noise = bounds.NoiseModel(std=float(config["noise_std"]), dim=int(config["d_z"]))
     offset = float(config["h_x_offset"]) if h_x_offset is None else float(h_x_offset)
     report = bounds.bounds_report(mix, noise, offset, int(config["data_dim"]))
     with open(base / "bounds_report.json", "w", encoding="utf-8") as fh:
@@ -299,31 +312,51 @@ def cmd_bounds(run: str, h_x_offset: float | None = None) -> bounds.BoundsReport
     return report
 
 
-def _sweep_point(config: dict, variance: float, out_dir: Path) -> dict:
-    point = dict(config)
-    point["noise_std"] = float(np.sqrt(variance))
-    point["defense"] = "noise_only"
-    manifest = cmd_train(point, out_dir)
-    history_rel_h = None
-    history = read_history_csv(out_dir / manifest.artifacts["history"])
-    if history:
-        history_rel_h = history[-1]["rel_cond_entropy"]
+def _sweep_point(point: dict, variance: float, out_dir: Path, trained) -> dict:
+    """Write one trained sweep point, attack it and measure its utility.
+    ``trained`` is the point's (dataset, training result), or the error its
+    training raised, which is raised here."""
+    if isinstance(trained, Exception):
+        raise trained
+    ds, result = trained
+    save_run(point, result, out_dir)
     report = cmd_attack(str(out_dir))
-    ds = build_dataset(point)
-    encoder = network.load_network(out_dir / manifest.artifacts["encoder"])
-    decoder = network.load_network(out_dir / manifest.artifacts["decoder"])
-    noise = bounds.NoiseModel(std=float(point["noise_std"]), dim=int(point["d_z"]))
     accuracy = trainer.evaluate_utility(
-        encoder, decoder, ds, noise, seed=int(point["seed"])
+        result.encoder, result.decoder, ds, noise_model(point), seed=int(point["seed"])
     )
     return {
         "variance": variance,
-        "rel_cond_entropy": history_rel_h,
+        "rel_cond_entropy": -result.history[-1].l_c if result.history else None,
         "mse_train": report.mse_train,
         "mse_infer": report.mse_infer,
         "accuracy": accuracy,
         "error": "",
     }
+
+
+def _train_points(points: list[dict]) -> list:
+    """Train the sweep points as one stack. Each entry is a point's
+    (dataset, training result), or the error its set-up or training
+    raised."""
+    outcomes: list = [None] * len(points)
+    stacked, cfgs, datasets = [], [], []
+    for i, point in enumerate(points):
+        try:
+            ds = build_dataset(point)
+            cfgs.append(training_config(point))
+        except (CemError, ValueError, OSError) as exc:
+            outcomes[i] = exc
+            continue
+        stacked.append(i)
+        datasets.append(ds)
+    if stacked:
+        try:
+            results = trainer.train_many(cfgs, datasets)
+        except (CemError, ValueError) as exc:
+            results = [exc] * len(stacked)
+        for i, ds, result in zip(stacked, datasets, results):
+            outcomes[i] = result if isinstance(result, Exception) else (ds, result)
+    return outcomes
 
 
 def _sweep_csv_row(row: dict) -> str:
@@ -339,9 +372,11 @@ def _sweep_csv_row(row: dict) -> str:
 
 
 def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
-    """Train one fresh model per noise variance, in grid order, and record
-    the robustness curve. Each row is appended to sweep.csv as its point
-    finishes, so an interrupted sweep keeps the rows it finished."""
+    """Train one fresh model per noise variance and record the robustness
+    curve. The points train together, as one stacked computation; then, in
+    grid order, each point's artifacts are written, its attack and utility
+    measured, and its row appended to sweep.csv, so an interrupted sweep
+    keeps the rows it finished."""
     if not grid:
         raise ValueError("sweep grid is empty")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -350,10 +385,16 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
         fh.write(f"# run_id={run_id_for(config)}\n")
         fh.write("variance,rel_cond_entropy,mse_train,mse_infer,accuracy,error\n")
 
+    points = [
+        dict(config, noise_std=float(np.sqrt(variance)), defense="noise_only")
+        for variance in grid
+    ]
     rows = []
-    for i, variance in enumerate(grid):
+    for i, (variance, point, trained) in enumerate(
+        zip(grid, points, _train_points(points))
+    ):
         try:
-            row = _sweep_point(config, variance, out_dir / f"point_{i:02d}")
+            row = _sweep_point(point, variance, out_dir / f"point_{i:02d}", trained)
         except (CemError, ValueError, OSError) as exc:
             row = {
                 "variance": variance,

@@ -18,6 +18,12 @@ The arithmetic lives in array kernels over the whole mixture
 :func:`update_covariance` are adapters that run the same kernels on a
 :class:`GaussianMixture`. Per-component sums repeat NumPy's own order of
 addition, so both forms give the same bits as a ``np.mean`` per component.
+
+The kernels, :func:`assign_nearest` and the refit (:func:`fit_init_many`)
+also run on a stack of R same-shaped runs: a :class:`MixtureState` whose
+arrays carry a leading run axis, with (R, N, d) batches. Component ``j`` of
+run ``r`` is bin ``r * k + j`` of the per-component sums, which keeps each
+run's row order, so every run gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -28,10 +34,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateData, ParseError, ShapeMismatch
+from .errors import DegenerateData, ParseError, ShapeMismatch, raise_for_runs
 from .numerics import Covariance, check_diagonal, seeded_rng
 
 WEIGHT_FLOOR = 1e-8
+
+# Largest (rows, k, d) difference block _nearest builds, in bytes. Larger
+# temporaries are served by fresh pages from the OS and fault in on every
+# call.
+_NEAREST_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -63,8 +74,8 @@ class GaussianMixture:
 
 @dataclass
 class BatchAssignment:
-    indices: np.ndarray   # (N_batch,) cluster id per sample
-    counts: np.ndarray    # (k,) samples per cluster
+    indices: np.ndarray   # (N_batch,) cluster id per sample; (R, N_batch) stacked
+    counts: np.ndarray    # (k,) samples per cluster; (R, k) stacked
     batch_size: int
 
 
@@ -73,7 +84,9 @@ class MixtureState:
     """A diagonal mixture as plain arrays: the form the training step runs on.
 
     ``var`` holds the raw diagonal variances; ``ridge`` is added to them
-    before any logarithm or division, as :class:`Covariance` does.
+    before any logarithm or division, as :class:`Covariance` does. A stack
+    of runs puts a leading run axis on every array; ``dataset_size`` is
+    shared.
     """
 
     weights: np.ndarray   # (k,)
@@ -81,6 +94,14 @@ class MixtureState:
     var: np.ndarray       # (k, d)
     ridge: np.ndarray     # (k, 1)
     dataset_size: int
+
+    def take(self, runs) -> "MixtureState":
+        """Runs of a stacked state: one state for an index, a smaller stack
+        for an index array."""
+        return replace(
+            self, weights=self.weights[runs], means=self.means[runs],
+            var=self.var[runs], ridge=self.ridge[runs],
+        )
 
     @staticmethod
     def of(mix: GaussianMixture) -> "MixtureState":
@@ -115,11 +136,23 @@ class MixtureState:
 
 def _floor_and_renormalize(weights: np.ndarray) -> np.ndarray:
     w = np.maximum(weights, WEIGHT_FLOOR)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
-def _distinct_rows(x: np.ndarray) -> int:
-    return np.unique(x, axis=0).shape[0]
+def _few_distinct(x: np.ndarray, k: int) -> list[int]:
+    """The runs of an (R, n, d) stack with fewer than ``k`` distinct rows.
+
+    A column with ``k`` distinct values settles a run; only the others pay
+    for ``np.unique`` over whole rows. Columns holding a NaN settle nothing,
+    because ``np.unique`` may count equal NaNs once.
+    """
+    s = np.sort(x, axis=1)
+    distinct = 1 + (s[:, 1:] != s[:, :-1]).sum(axis=1)
+    settled = ((distinct >= k) & ~np.isnan(s[:, -1])).any(axis=1)
+    return [
+        int(r) for r in np.flatnonzero(~settled)
+        if np.unique(x[r], axis=0).shape[0] < k
+    ]
 
 
 def _kmeanspp_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -139,35 +172,86 @@ def _kmeanspp_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _nearest(x: np.ndarray, means: np.ndarray) -> np.ndarray:
+def _nearest_block(x: np.ndarray, means: np.ndarray) -> np.ndarray:
     # Explicit difference form keeps exact ties symmetric; argmin breaks
-    # ties toward the lowest index.
-    dist = np.linalg.norm(x[:, None, :] - means[None, :, :], axis=2)
-    return np.argmin(dist, axis=1)
+    # ties toward the lowest index. The square, the sum over d and the sqrt
+    # are np.linalg.norm's own.
+    diff = x[..., :, None, :] - means[..., None, :, :]
+    np.multiply(diff, diff, out=diff)
+    return np.argmin(np.sqrt(diff.sum(axis=-1)), axis=-1)
+
+
+def _nearest(x: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest mean: rows (n, d) against means (k, d),
+    or a stack, (R, n, d) against (R, k, d). Works in blocks of rows so that
+    no temporary exceeds ``_NEAREST_BLOCK_BYTES``."""
+    if x.ndim == 2:
+        return _nearest(x[None], means[None])[0]
+    n_runs, n, d = x.shape
+    block = max(1, _NEAREST_BLOCK_BYTES // (8 * means.shape[1] * d))
+    out = np.empty((n_runs, n), dtype=np.intp)
+    if n <= block:
+        runs = block // max(n, 1)
+        if n_runs <= runs:
+            return _nearest_block(x, means)
+        for r in range(0, n_runs, runs):
+            out[r:r + runs] = _nearest_block(x[r:r + runs], means[r:r + runs])
+        return out
+    for r in range(n_runs):
+        for start in range(0, n, block):
+            out[r, start:start + block] = _nearest_block(
+                x[r, start:start + block], means[r]
+            )
+    return out
+
+
+def _per_row(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Each row's entry of the per-component ``values``: ``values[indices]``
+    for (k, ...) values and (n,) indices, run by run for a stack."""
+    if indices.ndim == 1:
+        return values[indices]
+    return values[np.arange(indices.shape[0])[:, None], indices]
+
+
+def _counts(indices: np.ndarray, k: int) -> np.ndarray:
+    """Rows per component: (k,) for (n,) indices, (R, k) for a stack."""
+    if indices.ndim == 1:
+        return np.bincount(indices, minlength=k)
+    n_runs = indices.shape[0]
+    flat = (np.arange(n_runs)[:, None] * k + indices).ravel()
+    return np.bincount(flat, minlength=n_runs * k).reshape(n_runs, k)
 
 
 def _component_sums(rows: np.ndarray, indices: np.ndarray, k: int) -> np.ndarray:
     """(k, d) per-component sums of ``rows`` with the bits of
     ``rows[indices == j].sum(axis=0)``, so ``sums[j] / n_j`` is that
-    component's ``mean(axis=0)``.
+    component's ``mean(axis=0)``; (R, k, d) for a stack.
 
     NumPy sums the rows of a (n, d >= 2) array one after another, which
-    ``bincount`` reproduces for all components at once; a single column
-    it sums pairwise, so ``d == 1`` goes component by component.
+    ``bincount`` reproduces for all components (of all runs) at once; a
+    single column it sums pairwise, so ``d == 1`` goes component by
+    component.
     """
-    d = rows.shape[1]
+    if rows.ndim == 2:
+        return _component_sums(rows[None], indices[None], k)[0]
+    n_runs, _, d = rows.shape
     if d == 1:
-        return np.array([[rows[indices == j, 0].sum()] for j in range(k)])
-    flat = (indices[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=k * d).reshape(k, d)
+        return np.array([
+            [[run_rows[run_idx == j, 0].sum()] for j in range(k)]
+            for run_rows, run_idx in zip(rows, indices)
+        ]).reshape(n_runs, k, 1)
+    bins = np.arange(n_runs)[:, None] * k + indices
+    flat = (bins[..., None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=rows.ravel(), minlength=n_runs * k * d)
+    return sums.reshape(n_runs, k, d)
 
 
 def _component_means(rows, indices, counts, fallback):
     """Per-component means of ``rows``; ``fallback`` rows where a component
     has no members."""
-    present = (counts > 0)[:, None]
-    sums = _component_sums(rows, indices, counts.shape[0])
-    return np.where(present, sums / np.where(present, counts[:, None], 1), fallback)
+    present = (counts > 0)[..., None]
+    sums = _component_sums(rows, indices, counts.shape[-1])
+    return np.where(present, sums / np.where(present, counts[..., None], 1), fallback)
 
 
 def fit_init(
@@ -189,52 +273,107 @@ def fit_init(
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeMismatch(f"features must be 2-D, got shape {x.shape}")
-    n, d = x.shape
+    if init_means is not None:
+        init_means = np.asarray(init_means, dtype=np.float64)
+        if init_means.shape != (k, x.shape[1]):
+            raise ShapeMismatch(
+                f"init_means shape {init_means.shape} != ({k}, {x.shape[1]})"
+            )
+        init_means = init_means[None]
+    state = fit_init_many(
+        x[None], k, [seed], [iters], init_means=init_means, ridges=[ridge]
+    )
+    return state.take(0).to_mixture()
+
+
+def fit_init_many(
+    features: np.ndarray,
+    k: int,
+    seeds,
+    iters,
+    *,
+    init_means: np.ndarray | None = None,
+    ridges,
+) -> MixtureState:
+    """:func:`fit_init` for a stack of runs, as a stacked
+    :class:`MixtureState`: ``features`` is (R, n, d), and ``seeds``,
+    ``iters`` and ``ridges`` hold one value per run (``init_means``, if
+    given, is (R, k, d)).
+
+    The Lloyd rounds run on all runs at once; a run leaves the stack when
+    its assignment stops changing or its rounds are spent, so each run sees
+    exactly the rounds it would see alone. A run that cannot be fitted
+    raises per run (see :class:`~cemlab.errors.CemError`).
+    """
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 3:
+        raise ShapeMismatch(f"stacked features must be 3-D, got shape {x.shape}")
+    n_runs, n, d = x.shape
+    iters = np.broadcast_to(np.asarray(iters, dtype=np.int64), (n_runs,))
+    ridges = np.broadcast_to(np.asarray(ridges, dtype=np.float64), (n_runs,))
     if n < k:
-        raise DegenerateData(f"need at least k={k} samples, got {n}")
-    if _distinct_rows(x) < k:
-        raise DegenerateData(f"fewer than k={k} distinct feature vectors")
-    rng = seeded_rng(seed, 0x6D)
+        raise_for_runs({
+            r: DegenerateData(f"need at least k={k} samples, got {n}")
+            for r in range(n_runs)
+        })
+    raise_for_runs({
+        r: DegenerateData(f"fewer than k={k} distinct feature vectors")
+        for r in _few_distinct(x, k)
+    })
 
     if init_means is not None:
-        means = np.asarray(init_means, dtype=np.float64).copy()
-        if means.shape != (k, d):
-            raise ShapeMismatch(f"init_means shape {means.shape} != ({k}, {d})")
+        means = np.array(init_means, dtype=np.float64)
+        if means.shape != (n_runs, k, d):
+            raise ShapeMismatch(
+                f"init_means shape {means.shape} != ({n_runs}, {k}, {d})"
+            )
     else:
-        means = _kmeanspp_seeds(x, k, rng)
+        means = np.stack([
+            _kmeanspp_seeds(x[r], k, seeded_rng(seed, 0x6D))
+            for r, seed in enumerate(seeds)
+        ])
 
     assign = _nearest(x, means)
-    for _ in range(iters):
-        counts = np.bincount(assign, minlength=k)
-        means = _component_means(x, assign, counts, means)
-        new_assign = _nearest(x, means)
-        if np.array_equal(new_assign, assign):
+    live = np.arange(n_runs)
+    for rnd in range(int(iters.max(initial=0))):
+        live = live[iters[live] > rnd]
+        if live.size == 0:
             break
-        assign = new_assign
+        # While every run is live, views stand in for gathered copies.
+        sel = slice(None) if live.size == n_runs else live
+        rows, old = x[sel], assign[sel]
+        means[sel] = _component_means(rows, old, _counts(old, k), means[sel])
+        new_assign = _nearest(rows, means[sel])
+        moved = (new_assign != old).any(axis=1)
+        assign[sel] = new_assign
+        live = live[moved]
 
-    counts = np.bincount(assign, minlength=k)
+    counts = _counts(assign, k)
     weights = _floor_and_renormalize(counts.astype(np.float64) / n)
-    dev = x - means[assign]
+    dev = x - _per_row(means, assign)
     var = _component_means(dev * dev, assign, counts, 0.0)
+    ridge = np.repeat(ridges[:, None, None], k, axis=1)
     check_diagonal(var, ridge)
-    state = MixtureState(
-        weights=weights, means=means, var=var, ridge=np.full((k, 1), ridge),
-        dataset_size=n,
+    return MixtureState(
+        weights=weights, means=means, var=var, ridge=ridge, dataset_size=n,
     )
-    return state.to_mixture()
 
 
 def assign_nearest(batch: np.ndarray, mix) -> BatchAssignment:
     """Map each sample to the component with the nearest mean (Euclidean,
     ties to the lowest index). ``mix`` is a :class:`GaussianMixture` or
-    the (k, d) array of its means."""
+    the (k, d) array of its means; for a stack of runs, ``batch`` is
+    (R, N, d) and ``mix`` the (R, k, d) means."""
     means = mix.means() if isinstance(mix, GaussianMixture) else mix
     z = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if z.shape[1] != means.shape[1]:
-        raise ShapeMismatch(f"batch dim {z.shape[1]} != mixture dim {means.shape[1]}")
+    if z.shape[-1] != means.shape[-1]:
+        raise ShapeMismatch(
+            f"batch dim {z.shape[-1]} != mixture dim {means.shape[-1]}"
+        )
     idx = _nearest(z, means)
-    counts = np.bincount(idx, minlength=means.shape[0])
-    return BatchAssignment(indices=idx, counts=counts, batch_size=z.shape[0])
+    return BatchAssignment(
+        indices=idx, counts=_counts(idx, means.shape[-2]), batch_size=z.shape[-2]
+    )
 
 
 # -- array kernels --------------------------------------------------------
@@ -277,8 +416,8 @@ def blend_variances(
     (batch rows minus their component's mean) over component j's rows.
     Components with no samples keep their variances."""
     delta = _component_means(dev * dev, indices, counts, 0.0)
-    c = coef[:, None]
-    return np.where((counts > 0)[:, None], (1.0 - c) * var + c * delta, var)
+    c = coef[..., None]
+    return np.where((counts > 0)[..., None], (1.0 - c) * var + c * delta, var)
 
 
 def blend_batch(
@@ -290,12 +429,12 @@ def blend_batch(
     Returns the new state, the blend coefficients, and each row's deviation
     from its component mean, which the penalty gradient reuses. Raises
     :class:`~cemlab.errors.NonPositiveDefinite` on variances
-    :meth:`Covariance.diagonal` would reject.
+    :meth:`Covariance.diagonal` would reject (per run, for a stack).
     """
     n_total = state.dataset_size
     weights = blend_weights(state.weights, assign.counts, assign.batch_size, n_total)
     coef = blend_coefficients(weights, assign.counts, n_total)
-    dev = batch - state.means[assign.indices]
+    dev = batch - _per_row(state.means, assign.indices)
     var = blend_variances(state.var, dev, assign.indices, assign.counts, coef)
     check_diagonal(var, state.ridge)
     return replace(state, weights=weights, var=var), coef, dev

@@ -2,7 +2,12 @@
 gradients: forward tape, backward pass, momentum SGD, softmax
 cross-entropy, and the additive noise layer with identity pass-through.
 
-Everything is float64; batches are (N, d) row matrices.
+Everything is float64; batches are (N, d) row matrices. A stack of R
+same-shaped modules (:meth:`NeuralModule.stack`) holds (R, out, in)
+weights and (R, 1, out) biases and runs on (R, N, d) batches: every
+function here takes either form, and each run of a stack gets the bits it
+would get alone, because a stacked matrix product multiplies each run's
+matrices as the unstacked product does.
 """
 
 from __future__ import annotations
@@ -12,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LabelOutOfRange, NonFinite, ParseError, ShapeMismatch, StaleTape
+from .errors import (
+    LabelOutOfRange,
+    NonFinite,
+    ParseError,
+    ShapeMismatch,
+    StaleTape,
+    raise_for_runs,
+)
 from .numerics import logsumexp_rows, seeded_rng
 
 ACTIVATIONS = ("relu", "identity", "sigmoid")
@@ -42,18 +54,55 @@ class NeuralModule:
                 for l in self.layers
             ]
         for a, b in zip(self.layers[:-1], self.layers[1:]):
-            if b.weights.shape[1] != a.weights.shape[0]:
+            if b.weights.shape[-1] != a.weights.shape[-2]:
                 raise ShapeMismatch(
                     f"layer dims do not chain: {a.weights.shape} -> {b.weights.shape}"
                 )
 
+    @staticmethod
+    def stack(modules: list["NeuralModule"]) -> "NeuralModule":
+        """One module holding same-shaped ``modules`` along a leading run
+        axis, velocity included."""
+        layers = [
+            Layer(
+                weights=np.stack([m.layers[i].weights for m in modules]),
+                bias=np.stack([m.layers[i].bias for m in modules])[:, None, :],
+                activation=layer.activation,
+            )
+            for i, layer in enumerate(modules[0].layers)
+        ]
+        velocity = [
+            (
+                np.stack([m.velocity[i][0] for m in modules]),
+                np.stack([m.velocity[i][1] for m in modules])[:, None, :],
+            )
+            for i in range(len(layers))
+        ]
+        return NeuralModule(layers=layers, velocity=velocity)
+
+    def take(self, runs) -> "NeuralModule":
+        """Runs of a stacked module: one module for an index, a smaller
+        stack for an index array."""
+        # An index drops the run axis and the bias's broadcast axis.
+        bias_runs = (runs, 0) if np.ndim(runs) == 0 else runs
+        return NeuralModule(
+            layers=[
+                Layer(
+                    weights=l.weights[runs], bias=l.bias[bias_runs],
+                    activation=l.activation,
+                )
+                for l in self.layers
+            ],
+            velocity=[(vw[runs], vb[bias_runs]) for vw, vb in self.velocity],
+        )
+
     @property
     def in_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.layers[0].weights.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weights.shape[0]
+        return self.layers[-1].weights.shape[-2]
 
     @property
     def param_count(self) -> int:
@@ -152,12 +201,12 @@ def _activation_backward(
 def forward(m: NeuralModule, batch: np.ndarray) -> tuple[np.ndarray, TapePass]:
     """Run the module on a batch, caching everything backward needs."""
     x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if x.shape[1] != m.in_dim:
-        raise ShapeMismatch(f"input dim {x.shape[1]} != module in_dim {m.in_dim}")
+    if x.shape[-1] != m.in_dim:
+        raise ShapeMismatch(f"input dim {x.shape[-1]} != module in_dim {m.in_dim}")
     pre_acts, post_acts = [], []
     a = x
     for layer in m.layers:
-        z = a @ layer.weights.T + layer.bias
+        z = a @ layer.weights.swapaxes(-1, -2) + layer.bias
         a = _apply_activation(z, layer.activation)
         pre_acts.append(z)
         post_acts.append(a)
@@ -171,8 +220,20 @@ def noise_inject(feats: np.ndarray, noise, seed: int) -> np.ndarray:
     Gradient contract: identity pass-through. The noise is independent of
     the features, so the upstream gradient flows through unchanged; callers
     simply reuse the gradient at the noisy output for the clean features.
+
+    For a stack of runs (``feats`` of shape (R, N, d)), ``noise`` and
+    ``seed`` are sequences with one entry per run.
     """
     x = np.asarray(feats, dtype=np.float64)
+    if x.ndim == 3:
+        out = np.empty_like(x)
+        for r, (model, run_seed) in enumerate(zip(noise, seed)):
+            if model.std == 0:
+                out[r] = x[r]
+            else:
+                rng = seeded_rng(run_seed, 0xE9)
+                np.add(x[r], model.std * rng.standard_normal(x.shape[1:]), out=out[r])
+        return out
     if noise.std == 0:
         return x.copy()
     rng = seeded_rng(seed, 0xE9)
@@ -193,13 +254,16 @@ def backward(
             f"out_grad shape {g.shape} != output shape {tape.post_acts[-1].shape}"
         )
     tape.consumed = True
+    stacked = g.ndim == 3
     param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(m.layers)
     for i in range(len(m.layers) - 1, -1, -1):
         layer = m.layers[i]
         dz = _activation_backward(g, tape.pre_acts[i], tape.post_acts[i],
                                   layer.activation)
         a_prev = tape.inputs if i == 0 else tape.post_acts[i - 1]
-        param_grads[i] = (dz.T @ a_prev, dz.sum(axis=0))
+        param_grads[i] = (
+            dz.swapaxes(-1, -2) @ a_prev, dz.sum(axis=-2, keepdims=stacked)
+        )
         g = dz @ layer.weights
     return param_grads, g
 
@@ -211,36 +275,74 @@ def sgd_step(
     momentum: float = 0.0,
 ) -> NeuralModule:
     """Classic momentum update; returns a new module carrying the updated
-    velocity. Raises if any updated parameter is not finite."""
-    if lr < 0:
+    velocity, which at zero momentum is the gradient itself. Raises if any
+    updated parameter is not finite.
+
+    On a stacked module ``lr`` and ``momentum`` may be (R, 1, 1) arrays
+    with one value per run, and a non-finite update raises per run (see
+    :class:`~cemlab.errors.CemError`)."""
+    if (lr < 0).any() if isinstance(lr, np.ndarray) else lr < 0:
         raise ValueError("learning rate must be nonnegative")
+    still = not momentum.any() if isinstance(momentum, np.ndarray) else momentum == 0
+    stacked = m.layers[0].weights.ndim == 3
     layers, velocity = [], []
+    bad = False
     for layer, (vw, vb), (gw, gb) in zip(m.layers, m.velocity, grads):
-        new_vw = momentum * vw + gw
-        new_vb = momentum * vb + gb
+        if still:
+            new_vw, new_vb = gw, gb
+        else:
+            new_vw = momentum * vw + gw
+            new_vb = momentum * vb + gb
         w = layer.weights - lr * new_vw
         b = layer.bias - lr * new_vb
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise NonFinite("parameter update produced a non-finite value")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            if not stacked:
+                raise NonFinite(_NON_FINITE_UPDATE)
+            finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+            bad = bad | ~finite
         layers.append(Layer(weights=w, bias=b, activation=layer.activation))
         velocity.append((new_vw, new_vb))
+    if stacked:
+        raise_for_runs(
+            {int(r): NonFinite(_NON_FINITE_UPDATE) for r in np.flatnonzero(bad)}
+        )
     return NeuralModule(layers=layers, velocity=velocity)
 
 
+_NON_FINITE_UPDATE = "parameter update produced a non-finite value"
+
+
 def task_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy in nats plus its gradient w.r.t. logits."""
+    """Mean softmax cross-entropy in nats plus its gradient w.r.t. logits.
+
+    For a stack of runs (logits (R, N, C), labels (R, N)) the loss is an
+    (R,) array, and labels out of range raise per run (see
+    :class:`~cemlab.errors.CemError`)."""
     z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n, n_classes = z.shape
-    if y.size != n:
-        raise ShapeMismatch(f"{y.size} labels for {n} rows of logits")
-    if np.any(y < 0) or np.any(y >= n_classes):
-        raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
+    stacked = z.ndim == 3
+    y = np.asarray(labels, dtype=np.int64)
+    n, n_classes = z.shape[-2:]
+    if stacked:
+        if y.shape != z.shape[:2]:
+            raise ShapeMismatch(f"labels of shape {y.shape} for logits {z.shape}")
+        idx = (np.arange(z.shape[0])[:, None], np.arange(n), y)
+    else:
+        y = y.reshape(-1)
+        if y.size != n:
+            raise ShapeMismatch(f"{y.size} labels for {n} rows of logits")
+        idx = (np.arange(n), y)
+    if y.size and (y.min() < 0 or y.max() >= n_classes):
+        message = f"labels must lie in [0, {n_classes})"
+        if not stacked:
+            raise LabelOutOfRange(message)
+        bad = ((y < 0) | (y >= n_classes)).any(axis=1)
+        raise_for_runs({int(r): LabelOutOfRange(message) for r in np.flatnonzero(bad)})
     log_z = logsumexp_rows(z)
-    loss = float(np.mean(log_z - z[np.arange(n), y]))
-    probs = np.exp(z - log_z[:, None])
-    probs[np.arange(n), y] -= 1.0
-    return loss, probs / n
+    # np.mean's own sum and division, without its Python-level wrapper.
+    loss = np.add.reduce(log_z - z[idx], axis=-1) / n
+    probs = np.exp(z - log_z[..., None])
+    probs[idx] -= 1.0
+    return (loss if stacked else float(loss)), probs / n
 
 
 def save_network(m: NeuralModule, path) -> None:
@@ -251,22 +353,20 @@ def save_network(m: NeuralModule, path) -> None:
             {
                 "shape": list(l.weights.shape),
                 "activation": l.activation,
-                "weights": [float(v) for v in l.weights.ravel()],
-                "bias": [float(v) for v in l.bias],
+                "weights": l.weights.ravel().tolist(),
+                "bias": l.bias.tolist(),
             }
             for l in m.layers
         ],
         "velocity": [
-            {
-                "weights": [float(v) for v in vw.ravel()],
-                "bias": [float(v) for v in vb],
-            }
+            {"weights": vw.ravel().tolist(), "bias": vb.tolist()}
             for vw, vb in m.velocity
         ],
     }
+    # json.dumps runs the C encoder; json.dump would run the pure-Python one.
+    text = json.dumps(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_network(path) -> NeuralModule:

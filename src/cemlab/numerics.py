@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPositiveDefinite, ShapeMismatch
+from .errors import NonPositiveDefinite, ShapeMismatch, raise_for_runs
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -35,20 +35,44 @@ def derived_seed(seed: int, *tags: int) -> int:
     return int(seeded_rng(seed, *tags).integers(2**62))
 
 
+def _diagonal_fault(entries: np.ndarray, ridge) -> str | None:
+    """What :func:`check_diagonal` rejects in ``entries``, or None."""
+    if not np.isfinite(entries).all():
+        return "diagonal entries must be finite"
+    if (entries < 0).any():
+        return "diagonal entries must be nonnegative"
+    if (entries + ridge <= 0).any():
+        return "zero diagonal entries require a positive ridge"
+    return None
+
+
 def check_diagonal(entries: np.ndarray, ridge) -> None:
     """Raise :class:`NonPositiveDefinite` unless every diagonal entry is
     finite, nonnegative, and positive once ridged.
 
-    ``entries`` may hold one diagonal or a (k, d) stack of them; ``ridge``
-    broadcasts against it. These are the checks behind
-    :meth:`Covariance.diagonal`, shared with the array-form mixture step.
+    ``entries`` may hold one diagonal, a (k, d) stack of them, or an
+    (R, k, d) stack of runs, which raises per run (see
+    :class:`~cemlab.errors.CemError`); ``ridge`` broadcasts against it.
+    These are the checks behind :meth:`Covariance.diagonal`, shared with
+    the array-form mixture step.
     """
-    if not np.isfinite(entries).all():
-        raise NonPositiveDefinite("diagonal entries must be finite")
-    if (entries < 0).any():
-        raise NonPositiveDefinite("diagonal entries must be nonnegative")
-    if (entries + ridge <= 0).any():
-        raise NonPositiveDefinite("zero diagonal entries require a positive ridge")
+    # Accepts only what the three checks accept, in three reductions: a NaN
+    # fails the first comparison and an infinite entry the last.
+    if entries.size == 0:
+        return
+    ridged = entries + ridge
+    if ridged.min() > 0 and entries.min() >= 0 and ridged.max() < np.inf:
+        return
+    if entries.ndim < 3:
+        fault = _diagonal_fault(entries, ridge)
+        if fault is not None:
+            raise NonPositiveDefinite(fault)
+        return
+    ridge = np.broadcast_to(ridge, entries.shape)
+    faults = {r: _diagonal_fault(entries[r], ridge[r]) for r in range(entries.shape[0])}
+    raise_for_runs(
+        {r: NonPositiveDefinite(f) for r, f in faults.items() if f is not None}
+    )
 
 
 @dataclass
@@ -117,20 +141,21 @@ def trace(c: Covariance) -> float:
 
 
 def logsumexp_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of a 2-D float64 array, bit-identical to
+    """Log-sum-exp over the last axis of a float64 array of rows (2-D, or
+    stacked with leading axes), bit-identical row by row to
     ``scipy.special.logsumexp(z, axis=1)`` (scipy 1.17) without its
     array-API dispatch: the row maxima are split out of the sum, and rows
     whose result is not finite fall back to ``log(sum(exp(z)))``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = z.max(axis=1, keepdims=True)
+        top = z.max(axis=-1, keepdims=True)
         is_top = z == top
-        m = is_top.sum(axis=1, keepdims=True, dtype=np.float64)
-        s = np.exp(np.where(is_top, -np.inf, z) - top).sum(axis=1, keepdims=True)
+        m = is_top.sum(axis=-1, keepdims=True, dtype=np.float64)
+        s = np.exp(np.where(is_top, -np.inf, z) - top).sum(axis=-1, keepdims=True)
         s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + top)[:, 0]
+        out = (np.log1p(s) + np.log(m) + top)[..., 0]
         bad = ~np.isfinite(out)
         if bad.any():
-            out[bad] = np.log(np.exp(z[bad]).sum(axis=1))
+            out[bad] = np.log(np.exp(z[bad]).sum(axis=-1))
     return out
 
 

@@ -10,6 +10,10 @@ penalty depends on the features and not on the decoder parameters.
 Inside an epoch the mixture is held as a :class:`MixtureState` of plain
 arrays; one :func:`cem_step` per batch updates it and returns the penalty
 and its gradient.
+
+:func:`train_many` runs several same-shaped runs as one computation, with
+every array carrying a leading run axis; :func:`train` is one run of it.
+Each run keeps its own random streams and gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -21,13 +25,18 @@ import numpy as np
 
 from .bounds import NoiseModel, cem_step
 from .data import Dataset
-from .errors import NonFinite, NonPositiveDefinite, UnknownDefense
+from .errors import (
+    CemError,
+    NonFinite,
+    NonPositiveDefinite,
+    UnknownDefense,
+    raise_for_runs,
+)
 from .mixture import (
     GaussianMixture,
-    MixtureState,
     assign_nearest,
     blend_batch,
-    fit_init,
+    fit_init_many,
 )
 from .network import (
     NeuralModule,
@@ -68,6 +77,8 @@ class TrainingConfig:
             raise UnknownDefense(f"defense must be one of {DEFENSE_KINDS}")
         if self.lam < 0 or self.noise_std < 0:
             raise ValueError("lam and noise_std must be nonnegative")
+        if self.lr < 0 or self.lr_decay_factor < 0:
+            raise ValueError("lr and lr_decay_factor must be nonnegative")
         if self.lam > 0 and (self.defense == "none" or self.noise_std == 0):
             raise ValueError(
                 "a positive entropy-penalty weight requires the noise_only "
@@ -89,6 +100,9 @@ class TrainingConfig:
             return max(1, self.lr_decay_every)
         return max(1, self.epochs // 3)
 
+    def lr_at(self, epoch: int) -> float:
+        return self.lr * self.lr_decay_factor ** (epoch // self.decay_every())
+
 
 @dataclass
 class LossBreakdown:
@@ -107,9 +121,10 @@ class TrainResult:
     history: list[LossBreakdown] = field(default_factory=list)
 
 
-def _noise_model(cfg: TrainingConfig) -> NoiseModel:
-    std = cfg.noise_std if cfg.defense == "noise_only" else 0.0
-    return NoiseModel(std=std, dim=cfg.d_z)
+def effective_noise_std(defense: str, noise_std: float) -> float:
+    """The noise std a run actually injects: ``noise_std`` under the
+    ``noise_only`` defense, 0 under ``none``."""
+    return noise_std if defense == "noise_only" else 0.0
 
 
 def build_models(cfg: TrainingConfig, d_in: int, n_classes: int):
@@ -133,96 +148,231 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
     combine the task loss with the entropy penalty, and take
     one SGD step on both halves of the network. The returned mixture is the
     state after the last batch.
+
+    This is :func:`train_many` on one run; its error is raised.
     """
-    x_train, y_train = data.train_arrays()
-    n_train = x_train.shape[0]
-    if n_train == 0:
-        raise ValueError("training split is empty")
-    if cfg.batch_size > n_train:
-        raise ValueError(
-            f"batch_size {cfg.batch_size} exceeds training set size {n_train}"
-        )
-    k = cfg.resolved_k(data.n_classes)
-    noise = _noise_model(cfg)
-    encoder, decoder = build_models(cfg, data.dim, data.n_classes)
+    result = train_many([cfg], [data])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    # Noisy features carry at least the injected variance in every
-    # direction; ridging the cluster covariances at that scale keeps
-    # singleton clusters from producing near-zero denominators in the
-    # penalty gradient.
-    mixture_ridge = max(1e-6, noise.std**2)
 
-    def refit(enc: NeuralModule, epoch: int, means):
-        feats, _ = forward(enc, x_train)
-        if not np.all(np.isfinite(feats)):
-            raise NonFinite(f"training diverged at epoch {epoch}: non-finite features")
-        noisy = noise_inject(feats, noise, derived_seed(cfg.seed, 3, epoch))
-        try:
-            return fit_init(
-                noisy, k, derived_seed(cfg.seed, 4, epoch), iters=cfg.gmm_iters,
-                init_means=means, ridge=mixture_ridge,
-            )
-        except NonPositiveDefinite as exc:
-            # Finite features whose squares overflow the covariance are a
-            # divergence, not a data defect.
-            raise NonFinite(f"training diverged at epoch {epoch}: {exc}") from exc
+def train_many(
+    cfgs: list[TrainingConfig], datasets: list[Dataset]
+) -> list[TrainResult | CemError]:
+    """Train several runs as one stacked computation, in the order given.
 
-    if cfg.epochs == 0:
-        return TrainResult(encoder, decoder, refit(encoder, 0, None), [])
+    The runs must share their shapes: the input width, ``hidden``, ``d_z``,
+    the class count and ``k``, ``batch_size``, ``epochs`` and the size of
+    the training split. Seeds, ``lam``, noise, learning-rate schedule,
+    momentum and data may differ. Every run gets the bits :func:`train`
+    gives it alone. A run that fails (it diverges, or its features cannot
+    be fitted) leaves the stack: its entry is the error :func:`train` raises
+    for it, and the other runs go on.
+    """
+    stack = _Stack(cfgs, datasets)
+    results: list = [None] * len(cfgs)
+    histories = [[] for _ in cfgs]
+    epochs = cfgs[0].epochs
 
-    history: list[LossBreakdown] = []
-    state = None
-    penalty_on = noise.std > 0
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr * cfg.lr_decay_factor ** (epoch // cfg.decay_every())
-        prev_means = None if state is None else state.means
-        state = MixtureState.of(refit(encoder, epoch, prev_means))
-
-        order = seeded_rng(cfg.seed, 5, epoch).permutation(n_train)
-        sums = np.zeros(3)  # l_d, l_c, accuracy accumulators
-        n_batches = 0
-        for start in range(0, n_train, cfg.batch_size):
-            rows = order[start:start + cfg.batch_size]
-            xb, yb = x_train[rows], y_train[rows]
-
+    def attempt(action, epoch, wrapped):
+        """``action()``, retried without the runs it fails; their errors are
+        recorded, the ``wrapped`` kinds as a divergence at ``epoch``."""
+        while stack.ids:
             try:
-                z_hat, tape_enc = forward(encoder, xb)
-                zb = noise_inject(
-                    z_hat, noise, derived_seed(cfg.seed, 6, epoch, n_batches)
-                )
-                logits, tape_dec = forward(decoder, zb)
+                return action()
+            except CemError as exc:
+                errors = exc.runs or dict.fromkeys(range(len(stack.ids)), exc)
+                for r, err in errors.items():
+                    err.runs = None
+                    if isinstance(err, wrapped):
+                        err = _diverged(err, epoch)
+                    results[stack.ids[r]] = err
+                stack.keep([r for r in range(len(stack.ids)) if r not in errors])
+        return None
 
-                assign = assign_nearest(zb, state.means)
-                if penalty_on:
-                    state, l_c, penalty_grad = cem_step(state, assign, zb, noise)
-                else:
-                    state, l_c = blend_batch(state, assign, zb)[0], 0.0
-
-                l_d, grad_logits = task_loss(logits, yb)
-                dec_grads, g_z = backward(decoder, tape_dec, grad_logits)
-                if cfg.lam > 0:
-                    g_z = g_z + cfg.lam * penalty_grad
-                enc_grads, _ = backward(encoder, tape_enc, g_z)
-                encoder = sgd_step(encoder, enc_grads, lr, cfg.momentum)
-                decoder = sgd_step(decoder, dec_grads, lr, cfg.momentum)
-            except (NonFinite, NonPositiveDefinite) as exc:
-                raise NonFinite(f"training diverged at epoch {epoch}: {exc}") from exc
-
-            acc = float(np.mean(np.argmax(logits, axis=1) == yb))
-            sums += (l_d, l_c, acc)
-            n_batches += 1
-
-        l_d_mean, l_c_mean, acc_mean = sums / n_batches
-        history.append(
-            LossBreakdown(
-                epoch=epoch,
-                l_d=float(l_d_mean),
-                l_c=float(l_c_mean),
-                total=float(l_d_mean + cfg.lam * l_c_mean),
-                accuracy=float(acc_mean),
+    starts = range(0, stack.n_train, stack.batch_size)
+    for epoch in range(max(epochs, 1)):
+        # Features whose squares overflow the covariance are a divergence,
+        # not a data defect.
+        stack.state = attempt(lambda: stack.refit(epoch), epoch, NonPositiveDefinite)
+        if epochs == 0 or not stack.ids:
+            break
+        stack.start_epoch(epoch)
+        for batch, start in enumerate(starts):
+            attempt(
+                lambda: stack.step(epoch, batch, start),
+                epoch, (NonFinite, NonPositiveDefinite),
             )
+        for i, cfg, run_sums in zip(stack.ids, stack.cfgs, stack.sums):
+            l_d_mean, l_c_mean, acc_mean = run_sums / len(starts)
+            histories[i].append(
+                LossBreakdown(
+                    epoch=epoch,
+                    l_d=float(l_d_mean),
+                    l_c=float(l_c_mean),
+                    total=float(l_d_mean + cfg.lam * l_c_mean),
+                    accuracy=float(acc_mean),
+                )
+            )
+
+    for r, i in enumerate(stack.ids):
+        results[i] = TrainResult(
+            stack.encoder.take(r), stack.decoder.take(r),
+            stack.state.take(r).to_mixture(), histories[i],
         )
-    return TrainResult(encoder, decoder, state.to_mixture(), history)
+    return results
+
+
+def _diverged(err: CemError, epoch: int) -> NonFinite:
+    wrapped = NonFinite(f"training diverged at epoch {epoch}: {err}")
+    wrapped.__cause__ = err
+    return wrapped
+
+
+class _Stack:
+    """The live runs of a :func:`train_many` call, stacked along a leading
+    axis; ``ids`` holds each run's position in the caller's list."""
+
+    _PER_RUN = (
+        "x", "y", "lam", "lam_on", "penalty_on", "noise_var", "noise_logdet",
+        "momentum", "ridge", "lr", "order", "sums",
+    )
+
+    def __init__(self, cfgs: list[TrainingConfig], datasets: list[Dataset]):
+        if not cfgs or len(cfgs) != len(datasets):
+            raise ValueError("train_many needs one dataset per config")
+        splits = [data.train_arrays() for data in datasets]
+        x0 = splits[0][0]
+        self.n_train = x0.shape[0]
+        if self.n_train == 0:
+            raise ValueError("training split is empty")
+        self.batch_size = cfgs[0].batch_size
+        if self.batch_size > self.n_train:
+            raise ValueError(
+                f"batch_size {self.batch_size} exceeds training set size {self.n_train}"
+            )
+        n_classes = datasets[0].n_classes
+        self.k = cfgs[0].resolved_k(n_classes)
+        shape = (x0.shape, n_classes, self.k, cfgs[0].hidden, cfgs[0].d_z,
+                 self.batch_size, cfgs[0].epochs)
+        for cfg, data, (x, _) in list(zip(cfgs, datasets, splits))[1:]:
+            if (x.shape, data.n_classes, cfg.resolved_k(data.n_classes), cfg.hidden,
+                    cfg.d_z, cfg.batch_size, cfg.epochs) != shape:
+                raise ValueError("the runs of a stack must share their shapes")
+
+        self.ids = list(range(len(cfgs)))
+        self.cfgs = list(cfgs)
+        self.noises = [
+            NoiseModel(std=effective_noise_std(cfg.defense, cfg.noise_std), dim=cfg.d_z)
+            for cfg in cfgs
+        ]
+        models = [build_models(cfg, x0.shape[1], n_classes) for cfg in cfgs]
+        self.encoder = NeuralModule.stack([enc for enc, _ in models])
+        self.decoder = NeuralModule.stack([dec for _, dec in models])
+        self.state = None
+
+        self.x = np.stack([x for x, _ in splits])
+        self.y = np.stack([y for _, y in splits])
+        lam = np.array([cfg.lam for cfg in cfgs])
+        self.lam = lam[:, None, None]
+        self.lam_on = lam > 0
+        std = np.array([noise.std for noise in self.noises])
+        self.penalty_on = std > 0
+        self.noise_var = (std**2)[:, None, None]
+        # A noise-free run's penalty is computed with a stand-in 0 and
+        # discarded.
+        self.noise_logdet = np.array([
+            [noise.logdet() if noise.std > 0 else 0.0] for noise in self.noises
+        ])
+        self.momentum = np.array([cfg.momentum for cfg in cfgs])[:, None, None]
+        # Noisy features carry at least the injected variance in every
+        # direction; ridging the cluster covariances at that scale keeps
+        # singleton clusters from producing near-zero denominators in the
+        # penalty gradient.
+        self.ridge = np.maximum(1e-6, std**2)
+        self.lr = self.order = self.sums = None   # per epoch
+
+    def keep(self, live) -> None:
+        """Drop every run not listed in ``live``."""
+        live = np.asarray(live, dtype=np.intp)
+        self.ids = [self.ids[r] for r in live]
+        self.cfgs = [self.cfgs[r] for r in live]
+        self.noises = [self.noises[r] for r in live]
+        for name in self._PER_RUN:
+            if getattr(self, name) is not None:
+                setattr(self, name, getattr(self, name)[live])
+        self.encoder = self.encoder.take(live)
+        self.decoder = self.decoder.take(live)
+        if self.state is not None:
+            self.state = self.state.take(live)
+
+    def refit(self, epoch: int):
+        """Re-encode the training split with fresh noise and refit every
+        run's mixture, warm-started from its current means."""
+        feats, _ = forward(self.encoder, self.x)
+        finite = np.isfinite(feats).all(axis=(1, 2))
+        raise_for_runs({
+            int(r): NonFinite(f"training diverged at epoch {epoch}: non-finite features")
+            for r in np.flatnonzero(~finite)
+        })
+        noisy = noise_inject(
+            feats, self.noises, [derived_seed(cfg.seed, 3, epoch) for cfg in self.cfgs]
+        )
+        return fit_init_many(
+            noisy, self.k, [derived_seed(cfg.seed, 4, epoch) for cfg in self.cfgs],
+            [cfg.gmm_iters for cfg in self.cfgs],
+            init_means=None if self.state is None else self.state.means,
+            ridges=self.ridge,
+        )
+
+    def start_epoch(self, epoch: int) -> None:
+        self.lr = np.array([cfg.lr_at(epoch) for cfg in self.cfgs])[:, None, None]
+        self.order = np.stack([
+            seeded_rng(cfg.seed, 5, epoch).permutation(self.n_train)
+            for cfg in self.cfgs
+        ])
+        self.sums = np.zeros((len(self.ids), 3))  # l_d, l_c, accuracy
+
+    def step(self, epoch: int, batch: int, start: int) -> None:
+        """One batch for every run, from ``start`` in each run's epoch order.
+
+        Everything is computed before anything is stored, so a step that
+        fails leaves the stack as it was, to be retried without the runs
+        that failed it.
+        """
+        rows = self.order[:, start:start + self.batch_size]
+        pick = (np.arange(len(self.ids))[:, None], rows)
+        xb, yb = self.x[pick], self.y[pick]
+        z_hat, tape_enc = forward(self.encoder, xb)
+        zb = noise_inject(
+            z_hat, self.noises,
+            [derived_seed(cfg.seed, 6, epoch, batch) for cfg in self.cfgs],
+        )
+        logits, tape_dec = forward(self.decoder, zb)
+
+        assign = assign_nearest(zb, self.state.means)
+        if self.penalty_on.any():
+            state, l_c, penalty_grad = cem_step(
+                self.state, assign, zb, self.noise_var, self.noise_logdet
+            )
+            l_c = np.where(self.penalty_on, l_c, 0.0)
+        else:
+            state, l_c = blend_batch(self.state, assign, zb)[0], np.zeros(len(self.ids))
+
+        l_d, grad_logits = task_loss(logits, yb)
+        dec_grads, g_z = backward(self.decoder, tape_dec, grad_logits)
+        if self.lam_on.any():
+            g_z = np.where(self.lam_on[:, None, None], g_z + self.lam * penalty_grad, g_z)
+        enc_grads, _ = backward(self.encoder, tape_enc, g_z)
+        encoder = sgd_step(self.encoder, enc_grads, self.lr, self.momentum)
+        decoder = sgd_step(self.decoder, dec_grads, self.lr, self.momentum)
+
+        acc = (logits.argmax(axis=-1) == yb).sum(axis=-1) / yb.shape[1]
+        self.encoder, self.decoder, self.state = encoder, decoder, state
+        self.sums[:, 0] += l_d
+        self.sums[:, 1] += l_c
+        self.sums[:, 2] += acc
 
 
 def evaluate_utility(

@@ -45,7 +45,7 @@ from cemlab.network import (
     task_loss,
 )
 from cemlab.numerics import mc_entropy
-from cemlab.trainer import TrainingConfig, evaluate_utility, train
+from cemlab.trainer import TrainingConfig, evaluate_utility, train_many
 from conftest import central_diff, rel_error
 
 # Desk-scale calibrated settings for the criterion runs; the published
@@ -54,6 +54,13 @@ from conftest import central_diff, rel_error
 TRAIN_KW = dict(noise_std=0.025, defense="noise_only", epochs=300, lr=0.001,
                 batch_size=16)
 ATTACK_KW = dict(epochs=150, lr=0.01)
+
+
+def solo_result(result):
+    """A stacked run's result, or the error its training raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def report(num: int, name: str, ok: bool, detail: str, started: float) -> None:
@@ -289,15 +296,24 @@ def test_criterion_6_noise_sweep_exponential_correlation(tmp_path):
 def test_criterion_7_defense_gain_at_matched_utility():
     started = time.time()
     ratios, drops = [], []
+    # All ten trainings run as one stack; each run's bits are its solo ones.
+    worlds = [
+        synth_blobs(n_classes=3, d=16, per_class=200, spread=0.05, seed=seed)
+        for seed in range(5)
+    ]
+    runs = [(seed, lam) for seed in range(5) for lam in (0.0, 16.0)]
+    trained = train_many(
+        [TrainingConfig(lam=lam, seed=seed, **TRAIN_KW) for seed, lam in runs],
+        [worlds[seed] for seed, _ in runs],
+    )
     for seed in range(5):
-        ds = synth_blobs(n_classes=3, d=16, per_class=200, spread=0.05, seed=seed)
+        ds = worlds[seed]
         x_tr, _ = ds.train_arrays()
         x_te, _ = ds.test_arrays()
         noise = NoiseModel(std=TRAIN_KW["noise_std"], dim=8)
         out = {}
         for lam in (0.0, 16.0):
-            cfg = TrainingConfig(lam=lam, seed=seed, **TRAIN_KW)
-            result = train(cfg, ds)
+            result = solo_result(trained[runs.index((seed, lam))])
             acc = evaluate_utility(
                 result.encoder, result.decoder, ds, noise, seed=seed + 100
             )
@@ -322,11 +338,11 @@ def test_criterion_7_defense_gain_at_matched_utility():
 def test_criterion_8_penalty_weight_monotonicity():
     started = time.time()
     ds = synth_blobs(n_classes=3, d=16, per_class=200, spread=0.05, seed=0)
-    finals = []
-    for lam in (0.0, 2.0, 8.0, 16.0):
-        cfg = TrainingConfig(lam=lam, seed=0, **TRAIN_KW)
-        result = train(cfg, ds)
-        finals.append(result.history[-1].l_c)
+    lams = (0.0, 2.0, 8.0, 16.0)
+    trained = train_many(
+        [TrainingConfig(lam=lam, seed=0, **TRAIN_KW) for lam in lams], [ds] * len(lams)
+    )
+    finals = [solo_result(result).history[-1].l_c for result in trained]
     ok = all(a >= b - 1e-9 for a, b in zip(finals, finals[1:]))
     report(8, "final entropy penalty non-increasing in its weight",
            ok, "l_c = " + " >= ".join(f"{v:.2f}" for v in finals), started)

@@ -5,21 +5,26 @@ The fused training step (`cem_step`) is checked against the public chain
 (`assign_nearest`, `update_weights`, `update_covariance`, `cem_loss`,
 `cem_loss_grad`) and against a per-component reference of the streaming
 arithmetic; the vectorized refit (`fit_init`) against a per-component
-Lloyd loop."""
+Lloyd loop. The stacked forms (a leading run axis, as `train_many` runs
+them) are checked against the same kernels run one run at a time."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemlab.bounds import NoiseModel, cem_loss, cem_loss_grad, cem_step
-from cemlab.errors import NonPositiveDefinite
+from cemlab.errors import DegenerateData, NonPositiveDefinite
 from cemlab.mixture import (
     GaussianComponent,
     GaussianMixture,
     MixtureState,
     assign_nearest,
+    blend_batch,
     fit_init,
+    fit_init_many,
     update_covariance,
     update_weights,
 )
@@ -122,7 +127,7 @@ def test_fused_step_equals_public_chain(k, d, n_batch, rare, seed):
     grad = cem_loss_grad(batch, assign, updated, noise)
 
     state, fused_penalty, fused_grad = cem_step(
-        MixtureState.of(mix), assign, batch, noise
+        MixtureState.of(mix), assign, batch, noise.std**2, noise.logdet()
     )
     assert np.array_equal(state.weights, updated.weights())
     assert np.array_equal(state.var, np.stack([c.cov.entries for c in updated.components]))
@@ -184,6 +189,123 @@ def test_non_finite_batch_raises(bad):
     with np.errstate(over="ignore", invalid="ignore"):
         assign = assign_nearest(batch, mix)
         with pytest.raises(NonPositiveDefinite, match="finite"):
-            cem_step(MixtureState.of(mix), assign, batch, noise)
+            cem_step(MixtureState.of(mix), assign, batch, noise.std**2, noise.logdet())
         with pytest.raises(NonPositiveDefinite, match="finite"):
             update_covariance(update_weights(mix, assign), assign, batch)
+
+
+def stack_states(states):
+    return MixtureState(
+        weights=np.stack([st.weights for st in states]),
+        means=np.stack([st.means for st in states]),
+        var=np.stack([st.var for st in states]),
+        ridge=np.stack([st.ridge for st in states]),
+        dataset_size=states[0].dataset_size,
+    )
+
+
+@given(
+    n_runs=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=9),
+    d=st.integers(min_value=1, max_value=8),
+    n_batch=st.integers(min_value=1, max_value=64),
+    mult=st.integers(min_value=1, max_value=4),
+    rare=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(n_runs=4, k=9, d=1, n_batch=4, mult=1, rare=3, seed=5)
+@example(n_runs=3, k=9, d=8, n_batch=16, mult=2, rare=2, seed=11)
+@settings(max_examples=150, deadline=None)
+def test_stacked_step_equals_runs_alone(n_runs, k, d, n_batch, mult, rare, seed):
+    cases = [random_case(seed + r, k, d, n_batch, rare) for r in range(n_runs)]
+    states = [
+        replace(MixtureState.of(mix), dataset_size=n_batch * mult)
+        for mix, _, _ in cases
+    ]
+    batch = np.stack([b for _, b, _ in cases])
+    noises = [noise for _, _, noise in cases]
+    stacked = stack_states(states)
+
+    assign = assign_nearest(batch, stacked.means)
+    blended = blend_batch(stacked, assign, batch)
+    new, penalty, grad = cem_step(
+        stacked, assign, batch,
+        np.array([n.std**2 for n in noises])[:, None, None],
+        np.array([[n.logdet()] for n in noises]),
+    )
+    for r, (state, noise) in enumerate(zip(states, noises)):
+        alone = assign_nearest(batch[r], state.means)
+        assert np.array_equal(assign.indices[r], alone.indices)
+        assert np.array_equal(assign.counts[r], alone.counts)
+        solo_blend = blend_batch(state, alone, batch[r])
+        for got, want in zip(blended[1:], solo_blend[1:]):
+            assert np.array_equal(got[r], want)
+        assert np.array_equal(blended[0].var[r], solo_blend[0].var)
+        solo, solo_penalty, solo_grad = cem_step(
+            state, alone, batch[r], noise.std**2, noise.logdet()
+        )
+        assert np.array_equal(new.weights[r], solo.weights)
+        assert np.array_equal(new.var[r], solo.var)
+        assert penalty[r] == solo_penalty
+        assert np.array_equal(grad[r], solo_grad)
+
+
+@given(
+    n_runs=st.integers(min_value=1, max_value=4),
+    k=st.integers(min_value=1, max_value=9),
+    d=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=9, max_value=300),
+    warm=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(n_runs=4, k=9, d=8, n=480, warm=True, seed=2)
+@example(n_runs=2, k=3, d=1, n=40, warm=False, seed=3)
+@settings(max_examples=100, deadline=None)
+def test_stacked_refit_equals_runs_alone(n_runs, k, d, n, warm, seed):
+    """Runs converge after different numbers of Lloyd rounds, and some
+    have fewer rounds to spend."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_runs, n, d))
+    x += rng.integers(0, 3, size=(n_runs, n, 1)) * 4.0
+    init = rng.uniform(-2.0, 10.0, size=(n_runs, k, d)) if warm else None
+    iters = rng.integers(0, 11, size=n_runs)
+    seeds = rng.integers(0, 2**31, size=n_runs).tolist()
+    ridges = rng.choice([1e-6, 0.01], size=n_runs)
+    state = fit_init_many(x, k, seeds, iters, init_means=init, ridges=ridges)
+    for r in range(n_runs):
+        alone = fit_init(
+            x[r], k, seeds[r], int(iters[r]),
+            init_means=None if init is None else init[r], ridge=float(ridges[r]),
+        )
+        assert np.array_equal(state.weights[r], alone.weights())
+        assert np.array_equal(state.means[r], alone.means())
+        comps = alone.components
+        assert np.array_equal(state.var[r], np.stack([c.cov.entries for c in comps]))
+        assert np.array_equal(state.ridge[r, :, 0], [c.cov.ridge for c in comps])
+
+
+def test_stacked_refit_fails_per_run():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 30, 2))
+    x[1] = x[1, :1]   # one distinct row
+    x[2, :, 0] = 0.0  # distinct only through the second column
+    with pytest.raises(DegenerateData) as info:
+        fit_init_many(x, 4, [0, 1, 2], 10, ridges=1e-6)
+    assert set(info.value.runs) == {1}
+    assert "fewer than k=4 distinct" in str(info.value.runs[1])
+    state = fit_init_many(x[[0, 2]], 4, [0, 2], 10, ridges=1e-6)
+    assert state.weights.shape == (2, 4)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+def test_stacked_step_fails_per_run(bad):
+    cases = [random_case(s, 3, 2, 6, 0) for s in (3, 4, 5)]
+    states = [replace(MixtureState.of(mix), dataset_size=12) for mix, _, _ in cases]
+    batch = np.stack([b for _, b, _ in cases])
+    batch[1, 2, 1] = bad
+    stacked = stack_states(states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assign = assign_nearest(batch, stacked.means)
+        with pytest.raises(NonPositiveDefinite, match="finite") as info:
+            cem_step(stacked, assign, batch, np.full((3, 1, 1), 0.01), np.zeros((3, 1)))
+    assert set(info.value.runs) == {1}

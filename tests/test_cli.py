@@ -218,6 +218,20 @@ class TestBoundsCommand:
         assert "config error" in capsys.readouterr().err
         assert not (run_dir / "bounds_report.json").exists()
 
+    def test_defense_none_injects_no_noise(self, tmp_path, capsys):
+        # The config keeps the default noise_std, which training never used.
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(defense="none", lam=0.0), run_dir)
+        assert main(["bounds", str(run_dir)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (run_dir / "bounds_report.json").exists()
+        report = cmd_attack(str(run_dir))
+        assert report.floor is None
+        # The attack sees the noise-free channel of an explicit noise_std=0 run.
+        twin = tmp_path / "twin"
+        cmd_train(tiny_config(defense="none", lam=0.0, noise_std=0.0), twin)
+        assert cmd_attack(str(twin)).to_dict() == report.to_dict()
+
 
 class TestSweepAndReport:
     def test_single_point_sweep(self, tmp_path):
@@ -232,9 +246,9 @@ class TestSweepAndReport:
         lines_before_point = []
         run_point = cli._sweep_point
 
-        def counting_point(config, variance, out_dir):
+        def counting_point(point, variance, out_dir, trained):
             lines_before_point.append(len(csv_path.read_text().splitlines()))
-            return run_point(config, variance, out_dir)
+            return run_point(point, variance, out_dir, trained)
 
         monkeypatch.setattr(cli, "_sweep_point", counting_point)
         rows = cmd_sweep(tiny_config(), [0.04, 0.09], tmp_path / "sweep")
