@@ -12,13 +12,14 @@ import numpy as np
 
 from .bounds import JointGaussianSpec, NoiseModel, wiener_gain
 from .data import Dataset
-from .errors import NonFinite
+from .errors import CemError, NonFinite
 from .network import (
     NeuralModule,
     backward,
     forward,
     init_network,
     noise_inject,
+    predict,
     sgd_step,
 )
 from .numerics import derived_seed, seeded_rng
@@ -64,13 +65,6 @@ def psnr(mse: float) -> float:
     return float(-10.0 * np.log10(mse))
 
 
-def _recon_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Per-dimension mean squared error and its gradient."""
-    n, d = target.shape
-    diff = pred - target
-    return float(np.mean(diff * diff)), 2.0 * diff / (n * d)
-
-
 def train_attacker(
     encoder: NeuralModule,
     noise: NoiseModel,
@@ -82,28 +76,144 @@ def train_attacker(
     The adversary sees the training split and one fresh noise draw per
     sample per epoch, and minimizes the per-dimension reconstruction MSE.
     Deterministic per seed; the encoder is never modified.
-    """
-    x_train, _ = data.train_arrays()
-    d_in = x_train.shape[1]
-    dims = [encoder.out_dim, *cfg.hidden_dims, d_in]
-    activations = ["relu"] * len(cfg.hidden_dims) + [cfg.output_activation]
-    attacker = init_network(dims, activations, derived_seed(cfg.seed, 10))
 
-    feats_clean, _ = forward(encoder, x_train)
-    n = x_train.shape[0]
-    for epoch in range(cfg.epochs):
-        feats = noise_inject(feats_clean, noise, derived_seed(cfg.seed, 11, epoch))
-        order = seeded_rng(cfg.seed, 12, epoch).permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            rows = order[start:start + cfg.batch_size]
-            pred, tape = forward(attacker, feats[rows])
-            _, grad = _recon_loss(pred, x_train[rows])
-            grads, _ = backward(attacker, tape, grad)
-            try:
-                attacker = sgd_step(attacker, grads, cfg.lr, cfg.momentum)
-            except NonFinite as exc:
-                raise NonFinite(f"attack diverged at epoch {epoch}: {exc}") from exc
+    This is :func:`train_attacker_many` on one run; its error is raised.
+    """
+    attacker = train_attacker_many([encoder], [noise], [data], [cfg])[0]
+    if isinstance(attacker, Exception):
+        raise attacker
     return attacker
+
+
+def train_attacker_many(
+    encoders: list[NeuralModule],
+    noises: list[NoiseModel],
+    datasets: list[Dataset],
+    cfgs: list[AttackConfig],
+) -> list[NeuralModule | CemError]:
+    """Train several attackers as one stacked computation, in the order
+    given.
+
+    The runs must share their shapes: the encoders' output width,
+    ``hidden_dims``, the input width and size of the training split,
+    ``batch_size``, ``epochs`` and ``output_activation``. Seeds, noise, lr,
+    momentum, encoders and data may differ. Every run gets the bits
+    :func:`train_attacker` gives it alone. A run whose update is not finite
+    leaves the stack: its entry is the error :func:`train_attacker` raises
+    for it, and the other runs go on.
+    """
+    stack = _AttackStack(encoders, noises, datasets, cfgs)
+    results: list = [None] * len(cfgs)
+    starts = range(0, stack.n_train, stack.batch_size)
+    for epoch in range(cfgs[0].epochs):
+        if not stack.ids:
+            break
+        stack.start_epoch(epoch)
+        for start in starts:
+            while stack.ids:
+                try:
+                    stack.step(start)
+                    break
+                except NonFinite as exc:
+                    errors = exc.runs or dict.fromkeys(range(len(stack.ids)), exc)
+                    for r, err in errors.items():
+                        err.runs = None
+                        wrapped = NonFinite(f"attack diverged at epoch {epoch}: {err}")
+                        wrapped.__cause__ = err
+                        results[stack.ids[r]] = wrapped
+                    stack.keep([r for r in range(len(stack.ids)) if r not in errors])
+    for r, i in enumerate(stack.ids):
+        results[i] = stack.attacker.take(r)
+    return results
+
+
+class _AttackStack:
+    """The live runs of a :func:`train_attacker_many` call, stacked along a
+    leading axis; ``ids`` holds each run's position in the caller's list."""
+
+    _PER_RUN = ("feats_clean", "x", "lr", "momentum", "feats", "targets")
+
+    def __init__(self, encoders, noises, datasets, cfgs):
+        if not cfgs or not len(encoders) == len(noises) == len(datasets) == len(cfgs):
+            raise ValueError(
+                "train_attacker_many needs one encoder, noise model and dataset "
+                "per config"
+            )
+        xs = [data.train_arrays()[0] for data in datasets]
+
+        def shape(encoder, x, cfg):
+            return (encoder.out_dim, x.shape, list(cfg.hidden_dims), cfg.batch_size,
+                    cfg.epochs, cfg.output_activation)
+
+        first = shape(encoders[0], xs[0], cfgs[0])
+        if any(shape(*run) != first for run in zip(encoders, xs, cfgs)):
+            raise ValueError("the runs of a stack must share their shapes")
+        self.n_train, d_in = xs[0].shape
+        self.batch_size = cfgs[0].batch_size
+        dims = [encoders[0].out_dim, *cfgs[0].hidden_dims, d_in]
+        activations = ["relu"] * len(cfgs[0].hidden_dims) + [cfgs[0].output_activation]
+
+        self.ids = list(range(len(cfgs)))
+        self.cfgs = list(cfgs)
+        self.noises = list(noises)
+        self.attacker = NeuralModule.stack([
+            init_network(dims, activations, derived_seed(cfg.seed, 10)) for cfg in cfgs
+        ])
+        self.feats_clean = np.stack([
+            predict(encoder, x) for encoder, x in zip(encoders, xs)
+        ])
+        self.x = np.stack(xs)
+        self.lr = np.array([cfg.lr for cfg in cfgs])[:, None, None]
+        self.momentum = np.array([cfg.momentum for cfg in cfgs])[:, None, None]
+        self.feats = self.targets = None   # per epoch, in epoch order
+        self._share_rates()
+
+    def _share_rates(self) -> None:
+        """The lr and momentum ``sgd_step`` gets: one float where every run
+        has the same value, which it applies with the same bits as the
+        per-run array, at less cost."""
+        self.step_lr, self.step_momentum = (
+            float(v[0, 0, 0]) if len(v) and (v == v[0]).all() else v
+            for v in (self.lr, self.momentum)
+        )
+
+    def keep(self, live) -> None:
+        """Drop every run not listed in ``live``."""
+        live = np.asarray(live, dtype=np.intp)
+        self.ids = [self.ids[r] for r in live]
+        self.cfgs = [self.cfgs[r] for r in live]
+        self.noises = [self.noises[r] for r in live]
+        for name in self._PER_RUN:
+            setattr(self, name, getattr(self, name)[live])
+        self.attacker = self.attacker.take(live)
+        self._share_rates()
+
+    def start_epoch(self, epoch: int) -> None:
+        """Each run's fresh noise draw for ``epoch``, with the features and
+        targets put in the run's batch order for the epoch."""
+        feats = noise_inject(
+            self.feats_clean, self.noises,
+            [derived_seed(cfg.seed, 11, epoch) for cfg in self.cfgs],
+        )
+        order = np.stack([
+            seeded_rng(cfg.seed, 12, epoch).permutation(self.n_train)
+            for cfg in self.cfgs
+        ])
+        pick = (np.arange(len(self.ids))[:, None], order)
+        self.feats, self.targets = feats[pick], self.x[pick]
+
+    def step(self, start: int) -> None:
+        """One batch for every run, from ``start`` in each run's epoch
+        order. A step that fails stores nothing, so it can be retried
+        without the runs that failed it."""
+        batch = slice(start, start + self.batch_size)
+        target = self.targets[:, batch]
+        pred, tape = forward(self.attacker, self.feats[:, batch])
+        n, d = target.shape[1:]
+        # The gradient of the per-dimension reconstruction MSE.
+        grad = 2.0 * (pred - target) / (n * d)
+        grads, _ = backward(self.attacker, tape, grad, input_grad=False)
+        self.attacker = sgd_step(self.attacker, grads, self.step_lr, self.step_momentum)
 
 
 def reconstruction_mse(
@@ -115,12 +225,11 @@ def reconstruction_mse(
     n_draws: int = 8,
 ) -> float:
     """Per-dimension MSE of the attacker, averaged over fresh noise draws."""
-    feats_clean, _ = forward(encoder, inputs)
+    feats_clean = predict(encoder, inputs)
     total = 0.0
     for draw in range(n_draws):
         feats = noise_inject(feats_clean, noise, derived_seed(seed, 30, draw))
-        pred, _ = forward(attacker, feats)
-        diff = pred - inputs
+        diff = predict(attacker, feats) - inputs
         total += float(np.mean(diff * diff))
     return total / n_draws
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import adversary, bounds, data, mixture, network, trainer
 from .errors import CemError, MissingArtifact, ParseError, UnknownDefense
+from .files import write_atomic
 
 # Desk-scale calibration: at a few hundred training samples the entropy
 # penalty's per-sample pull (lambda / N) is orders of magnitude stronger
@@ -70,9 +71,7 @@ class RunManifest:
         }
 
     def save(self, path: Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_atomic(path, _json_text(self.to_dict()))
 
     @staticmethod
     def load(path: Path) -> "RunManifest":
@@ -91,6 +90,10 @@ class RunManifest:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def run_id_for(config: dict) -> str:
@@ -158,23 +161,17 @@ def training_config(config: dict) -> trainer.TrainingConfig:
 
 
 def write_history_csv(path: Path, run_id: str, history) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# run_id={run_id}\n")
-        fh.write("epoch,l_d,l_c,total,accuracy,rel_cond_entropy\n")
-        for row in history:
-            fh.write(
-                ",".join(
-                    [
-                        str(row.epoch),
-                        _fmt(row.l_d),
-                        _fmt(row.l_c),
-                        _fmt(row.total),
-                        _fmt(row.accuracy),
-                        _fmt(-row.l_c),
-                    ]
-                )
-                + "\n"
-            )
+    lines = [f"# run_id={run_id}", "epoch,l_d,l_c,total,accuracy,rel_cond_entropy"]
+    for row in history:
+        lines.append(",".join([
+            str(row.epoch),
+            _fmt(row.l_d),
+            _fmt(row.l_c),
+            _fmt(row.total),
+            _fmt(row.accuracy),
+            _fmt(-row.l_c),
+        ]))
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def noise_model(config: dict) -> bounds.NoiseModel:
@@ -245,6 +242,14 @@ def run_floor(manifest: RunManifest, base: Path) -> float:
     return bounds.mse_floor(h_cond, int(config["data_dim"]))
 
 
+def attack_config(config: dict) -> adversary.AttackConfig:
+    return adversary.AttackConfig(
+        epochs=int(config["attack_epochs"]),
+        lr=float(config["attack_lr"]),
+        seed=int(config["attack_seed"]),
+    )
+
+
 def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.AttackReport:
     manifest, base = _load_manifest(run)
     config = dict(manifest.config)
@@ -255,11 +260,7 @@ def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.Atta
     encoder = network.load_network(_artifact_path(manifest, base, "encoder"))
     ds = build_dataset(manifest.config)
     noise = noise_model(config)
-    atk_cfg = adversary.AttackConfig(
-        epochs=int(config["attack_epochs"]),
-        lr=float(config["attack_lr"]),
-        seed=int(config["attack_seed"]),
-    )
+    atk_cfg = attack_config(config)
     attacker = adversary.train_attacker(encoder, noise, ds, atk_cfg)
     x_train, _ = ds.train_arrays()
     x_test, _ = ds.test_arrays()
@@ -267,30 +268,38 @@ def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.Atta
     report = adversary.evaluate_attack(
         attacker, encoder, noise, x_train, x_test, seed=atk_cfg.seed, floor=floor
     )
+    save_attack(base, manifest.run_id, atk_cfg.seed, report)
+    return report
 
-    with open(base / "attack_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+
+def save_attack(base: Path, run_id: str, attack_seed: int,
+                report: adversary.AttackReport) -> None:
+    """Write a run's ``attack_report.json`` and append its row to
+    ``attacks.csv``, which must belong to the same run."""
     csv_path = base / "attacks.csv"
     fresh = not csv_path.exists()
+    if not fresh:
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+        if header != f"# run_id={run_id}":
+            raise ParseError(
+                f"{csv_path} belongs to another run ({header!r}); "
+                f"refusing to append a row of run {run_id}"
+            )
+    write_atomic(base / "attack_report.json", _json_text(report.to_dict()))
+    row = ",".join([
+        str(attack_seed),
+        _fmt(report.mse_train),
+        _fmt(report.mse_infer),
+        _fmt(report.psnr_train),
+        _fmt(report.psnr_infer),
+        "" if report.floor is None else _fmt(report.floor),
+    ]) + "\n"
     with open(csv_path, "a", encoding="utf-8", newline="") as fh:
         if fresh:
-            fh.write(f"# run_id={manifest.run_id}\n")
+            fh.write(f"# run_id={run_id}\n")
             fh.write("attack_seed,mse_train,mse_infer,psnr_train,psnr_infer,floor\n")
-        fh.write(
-            ",".join(
-                [
-                    str(atk_cfg.seed),
-                    _fmt(report.mse_train),
-                    _fmt(report.mse_infer),
-                    _fmt(report.psnr_train),
-                    _fmt(report.psnr_infer),
-                    "" if report.floor is None else _fmt(report.floor),
-                ]
-            )
-            + "\n"
-        )
-    return report
+        fh.write(row)
 
 
 def cmd_bounds(run: str, h_x_offset: float | None = None) -> bounds.BoundsReport:
@@ -306,23 +315,33 @@ def cmd_bounds(run: str, h_x_offset: float | None = None) -> bounds.BoundsReport
     mix = mixture.load_mixture(_artifact_path(manifest, base, "mixture"))
     offset = float(config["h_x_offset"]) if h_x_offset is None else float(h_x_offset)
     report = bounds.bounds_report(mix, noise, offset, int(config["data_dim"]))
-    with open(base / "bounds_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_atomic(base / "bounds_report.json", _json_text(report.to_dict()))
     return report
 
 
 def _sweep_point(point: dict, variance: float, out_dir: Path, trained) -> dict:
-    """Write one trained sweep point, attack it and measure its utility.
-    ``trained`` is the point's (dataset, training result), or the error its
-    training raised, which is raised here."""
+    """Write one sweep point's run, evaluate its attacker and measure its
+    utility. ``trained`` is the point's (dataset, training result,
+    attacker), or the error its set-up or training raised, which is raised
+    here; the attacker may be the error its attack raised, raised once the
+    run is written."""
     if isinstance(trained, Exception):
         raise trained
-    ds, result = trained
-    save_run(point, result, out_dir)
-    report = cmd_attack(str(out_dir))
+    ds, result, attacker = trained
+    manifest = save_run(point, result, out_dir)
+    if isinstance(attacker, Exception):
+        raise attacker
+    noise = noise_model(point)
+    x_train, _ = ds.train_arrays()
+    x_test, _ = ds.test_arrays()
+    floor = run_floor(manifest, out_dir) if noise.std > 0 else None
+    seed = int(point["attack_seed"])
+    report = adversary.evaluate_attack(
+        attacker, result.encoder, noise, x_train, x_test, seed=seed, floor=floor
+    )
+    save_attack(out_dir, manifest.run_id, seed, report)
     accuracy = trainer.evaluate_utility(
-        result.encoder, result.decoder, ds, noise_model(point), seed=int(point["seed"])
+        result.encoder, result.decoder, ds, noise, seed=int(point["seed"])
     )
     return {
         "variance": variance,
@@ -359,6 +378,34 @@ def _train_points(points: list[dict]) -> list:
     return outcomes
 
 
+def _attack_points(points: list[dict], trained: list) -> list:
+    """Train the trained sweep points' attackers as one stack, with the
+    encoders, datasets and noise in memory. Each (dataset, result) entry of
+    ``trained`` becomes (dataset, result, attacker), the attacker being the
+    error its attack raised if it failed; errors stay as they are."""
+    outcomes = list(trained)
+    stacked, runs = [], []
+    for i, (point, outcome) in enumerate(zip(points, trained)):
+        if isinstance(outcome, Exception):
+            continue
+        ds, result = outcome
+        try:
+            cfg = attack_config(point)
+        except ValueError as exc:
+            outcomes[i] = (ds, result, exc)
+            continue
+        stacked.append(i)
+        runs.append((result.encoder, noise_model(point), ds, cfg))
+    if stacked:
+        try:
+            attackers = adversary.train_attacker_many(*(list(c) for c in zip(*runs)))
+        except (CemError, ValueError) as exc:
+            attackers = [exc] * len(stacked)
+        for i, attacker in zip(stacked, attackers):
+            outcomes[i] = (*trained[i], attacker)
+    return outcomes
+
+
 def _sweep_csv_row(row: dict) -> str:
     fields = [
         _fmt(row["variance"]),
@@ -373,10 +420,11 @@ def _sweep_csv_row(row: dict) -> str:
 
 def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
     """Train one fresh model per noise variance and record the robustness
-    curve. The points train together, as one stacked computation; then, in
-    grid order, each point's artifacts are written, its attack and utility
-    measured, and its row appended to sweep.csv, so an interrupted sweep
-    keeps the rows it finished."""
+    curve. The points train together, as one stacked computation, and are
+    then attacked together, as another; then, in grid order, each point's
+    artifacts and attack report are written, its utility measured, and its
+    row appended to sweep.csv, so an interrupted sweep keeps the rows it
+    finished."""
     if not grid:
         raise ValueError("sweep grid is empty")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,9 +438,8 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
         for variance in grid
     ]
     rows = []
-    for i, (variance, point, trained) in enumerate(
-        zip(grid, points, _train_points(points))
-    ):
+    attacked = _attack_points(points, _train_points(points))
+    for i, (variance, point, trained) in enumerate(zip(grid, points, attacked)):
         try:
             row = _sweep_point(point, variance, out_dir / f"point_{i:02d}", trained)
         except (CemError, ValueError, OSError) as exc:

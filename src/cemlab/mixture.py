@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateData, ParseError, ShapeMismatch, raise_for_runs
+from .files import write_atomic
 from .numerics import Covariance, check_diagonal, seeded_rng
 
 WEIGHT_FLOOR = 1e-8
@@ -507,9 +508,7 @@ def save_mixture(mix: GaussianMixture, path) -> None:
             for w, mean, var in zip(state.weights, state.means, state.var)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
 def load_mixture(path, ridge: float = 1e-12) -> GaussianMixture:

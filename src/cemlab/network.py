@@ -25,6 +25,7 @@ from .errors import (
     StaleTape,
     raise_for_runs,
 )
+from .files import write_atomic
 from .numerics import logsumexp_rows, seeded_rng
 
 ACTIVATIONS = ("relu", "identity", "sigmoid")
@@ -214,6 +215,28 @@ def forward(m: NeuralModule, batch: np.ndarray) -> tuple[np.ndarray, TapePass]:
     return a, tape
 
 
+def predict(m: NeuralModule, batch: np.ndarray) -> np.ndarray:
+    """The module's output on a batch, with the bits of :func:`forward` but
+    no tape: each layer's activation works in place on its own product, so
+    at most two layer outputs are alive at once."""
+    x = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    if x.shape[-1] != m.in_dim:
+        raise ShapeMismatch(f"input dim {x.shape[-1]} != module in_dim {m.in_dim}")
+    a = x
+    for layer in m.layers:
+        a = a @ layer.weights.swapaxes(-1, -2)
+        a += layer.bias
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+        elif layer.activation == "sigmoid":
+            # 1 / (1 + exp(-a)), one operation at a time.
+            np.negative(a, out=a)
+            np.exp(a, out=a)
+            a += 1.0
+            np.divide(1.0, a, out=a)
+    return a
+
+
 def noise_inject(feats: np.ndarray, noise, seed: int) -> np.ndarray:
     """Add i.i.d. zero-mean Gaussian noise of variance std^2 per entry.
 
@@ -241,9 +264,10 @@ def noise_inject(feats: np.ndarray, noise, seed: int) -> np.ndarray:
 
 
 def backward(
-    m: NeuralModule, tape: TapePass, out_grad: np.ndarray
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Reverse-mode pass: returns ([(dW, db), ...], input gradient)."""
+    m: NeuralModule, tape: TapePass, out_grad: np.ndarray, input_grad: bool = True
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray | None]:
+    """Reverse-mode pass: returns ([(dW, db), ...], input gradient). With
+    ``input_grad=False`` the input gradient is not computed and is None."""
     if tape.consumed:
         raise StaleTape("tape was already consumed by a backward pass")
     if tape.module_id != id(m):
@@ -264,7 +288,7 @@ def backward(
         param_grads[i] = (
             dz.swapaxes(-1, -2) @ a_prev, dz.sum(axis=-2, keepdims=stacked)
         )
-        g = dz @ layer.weights
+        g = dz @ layer.weights if i > 0 or input_grad else None
     return param_grads, g
 
 
@@ -286,7 +310,7 @@ def sgd_step(
     still = not momentum.any() if isinstance(momentum, np.ndarray) else momentum == 0
     stacked = m.layers[0].weights.ndim == 3
     layers, velocity = [], []
-    bad = False
+    bad = None
     for layer, (vw, vb), (gw, gb) in zip(m.layers, m.velocity, grads):
         if still:
             new_vw, new_vb = gw, gb
@@ -295,14 +319,18 @@ def sgd_step(
             new_vb = momentum * vb + gb
         w = layer.weights - lr * new_vw
         b = layer.bias - lr * new_vb
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+        # A finite sum means every entry is finite; finite entries whose sum
+        # overflows get the entrywise test.
+        if not np.isfinite(w.sum() + b.sum()) and not (
+            np.isfinite(w).all() and np.isfinite(b).all()
+        ):
             if not stacked:
                 raise NonFinite(_NON_FINITE_UPDATE)
             finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
-            bad = bad | ~finite
+            bad = ~finite if bad is None else bad | ~finite
         layers.append(Layer(weights=w, bias=b, activation=layer.activation))
         velocity.append((new_vw, new_vb))
-    if stacked:
+    if bad is not None:
         raise_for_runs(
             {int(r): NonFinite(_NON_FINITE_UPDATE) for r in np.flatnonzero(bad)}
         )
@@ -364,9 +392,7 @@ def save_network(m: NeuralModule, path) -> None:
         ],
     }
     # json.dumps runs the C encoder; json.dump would run the pure-Python one.
-    text = json.dumps(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_atomic(path, json.dumps(doc) + "\n")
 
 
 def load_network(path) -> NeuralModule:

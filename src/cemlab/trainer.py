@@ -364,7 +364,7 @@ class _Stack:
         dec_grads, g_z = backward(self.decoder, tape_dec, grad_logits)
         if self.lam_on.any():
             g_z = np.where(self.lam_on[:, None, None], g_z + self.lam * penalty_grad, g_z)
-        enc_grads, _ = backward(self.encoder, tape_enc, g_z)
+        enc_grads, _ = backward(self.encoder, tape_enc, g_z, input_grad=False)
         encoder = sgd_step(self.encoder, enc_grads, self.lr, self.momentum)
         decoder = sgd_step(self.decoder, dec_grads, self.lr, self.momentum)
 

@@ -16,7 +16,7 @@ from cemlab.adversary import (
     AttackConfig,
     evaluate_attack,
     gaussian_posterior_attacker,
-    train_attacker,
+    train_attacker_many,
 )
 from cemlab.bounds import (
     NoiseModel,
@@ -57,7 +57,7 @@ ATTACK_KW = dict(epochs=150, lr=0.01)
 
 
 def solo_result(result):
-    """A stacked run's result, or the error its training raised."""
+    """A stacked run's result, or the error it raised."""
     if isinstance(result, Exception):
         raise result
     return result
@@ -118,20 +118,12 @@ def _gaussian_world_dataset(spec, rng, n_train, n_test):
 def test_criterion_2_floor_one_sidedness_learned_attackers():
     started = time.time()
     rng = np.random.default_rng(202)
-    margins, pm_errors = [], []
+    margins, pm_errors, worlds = [], [], []
     for run in range(10):
         spec = isotropic_spec(rng, d=4)
         oracle = minimal_mse_oracle(spec)
         ds, encoder, scale = _gaussian_world_dataset(spec, rng, 3000, 1500)
-        attacker = train_attacker(
-            encoder, spec.noise, ds,
-            AttackConfig(epochs=100, lr=0.01, seed=run),
-        )
-        rep = evaluate_attack(
-            attacker, encoder, spec.noise,
-            ds.inputs[ds.train_idx], ds.inputs[ds.test_idx], seed=run,
-        )
-        margins.append(rep.mse_infer / (oracle * scale))
+        worlds.append((spec.noise, ds, encoder, oracle * scale))
 
         posterior_mean = gaussian_posterior_attacker(spec)
         n = 40_000
@@ -139,6 +131,18 @@ def test_criterion_2_floor_one_sidedness_learned_attackers():
         z = x @ spec.channel.T + spec.noise.std * rng.standard_normal((n, 4))
         pm_mse = float(np.mean((posterior_mean(z) - x) ** 2))
         pm_errors.append(abs(pm_mse - oracle) / oracle)
+    # All ten attackers train as one stack; each run's bits are its solo ones.
+    noises, datasets, encoders, _ = zip(*worlds)
+    attackers = train_attacker_many(
+        encoders, noises, datasets,
+        [AttackConfig(epochs=100, lr=0.01, seed=run) for run in range(10)],
+    )
+    for run, (noise, ds, encoder, scaled_oracle) in enumerate(worlds):
+        rep = evaluate_attack(
+            solo_result(attackers[run]), encoder, noise,
+            ds.inputs[ds.train_idx], ds.inputs[ds.test_idx], seed=run,
+        )
+        margins.append(rep.mse_infer / scaled_oracle)
     ok = min(margins) >= 0.98 and max(pm_errors) <= 0.02
     report(2, "trained attackers never beat the posterior-mean oracle",
            ok,
@@ -306,22 +310,29 @@ def test_criterion_7_defense_gain_at_matched_utility():
         [TrainingConfig(lam=lam, seed=seed, **TRAIN_KW) for seed, lam in runs],
         [worlds[seed] for seed, _ in runs],
     )
+    noise = NoiseModel(std=TRAIN_KW["noise_std"], dim=8)
+    results = [solo_result(result) for result in trained]
+    # So do the ten attackers.
+    attackers = train_attacker_many(
+        [result.encoder for result in results],
+        [noise] * len(runs),
+        [worlds[seed] for seed, _ in runs],
+        [AttackConfig(seed=seed, **ATTACK_KW) for seed, _ in runs],
+    )
     for seed in range(5):
         ds = worlds[seed]
         x_tr, _ = ds.train_arrays()
         x_te, _ = ds.test_arrays()
-        noise = NoiseModel(std=TRAIN_KW["noise_std"], dim=8)
         out = {}
         for lam in (0.0, 16.0):
-            result = solo_result(trained[runs.index((seed, lam))])
+            i = runs.index((seed, lam))
+            result = results[i]
             acc = evaluate_utility(
                 result.encoder, result.decoder, ds, noise, seed=seed + 100
             )
-            attacker = train_attacker(
-                result.encoder, noise, ds, AttackConfig(seed=seed, **ATTACK_KW)
-            )
             rep = evaluate_attack(
-                attacker, result.encoder, noise, x_tr, x_te, seed=seed
+                solo_result(attackers[i]), result.encoder, noise, x_tr, x_te,
+                seed=seed,
             )
             out[lam] = (acc, rep.mse_infer)
         ratios.append(out[16.0][1] / out[0.0][1])

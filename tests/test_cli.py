@@ -125,6 +125,17 @@ class TestAttackCommand:
         code = main(["attack", str(tmp_path / "void")])
         assert code == 1
 
+    def test_attacks_csv_of_another_run_refused(self, tmp_path, capsys):
+        cmd_train(tiny_config(seed=0), tmp_path / "a")
+        cmd_train(tiny_config(seed=1), tmp_path / "b")
+        cmd_attack(str(tmp_path / "a"))
+        foreign = (tmp_path / "a" / "attacks.csv").read_bytes()
+        (tmp_path / "b" / "attacks.csv").write_bytes(foreign)
+        assert main(["attack", str(tmp_path / "b")]) == 1
+        assert "ParseError" in capsys.readouterr().err
+        assert (tmp_path / "b" / "attacks.csv").read_bytes() == foreign
+        assert not (tmp_path / "b" / "attack_report.json").exists()
+
     def test_missing_artifact_exit_1(self, tmp_path):
         run_dir = tmp_path / "run"
         cmd_train(tiny_config(), run_dir)
@@ -258,6 +269,20 @@ class TestSweepAndReport:
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 4
         assert lines[2].startswith("0.04,") and lines[3].startswith("0.09,")
+
+    def test_sweep_attacks_match_attack_command(self, tmp_path):
+        # The sweep attacks its points in memory, as one stack; the attack
+        # command on a point's run must write the same reports.
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_config(momentum=0.9), [0.02, 0.3], out)
+        for point in ("point_00", "point_01"):
+            again = tmp_path / point
+            again.mkdir()
+            for name in ("manifest.json", "encoder.json", "mixture.json"):
+                (again / name).write_bytes((out / point / name).read_bytes())
+            cmd_attack(str(again))
+            for name in ("attack_report.json", "attacks.csv"):
+                assert (again / name).read_bytes() == (out / point / name).read_bytes()
 
     def test_sweep_failure_recorded(self, tmp_path):
         # per_class=2 cannot support the default component count

@@ -12,6 +12,7 @@ from cemlab.network import (
     init_network,
     load_network,
     noise_inject,
+    predict,
     save_network,
     sgd_step,
     task_loss,
@@ -77,6 +78,21 @@ class TestForward:
         m = identity_module(3)
         with pytest.raises(ShapeMismatch):
             forward(m, np.zeros((2, 4)))
+
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_predict_has_forward_bits(self, rng, stacked):
+        dims, acts = [5, 16, 16, 4], ["relu", "identity", "sigmoid"]
+        modules = [init_network(dims, acts, seed=s) for s in range(3)]
+        x = rng.standard_normal((3, 20, 5)) * 3
+        if stacked:
+            m = NeuralModule.stack(modules)
+        else:
+            m, x = modules[0], x[0]
+        out, _ = forward(m, x)
+        assert predict(m, x).tobytes() == out.tobytes()
+        with pytest.raises(ShapeMismatch):
+            predict(m, x[..., :4])
 
 
 class TestNoiseInject:
@@ -209,6 +225,18 @@ class TestBackward:
         assert worst <= 1e-4
 
 
+    def test_input_gradient_skipped_on_request(self, rng):
+        m = init_network([4, 6, 3], ["relu", "sigmoid"], seed=1)
+        x = rng.standard_normal((5, 4))
+        out, tape = forward(m, x)
+        grads, in_grad = backward(m, tape, out - 0.5)
+        out, tape = forward(m, x)
+        lean, none = backward(m, tape, out - 0.5, input_grad=False)
+        assert in_grad.shape == x.shape and none is None
+        for (gw, gb), (lw, lb) in zip(grads, lean):
+            assert gw.tobytes() == lw.tobytes() and gb.tobytes() == lb.tobytes()
+
+
 class TestSgdStep:
     def test_zero_lr_keeps_parameters(self, rng):
         m = init_network([3, 2], ["identity"], seed=0)
@@ -245,6 +273,22 @@ class TestSgdStep:
         grads = [(np.full((2, 2), np.inf), np.zeros(2))]
         with pytest.raises(NonFinite):
             sgd_step(m, grads, lr=0.1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finite_parameters_whose_sum_overflows(self, sign):
+        # Every entry is finite, but their sum is +-inf.
+        big = sign * np.finfo(np.float64).max
+        m = NeuralModule(layers=[
+            Layer(weights=np.full((2, 2), big), bias=np.full(2, big),
+                  activation="identity"),
+        ])
+        zero = [(np.zeros((2, 2)), np.zeros(2))]
+        assert np.isinf(m.layers[0].weights.sum())
+        out = sgd_step(m, zero, lr=0.1)
+        assert np.array_equal(out.layers[0].weights, m.layers[0].weights)
+        stacked = NeuralModule.stack([m, m])
+        out = sgd_step(stacked, [(np.zeros((2, 2, 2)), np.zeros((2, 1, 2)))], lr=0.1)
+        assert np.array_equal(out.layers[0].weights, stacked.layers[0].weights)
 
 
 class TestTaskLoss:
