@@ -61,6 +61,9 @@ class RunManifest:
     config: dict
     output_dir: str
     artifacts: dict
+    # The noise std the run injected (trainer.effective_noise_std); None for
+    # a manifest written without it.
+    effective_noise_std: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -68,6 +71,7 @@ class RunManifest:
             "config": self.config,
             "output_dir": self.output_dir,
             "artifacts": self.artifacts,
+            "effective_noise_std": self.effective_noise_std,
         }
 
     def save(self, path: Path) -> None:
@@ -83,6 +87,7 @@ class RunManifest:
                 config=doc["config"],
                 output_dir=doc["output_dir"],
                 artifacts=doc["artifacts"],
+                effective_noise_std=doc.get("effective_noise_std"),
             )
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ParseError(f"invalid manifest {path}: {exc}") from exc
@@ -205,7 +210,8 @@ def save_run(config: dict, result: trainer.TrainResult, out_dir: Path) -> RunMan
     write_history_csv(out_dir / artifacts["history"], run_id, result.history)
 
     manifest = RunManifest(
-        run_id=run_id, config=config, output_dir=str(out_dir), artifacts=artifacts
+        run_id=run_id, config=config, output_dir=str(out_dir), artifacts=artifacts,
+        effective_noise_std=noise_model(config).std,
     )
     manifest.save(out_dir / "manifest.json")
     return manifest
@@ -429,9 +435,11 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
         raise ValueError("sweep grid is empty")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# run_id={run_id_for(config)}\n")
-        fh.write("variance,rel_cond_entropy,mse_train,mse_infer,accuracy,error\n")
+    write_atomic(
+        csv_path,
+        f"# run_id={run_id_for(config)}\n"
+        "variance,rel_cond_entropy,mse_train,mse_infer,accuracy,error\n",
+    )
 
     points = [
         dict(config, noise_std=float(np.sqrt(variance)), defense="noise_only")
@@ -512,20 +520,15 @@ def cmd_report(out_dir: Path) -> list[dict]:
                 entry["mi_bound"] = json.load(fh).get("mi_bound")
         entries.append(entry)
 
-    report_path = out_dir / "report.csv"
     columns = [
         "run_id", "path", "lam", "noise_std", "seed",
         "final_accuracy", "final_l_c", "mse_train", "mse_infer", "mi_bound",
     ]
-    with open(report_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for entry in entries:
-            fh.write(
-                ",".join(
-                    "" if entry[c] is None else str(entry[c]) for c in columns
-                )
-                + "\n"
-            )
+    lines = [",".join(columns)] + [
+        ",".join("" if entry[c] is None else str(entry[c]) for c in columns)
+        for entry in entries
+    ]
+    write_atomic(out_dir / "report.csv", "\n".join(lines) + "\n")
     return entries
 
 

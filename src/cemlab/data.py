@@ -1,8 +1,10 @@
 """Seeded synthetic classification worlds and CSV ingestion.
 
 Inputs are always min-max normalized per dimension to [0, 1] so PSNR and
-sigmoid reconstruction heads are well defined. Dimensions with zero range
-map to 0.
+sigmoid reconstruction heads are well defined. The map is fitted on the
+training rows only, so no test row moves a training input; it is applied
+to every row and clipped to [0, 1]. Dimensions with zero range on the
+training rows map to 0.
 """
 
 from __future__ import annotations
@@ -35,16 +37,19 @@ class Dataset:
         return self.inputs[self.test_idx], self.labels[self.test_idx]
 
 
-def normalize_unit(values: np.ndarray) -> np.ndarray:
-    """Per-dimension min-max map onto [0, 1]; zero-range dims map to 0.
-    Idempotent: a second application is the identity."""
+def normalize_unit(values: np.ndarray, fit_rows=None) -> np.ndarray:
+    """Per-dimension min-max map fitted on the rows ``fit_rows`` (an index
+    array; every row by default), applied to every row and clipped to
+    [0, 1]; dims with zero range on the fitted rows map to 0. Idempotent
+    for the same ``fit_rows``: a second application is the identity."""
     x = np.asarray(values, dtype=np.float64)
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
+    fit = x if fit_rows is None else x[fit_rows]
+    lo = fit.min(axis=0)
+    hi = fit.max(axis=0)
     span = hi - lo
     out = np.zeros_like(x)
     live = span > 0
-    out[:, live] = (x[:, live] - lo[live]) / span[live]
+    out[:, live] = np.clip((x[:, live] - lo[live]) / span[live], 0.0, 1.0)
     return out
 
 
@@ -83,8 +88,9 @@ def synth_blobs(
     order = rng.permutation(labels.size)
     raw, labels = raw[order], labels[order]
 
-    inputs = normalize_unit(raw)
+    # The split draws from rng after the data; normalization draws nothing.
     train_idx, test_idx = _stratified_split(labels, 0.8, rng)
+    inputs = normalize_unit(raw, train_idx)
     return Dataset(
         inputs=inputs,
         labels=labels.astype(np.int64),
@@ -102,8 +108,9 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path, n_classes: int, seed: int = 0) -> Dataset:
-    """Read label,v1,...,vd rows (header optional), normalize to [0, 1],
-    and build a seeded 80/20 stratified split."""
+    """Read label,v1,...,vd rows (header optional), build a seeded 80/20
+    stratified split, and normalize to [0, 1] with the training rows'
+    range."""
     labels, rows = [], []
     width = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -135,10 +142,10 @@ def load_csv(path, n_classes: int, seed: int = 0) -> Dataset:
             rows.append(values)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    inputs = normalize_unit(np.array(rows, dtype=np.float64))
     labels = np.array(labels, dtype=np.int64)
     rng = seeded_rng(seed, 0xDA)
     train_idx, test_idx = _stratified_split(labels, 0.8, rng)
+    inputs = normalize_unit(np.array(rows, dtype=np.float64), train_idx)
     return Dataset(
         inputs=inputs,
         labels=labels,

@@ -175,17 +175,19 @@ def _kmeanspp_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 def _nearest_block(x: np.ndarray, means: np.ndarray) -> np.ndarray:
     # Explicit difference form keeps exact ties symmetric; argmin breaks
-    # ties toward the lowest index. The square, the sum over d and the sqrt
-    # are np.linalg.norm's own.
+    # ties toward the lowest index. Squared distances order the means as
+    # distances do, without two distinct sums rounding to one square root.
     diff = x[..., :, None, :] - means[..., None, :, :]
     np.multiply(diff, diff, out=diff)
-    return np.argmin(np.sqrt(diff.sum(axis=-1)), axis=-1)
+    return np.argmin(diff.sum(axis=-1), axis=-1)
 
 
 def _nearest(x: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Index of each row's nearest mean: rows (n, d) against means (k, d),
-    or a stack, (R, n, d) against (R, k, d). Works in blocks of rows so that
-    no temporary exceeds ``_NEAREST_BLOCK_BYTES``."""
+    or a stack, (R, n, d) against (R, k, d). Compares squared Euclidean
+    distances, with no square root, and breaks exact ties toward the lowest
+    index. Works in blocks of rows so that no temporary exceeds
+    ``_NEAREST_BLOCK_BYTES``."""
     if x.ndim == 2:
         return _nearest(x[None], means[None])[0]
     n_runs, n, d = x.shape
@@ -299,7 +301,7 @@ def fit_init_many(
     """:func:`fit_init` for a stack of runs, as a stacked
     :class:`MixtureState`: ``features`` is (R, n, d), and ``seeds``,
     ``iters`` and ``ridges`` hold one value per run (``init_means``, if
-    given, is (R, k, d)).
+    given, is (R, k, d), and ``seeds`` is then unused).
 
     The Lloyd rounds run on all runs at once; a run leaves the stack when
     its assignment stops changing or its rounds are spent, so each run sees

@@ -14,6 +14,17 @@ and its gradient.
 :func:`train_many` runs several same-shaped runs as one computation, with
 every array carrying a leading run axis; :func:`train` is one run of it.
 Each run keeps its own random streams and gets the bits it gets alone.
+
+Random streams: each run draws its noise and batch order from generators
+``seeded_rng(seed, tag, epoch)``, one per (run, tag, epoch): tag 3 is the
+refit's noise, tag 5 the batch order and tag 6 the batch noise. The batch
+noise is drawn once per epoch as std times (n_train, d_z) standard
+normals, row ``i`` belonging to the epoch's ``i``-th batch row, and each
+batch takes its slice; since a generator fills in order, that is the
+stream one generator per (run, epoch) gives batch by batch. A noise-free
+run draws nothing and its features pass through untouched. The models'
+initial weights come from ``derived_seed(seed, 1)`` and ``(seed, 2)``, and
+the first refit's k-means++ seeding from ``derived_seed(seed, 4, 0)``.
 """
 
 from __future__ import annotations
@@ -199,11 +210,8 @@ def train_many(
         if epochs == 0 or not stack.ids:
             break
         stack.start_epoch(epoch)
-        for batch, start in enumerate(starts):
-            attempt(
-                lambda: stack.step(epoch, batch, start),
-                epoch, (NonFinite, NonPositiveDefinite),
-            )
+        for start in starts:
+            attempt(lambda: stack.step(start), epoch, (NonFinite, NonPositiveDefinite))
         for i, cfg, run_sums in zip(stack.ids, stack.cfgs, stack.sums):
             l_d_mean, l_c_mean, acc_mean = run_sums / len(starts)
             histories[i].append(
@@ -235,8 +243,8 @@ class _Stack:
     axis; ``ids`` holds each run's position in the caller's list."""
 
     _PER_RUN = (
-        "x", "y", "lam", "lam_on", "penalty_on", "noise_var", "noise_logdet",
-        "momentum", "ridge", "lr", "order", "sums",
+        "x", "y", "lam", "lam_on", "noisy", "noise_var", "noise_logdet",
+        "momentum", "ridge", "lr", "x_epoch", "y_epoch", "noise_epoch", "sums",
     )
 
     def __init__(self, cfgs: list[TrainingConfig], datasets: list[Dataset]):
@@ -278,7 +286,7 @@ class _Stack:
         self.lam = lam[:, None, None]
         self.lam_on = lam > 0
         std = np.array([noise.std for noise in self.noises])
-        self.penalty_on = std > 0
+        self.noisy = std > 0
         self.noise_var = (std**2)[:, None, None]
         # A noise-free run's penalty is computed with a stand-in 0 and
         # discarded.
@@ -291,7 +299,8 @@ class _Stack:
         # singleton clusters from producing near-zero denominators in the
         # penalty gradient.
         self.ridge = np.maximum(1e-6, std**2)
-        self.lr = self.order = self.sums = None   # per epoch
+        # per epoch
+        self.lr = self.x_epoch = self.y_epoch = self.noise_epoch = self.sums = None
 
     def keep(self, live) -> None:
         """Drop every run not listed in ``live``."""
@@ -316,47 +325,68 @@ class _Stack:
             int(r): NonFinite(f"training diverged at epoch {epoch}: non-finite features")
             for r in np.flatnonzero(~finite)
         })
-        noisy = noise_inject(
-            feats, self.noises, [derived_seed(cfg.seed, 3, epoch) for cfg in self.cfgs]
-        )
+        noisy = self.add_noise(feats, self.draw_noise(3, epoch))
+        # Seeds are drawn only for the first fit; later fits warm-start.
+        seeds = None if self.state is not None else [
+            derived_seed(cfg.seed, 4, epoch) for cfg in self.cfgs
+        ]
         return fit_init_many(
-            noisy, self.k, [derived_seed(cfg.seed, 4, epoch) for cfg in self.cfgs],
-            [cfg.gmm_iters for cfg in self.cfgs],
+            noisy, self.k, seeds, [cfg.gmm_iters for cfg in self.cfgs],
             init_means=None if self.state is None else self.state.means,
             ridges=self.ridge,
         )
 
+    def draw_noise(self, tag: int, epoch: int) -> np.ndarray:
+        """Each run's noise for the training split in ``epoch``: std times
+        (n_train, d_z) standard normals from one generator per run,
+        ``seeded_rng(seed, tag, epoch)``; zeros for a noise-free run."""
+        out = np.zeros((len(self.ids), self.n_train, self.encoder.out_dim))
+        for r in np.flatnonzero(self.noisy):
+            rng = seeded_rng(self.cfgs[r].seed, tag, epoch)
+            np.multiply(self.noises[r].std, rng.standard_normal(out.shape[1:]), out=out[r])
+        return out
+
+    def add_noise(self, feats: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """``feats + noise`` as a new array, with a noise-free run's features
+        copied untouched (no ``+ 0.0``, which would turn -0.0 into 0.0)."""
+        out = feats + noise
+        if not self.noisy.all():
+            out[~self.noisy] = feats[~self.noisy]
+        return out
+
     def start_epoch(self, epoch: int) -> None:
+        """The epoch's learning rates, and each run's training split and
+        batch noise in its batch order for the epoch, so that a batch is a
+        slice."""
         self.lr = np.array([cfg.lr_at(epoch) for cfg in self.cfgs])[:, None, None]
-        self.order = np.stack([
+        order = np.stack([
             seeded_rng(cfg.seed, 5, epoch).permutation(self.n_train)
             for cfg in self.cfgs
         ])
+        pick = (np.arange(len(self.ids))[:, None], order)
+        self.x_epoch, self.y_epoch = self.x[pick], self.y[pick]
+        self.noise_epoch = self.draw_noise(6, epoch)
         self.sums = np.zeros((len(self.ids), 3))  # l_d, l_c, accuracy
 
-    def step(self, epoch: int, batch: int, start: int) -> None:
+    def step(self, start: int) -> None:
         """One batch for every run, from ``start`` in each run's epoch order.
 
         Everything is computed before anything is stored, so a step that
         fails leaves the stack as it was, to be retried without the runs
         that failed it.
         """
-        rows = self.order[:, start:start + self.batch_size]
-        pick = (np.arange(len(self.ids))[:, None], rows)
-        xb, yb = self.x[pick], self.y[pick]
+        batch_rows = slice(start, start + self.batch_size)
+        xb, yb = self.x_epoch[:, batch_rows], self.y_epoch[:, batch_rows]
         z_hat, tape_enc = forward(self.encoder, xb)
-        zb = noise_inject(
-            z_hat, self.noises,
-            [derived_seed(cfg.seed, 6, epoch, batch) for cfg in self.cfgs],
-        )
+        zb = self.add_noise(z_hat, self.noise_epoch[:, batch_rows])
         logits, tape_dec = forward(self.decoder, zb)
 
         assign = assign_nearest(zb, self.state.means)
-        if self.penalty_on.any():
+        if self.noisy.any():
             state, l_c, penalty_grad = cem_step(
                 self.state, assign, zb, self.noise_var, self.noise_logdet
             )
-            l_c = np.where(self.penalty_on, l_c, 0.0)
+            l_c = np.where(self.noisy, l_c, 0.0)
         else:
             state, l_c = blend_batch(self.state, assign, zb)[0], np.zeros(len(self.ids))
 

@@ -32,7 +32,23 @@ from cemlab.numerics import Covariance
 
 
 def nearest(x, means):
-    return np.argmin(np.linalg.norm(x[:, None, :] - means[None], axis=2), axis=1)
+    """Index of the nearest mean by squared Euclidean distance, ties to the
+    lowest index."""
+    return np.argmin(((x[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1)
+
+
+def test_nearest_resolves_square_root_ties():
+    # Two distinct squared distances from the origin, exact in float64,
+    # whose square roots round to one value: the second mean is truly
+    # nearer, though a comparison of distances would tie and pick the first.
+    x = np.zeros((1, 2))
+    means = np.array([[67108881.0, 0.0], [67106996.0, 502988.0]])
+    sq = (means**2).sum(axis=1)
+    assert sq[1] < sq[0] and np.sqrt(sq[0]) == np.sqrt(sq[1])
+    assert assign_nearest(x, means).indices.tolist() == [1]
+    stacked = assign_nearest(np.stack([x, x]), np.stack([means, means[::-1]]))
+    assert stacked.indices.tolist() == [[1], [0]]
+    assert nearest(x, means).tolist() == [1]
 
 
 def reference_step(mix, batch, noise):

@@ -1,4 +1,5 @@
 import json
+import os
 
 
 import numpy as np
@@ -51,6 +52,17 @@ class TestTrainCommand:
         for rel in manifest.artifacts.values():
             assert (tmp_path / "run" / rel).exists()
         assert (tmp_path / "run" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("overrides, std", [
+        ({"noise_std": 0.3}, 0.3),
+        ({"defense": "none", "lam": 0.0, "noise_std": 0.3}, 0.0),
+    ], ids=["noise_only", "none"])
+    def test_manifest_records_effective_noise_std(self, tmp_path, overrides, std):
+        cmd_train(tiny_config(epochs=1, **overrides), tmp_path / "run")
+        doc = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert doc["effective_noise_std"] == std
+        assert cli.RunManifest.load(tmp_path / "run" / "manifest.json") \
+            .effective_noise_std == std
 
     def test_exit_codes_via_main(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.json")
@@ -307,6 +319,36 @@ class TestSweepAndReport:
         by_seed = {e["seed"]: e for e in entries}
         assert by_seed[0]["mse_infer"] is not None
         assert by_seed[1]["mse_infer"] is None
+
+    def test_report_csv_written_atomically(self, tmp_path, monkeypatch):
+        out = tmp_path / "runs"
+        cmd_train(tiny_config(seed=0), out / "r0")
+        cmd_report(out)
+        before = (out / "report.csv").read_bytes()
+        cmd_train(tiny_config(seed=1), out / "r1")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_report(out)
+        assert (out / "report.csv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["r0", "r1", "report.csv"]
+
+    def test_sweep_header_written_atomically(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep"
+        cmd_sweep(tiny_config(), [0.05], out)
+        before = (out / "sweep.csv").read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            cmd_sweep(tiny_config(), [0.05], out)
+        assert (out / "sweep.csv").read_bytes() == before
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
 
     def test_run_id_independent_of_out_dir(self):
         config = tiny_config()

@@ -62,6 +62,36 @@ class TestNormalization:
         assert np.all(out[:, 0] == 0.0)
         assert out[:, 1].tolist() == [0.0, 1.0]
 
+    def test_fitted_on_given_rows_and_clipped(self):
+        x = np.array([[0.0, 5.0], [2.0, 5.0], [4.0, 1.0], [-2.0, 9.0]])
+        out = normalize_unit(x, np.array([0, 1]))
+        # Column 0 spans [0, 2] on rows 0 and 1; column 1 has zero range there.
+        assert out[:, 0].tolist() == [0.0, 1.0, 1.0, 0.0]
+        assert np.all(out[:, 1] == 0.0)
+        assert np.array_equal(normalize_unit(out, np.array([0, 1])), out)
+
+    def test_synth_train_rows_span_unit_interval(self):
+        ds = synth_blobs(3, 8, 40, 0.2, seed=6)
+        x_train, _ = ds.train_arrays()
+        assert np.all(x_train.min(axis=0) == 0.0)
+        assert np.all(x_train.max(axis=0) == 1.0)
+
+    def test_test_rows_do_not_move_train_rows(self, tmp_path):
+        rows = synth_blobs(3, 4, 20, 0.2, seed=7)
+        plain, changed = tmp_path / "plain.csv", tmp_path / "changed.csv"
+        save_csv(rows, plain)
+        ds = load_csv(plain, n_classes=3, seed=7)
+        victim = int(ds.test_idx[0])
+        lines = plain.read_text().splitlines()
+        label = lines[victim].split(",")[0]
+        lines[victim] = f"{label},100,-100,0.5,1e9"
+        changed.write_text("\n".join(lines) + "\n")
+        moved = load_csv(changed, n_classes=3, seed=7)
+        assert np.array_equal(moved.train_idx, ds.train_idx)
+        assert np.array_equal(moved.train_arrays()[0], ds.train_arrays()[0])
+        assert moved.inputs[victim].tolist()[:2] == [1.0, 0.0]
+        assert np.all((moved.inputs >= 0.0) & (moved.inputs <= 1.0))
+
 
 class TestCsv:
     def test_two_row_file(self, tmp_path):
@@ -100,9 +130,15 @@ class TestCsv:
             load_csv(tmp_path / "nope.csv", n_classes=2)
 
     def test_round_trip_preserves_inputs(self, tmp_path):
-        ds = synth_blobs(3, 8, 40, 0.2, seed=5)
-        path = tmp_path / "blobs.csv"
+        # The file carries no split, and the normalization is fitted on the
+        # split's training rows: a dataset loaded from CSV comes back
+        # through save_csv and load_csv (same seed, same split) unchanged.
+        first = tmp_path / "blobs.csv"
+        save_csv(synth_blobs(3, 8, 40, 0.2, seed=5), first)
+        ds = load_csv(first, n_classes=3, seed=5)
+        path = tmp_path / "again.csv"
         save_csv(ds, path)
         back = load_csv(path, n_classes=3, seed=5)
-        assert np.max(np.abs(back.inputs - ds.inputs)) <= 1e-12
+        assert np.array_equal(back.train_idx, ds.train_idx)
+        assert np.array_equal(back.inputs, ds.inputs)
         assert np.array_equal(back.labels, ds.labels)

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from cemlab import cli
+from cemlab import trainer as trainer_mod
 from cemlab.data import Dataset
+from cemlab.mixture import fit_init_many
+from cemlab.network import forward
+from cemlab.numerics import seeded_rng
 from cemlab.trainer import train, train_many
 
 ARTIFACTS = ("history.csv", "encoder.json", "decoder.json", "mixture.json")
@@ -92,3 +96,59 @@ def test_stack_rejects_mixed_shapes():
             [cli.training_config(c) for c in configs],
             [cli.build_dataset(c) for c in configs],
         )
+
+
+def test_noise_is_one_draw_per_run_and_epoch(monkeypatch):
+    # A noisy run beside a defense="none" run. Every encoder and decoder
+    # forward, every refit input and every generator the trainer builds is
+    # recorded.
+    noisy = dict(BASE, epochs=2, seed=3, noise_std=0.3)
+    quiet = dict(BASE, epochs=2, seed=1, defense="none", lam=0.0)
+    configs = [noisy, quiet]
+    datasets = [cli.build_dataset(c) for c in configs]
+    calls, fits, streams = [], [], []
+
+    def recording_forward(module, batch):
+        out, tape = forward(module, batch)
+        calls.append((batch, out))
+        return out, tape
+
+    def recording_fit(features, *args, **kwargs):
+        fits.append(features)
+        return fit_init_many(features, *args, **kwargs)
+
+    def recording_rng(seed, *tags):
+        streams.append((seed, *tags))
+        return seeded_rng(seed, *tags)
+
+    monkeypatch.setattr(trainer_mod, "forward", recording_forward)
+    monkeypatch.setattr(trainer_mod, "fit_init_many", recording_fit)
+    monkeypatch.setattr(trainer_mod, "seeded_rng", recording_rng)
+    results = train_many([cli.training_config(c) for c in configs], datasets)
+    assert not any(isinstance(r, Exception) for r in results)
+
+    x = [ds.train_arrays()[0] for ds in datasets]
+    n_train, d_z, size = x[0].shape[0], noisy["d_z"], noisy["batch_size"]
+    n_batches = -(-n_train // size)
+    per_epoch = 1 + 2 * n_batches  # the refit's encoding, then each batch
+    assert len(calls) == 2 * per_epoch and len(fits) == 2
+    # One generator per run and epoch for each stream; none for the noise
+    # of the noise-free run, and none per batch.
+    assert sorted(streams) == sorted(
+        stream for e in (0, 1)
+        for stream in [(3, 3, e), (3, 5, e), (1, 5, e), (3, 6, e)]
+    )
+    for e in (0, 1):
+        feats = calls[e * per_epoch][1]
+        refit_noise = 0.3 * seeded_rng(3, 3, e).standard_normal((n_train, d_z))
+        assert fits[e][0].tobytes() == (feats[0] + refit_noise).tobytes()
+        assert fits[e][1].tobytes() == feats[1].tobytes()
+        orders = [seeded_rng(c["seed"], 5, e).permutation(n_train) for c in configs]
+        noise = 0.3 * seeded_rng(3, 6, e).standard_normal((n_train, d_z))
+        for b in range(n_batches):
+            rows = slice(b * size, (b + 1) * size)
+            (x_in, z_hat), (z_in, _) = calls[e * per_epoch + 1 + 2 * b:][:2]
+            for r in (0, 1):
+                assert x_in[r].tobytes() == x[r][orders[r][rows]].tobytes()
+            assert z_in[0].tobytes() == (z_hat[0] + noise[rows]).tobytes()
+            assert z_in[1].tobytes() == z_hat[1].tobytes()
