@@ -47,8 +47,8 @@ class NoiseModel:
     dim: int
 
     def __post_init__(self):
-        if self.std < 0:
-            raise ValueError("noise std must be nonnegative")
+        if not 0 <= self.std < np.inf:
+            raise ValueError("noise std must be finite and nonnegative")
 
     @property
     def cov(self) -> Covariance:

@@ -9,7 +9,9 @@ usage/config error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -524,11 +526,13 @@ def cmd_report(out_dir: Path) -> list[dict]:
         "run_id", "path", "lam", "noise_std", "seed",
         "final_accuracy", "final_l_c", "mse_train", "mse_infer", "mi_bound",
     ]
-    lines = [",".join(columns)] + [
-        ",".join("" if entry[c] is None else str(entry[c]) for c in columns)
-        for entry in entries
-    ]
-    write_atomic(out_dir / "report.csv", "\n".join(lines) + "\n")
+    # Minimal quoting: a field with a comma (say, in a run path) is quoted,
+    # and other rows keep their plain bytes.
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([entry[c] for c in columns] for entry in entries)
+    write_atomic(out_dir / "report.csv", text.getvalue())
     return entries
 
 
@@ -539,6 +543,9 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"bad grid {text!r}: {exc}") from exc
     if not grid:
         raise ValueError("grid is empty")
+    bad = [v for v in grid if not 0 <= v < np.inf]
+    if bad:
+        raise ValueError(f"grid variances must be finite and nonnegative, got {bad}")
     return grid
 
 

@@ -24,6 +24,14 @@ also run on a stack of R same-shaped runs: a :class:`MixtureState` whose
 arrays carry a leading run axis, with (R, N, d) batches. Component ``j`` of
 run ``r`` is bin ``r * k + j`` of the per-component sums, which keeps each
 run's row order, so every run gets the bits it would get alone.
+
+Nearest-mean search (:func:`assign_nearest`, and the refit's Lloyd rounds)
+always returns the explicit kernel's answer: the argmin of the rounded
+``sum((x - m_j)**2)``, ties to the lowest index. A training batch runs that
+kernel directly. The refit's larger searches rank the means by the Gram
+form ``|m_j|^2 - 2 x.m_j`` from one stacked matrix product, and recompute
+with the explicit kernel only the rows whose margin is within a proven
+rounding bound (see :func:`_nearest`).
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ WEIGHT_FLOOR = 1e-8
 
 # Largest (rows, k, d) difference block _nearest builds, in bytes. Larger
 # temporaries are served by fresh pages from the OS and fault in on every
-# call.
+# call, so larger searches take the Gram form instead.
 _NEAREST_BLOCK_BYTES = 64 * 1024
 
 
@@ -182,30 +190,99 @@ def _nearest_block(x: np.ndarray, means: np.ndarray) -> np.ndarray:
     return np.argmin(diff.sum(axis=-1), axis=-1)
 
 
-def _nearest(x: np.ndarray, means: np.ndarray) -> np.ndarray:
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``x``, for :func:`_nearest`."""
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
+
+
+# Rows whose (|x| + max_j |m_j|)^2 exceeds this may overflow a distance or
+# a Gram entry; _nearest sends them to the explicit kernel.
+_GRAM_LIMIT = 2.0**1020
+
+
+def _nearest(
+    x: np.ndarray, means: np.ndarray, norms: np.ndarray | None = None
+) -> np.ndarray:
     """Index of each row's nearest mean: rows (n, d) against means (k, d),
-    or a stack, (R, n, d) against (R, k, d). Compares squared Euclidean
-    distances, with no square root, and breaks exact ties toward the lowest
-    index. Works in blocks of rows so that no temporary exceeds
-    ``_NEAREST_BLOCK_BYTES``."""
+    or a stack, (R, n, d) against (R, k, d). The answer is the explicit
+    kernel's: the argmin of the rounded squared distances
+    ``sum((x - m_j)**2)``, with exact ties to the lowest index.
+
+    Inputs whose (rows, k, d) difference fits in ``_NEAREST_BLOCK_BYTES``
+    (every training batch) run the explicit kernel directly. Larger ones
+    (the refit's Lloyd rounds) take one stacked product for the Gram form
+    ``g_j = |m_j|^2 - 2 x.m_j``, which is the squared distance less
+    ``|x|^2`` and so has the same argmin, and run the explicit kernel only
+    on rows the product cannot settle, within ``_NEAREST_BLOCK_BYTES`` of
+    temporaries. ``norms``, if given, are :func:`_row_norms` of ``x``;
+    a caller that searches the same rows repeatedly computes them once.
+
+    **Which rows are settled.** With ``u = 2**-53``, ``eta = 2**-1074`` (the
+    smallest subnormal) and ``gamma_n = n*u / (1 - n*u)``, take a row ``x``,
+    ``r = |x| + max_j |m_j|``, and ``D_j``, ``g_j`` as computed. Every
+    product may also underflow by ``eta / 2``; sums and differences that
+    land below the normal range are exact.
+
+    - ``D_j`` takes d differences, d squares and d - 1 additions in any
+      order: ``|D_j - |x - m_j|^2| <= gamma_{d+2} r^2 + d eta``.
+    - ``g_j`` takes ``|m_j|^2`` (d products), ``x.(-2 m_j)`` (``-2 m_j``
+      is exact; d products or fused multiply-adds in any order, as BLAS
+      may use) and one
+      addition: ``|g_j - (|m_j|^2 - 2 x.m_j)| <= gamma_{d+1} r^2 + d eta``.
+
+    So ``D_j - D_b >= g_j - g_b - 2S`` with
+    ``S = (gamma_{d+2} + gamma_{d+1}) r^2 + 2d eta``, and a row whose
+    smallest ``g_b`` is the only ``g_j <= g_b + 2s``, for a computed
+    ``s >= S``, has ``D_j > D_b`` for every other ``j``: its Gram argmin
+    is the explicit kernel's answer. The row is settled with
+
+        s = (2d + 6) u r^2 + (2d + 4) eta.
+
+    ``S <= (2d + 3)(1 + 2(d + 2)u) u r^2 + 2d eta``; the rounding of
+    ``g_b + 2s`` costs at most ``u r^2``, so ``2d + 4`` units of ``u r^2``
+    would do, and the two spare units of each term cover the rounding of
+    the computed ``r`` and ``s``. (Where squares of tiny row entries
+    underflow, ``r`` can come out low, but then ``u r^2`` is far below
+    ``eta``.) Every other
+    row is recomputed with the explicit kernel: near and exact ties,
+    duplicate means, NaN (which settles no row), and rows with
+    ``r^2 > _GRAM_LIMIT`` or not finite, where the bounds above could
+    overflow. Summation order inside BLAS therefore decides only which
+    rows are recomputed, never an answer.
+    """
     if x.ndim == 2:
-        return _nearest(x[None], means[None])[0]
+        return _nearest(
+            x[None], means[None], None if norms is None else norms[None]
+        )[0]
     n_runs, n, d = x.shape
-    block = max(1, _NEAREST_BLOCK_BYTES // (8 * means.shape[1] * d))
-    out = np.empty((n_runs, n), dtype=np.intp)
-    if n <= block:
-        runs = block // max(n, 1)
-        if n_runs <= runs:
-            return _nearest_block(x, means)
-        for r in range(0, n_runs, runs):
-            out[r:r + runs] = _nearest_block(x[r:r + runs], means[r:r + runs])
-        return out
-    for r in range(n_runs):
-        for start in range(0, n, block):
-            out[r, start:start + block] = _nearest_block(
-                x[r, start:start + block], means[r]
-            )
-    return out
+    k = means.shape[1]
+    if n_runs * n * k * d * 8 <= _NEAREST_BLOCK_BYTES:
+        return _nearest_block(x, means)
+    if norms is None:
+        norms = _row_norms(x)
+    msq = np.einsum("rkd,rkd->rk", means, means)
+    g = np.matmul(-2.0 * means, x.transpose(0, 2, 1))   # (R, k, n)
+    g += msq[:, :, None]
+    r2 = norms + np.sqrt(msq.max(axis=1))[:, None]
+    r2 *= r2
+    # g_b + 2s, with s as above.
+    thr = (2 * d + 6) * 2.0**-52 * r2 + (2 * d + 4) * 2.0**-1073 + g.min(axis=1)
+    # The 0/1 mask overwrites g: one (R, k, n) temporary instead of two,
+    # which at a sweep's six runs keeps the heap from returning the pages
+    # (and faulting them in again) on every call.
+    near = np.less_equal(g, thr[:, None, :], out=g)
+    # One product counts each row's near components and sums their
+    # indices: a settled row has one, and the sum is its nearest mean.
+    count, best = np.matmul([np.ones(k), np.arange(k)], near).transpose(1, 0, 2)
+    best = best.astype(np.intp)
+    runs, rows = np.nonzero((count != 1) | ~(r2 <= _GRAM_LIMIT))
+    # Each rechecked row holds two (k, d) temporaries: its gathered means
+    # and its difference.
+    step = max(1, _NEAREST_BLOCK_BYTES // (16 * k * d))
+    for start in range(0, runs.size, step):
+        rr, cc = runs[start:start + step], rows[start:start + step]
+        best[rr, cc] = _nearest_block(x[rr, cc][:, None, :], means[rr])[:, 0]
+    return best
 
 
 def _per_row(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -336,7 +413,9 @@ def fit_init_many(
             for r, seed in enumerate(seeds)
         ])
 
-    assign = _nearest(x, means)
+    # The rows do not change across rounds; their norms are computed once.
+    norms = _row_norms(x)
+    assign = _nearest(x, means, norms)
     live = np.arange(n_runs)
     for rnd in range(int(iters.max(initial=0))):
         live = live[iters[live] > rnd]
@@ -346,7 +425,7 @@ def fit_init_many(
         sel = slice(None) if live.size == n_runs else live
         rows, old = x[sel], assign[sel]
         means[sel] = _component_means(rows, old, _counts(old, k), means[sel])
-        new_assign = _nearest(rows, means[sel])
+        new_assign = _nearest(rows, means[sel], norms[sel])
         moved = (new_assign != old).any(axis=1)
         assign[sel] = new_assign
         live = live[moved]

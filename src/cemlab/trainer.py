@@ -86,8 +86,9 @@ class TrainingConfig:
     def __post_init__(self):
         if self.defense not in DEFENSE_KINDS:
             raise UnknownDefense(f"defense must be one of {DEFENSE_KINDS}")
-        if self.lam < 0 or self.noise_std < 0:
-            raise ValueError("lam and noise_std must be nonnegative")
+        # Written so that NaN fails too.
+        if not (0 <= self.lam < np.inf and 0 <= self.noise_std < np.inf):
+            raise ValueError("lam and noise_std must be finite and nonnegative")
         if self.lr < 0 or self.lr_decay_factor < 0:
             raise ValueError("lr and lr_decay_factor must be nonnegative")
         if self.lam > 0 and (self.defense == "none" or self.noise_std == 0):

@@ -6,7 +6,9 @@ The fused training step (`cem_step`) is checked against the public chain
 `cem_loss_grad`) and against a per-component reference of the streaming
 arithmetic; the vectorized refit (`fit_init`) against a per-component
 Lloyd loop. The stacked forms (a leading run axis, as `train_many` runs
-them) are checked against the same kernels run one run at a time."""
+them) are checked against the same kernels run one run at a time. The
+nearest-mean search is checked against the explicit-difference reference
+on both sides of its switch to the Gram form."""
 
 from dataclasses import replace
 
@@ -21,6 +23,7 @@ from cemlab.mixture import (
     GaussianComponent,
     GaussianMixture,
     MixtureState,
+    _nearest,
     assign_nearest,
     blend_batch,
     fit_init,
@@ -37,18 +40,78 @@ def nearest(x, means):
     return np.argmin(((x[:, None, :] - means[None]) ** 2).sum(axis=2), axis=1)
 
 
+# Two distinct squared distances from the origin, exact in float64, whose
+# square roots round to one value: the second mean is truly nearer, though a
+# comparison of distances would tie and pick the first.
+SQRT_TIE_MEANS = np.array([[67108881.0, 0.0], [67106996.0, 502988.0]])
+
+
 def test_nearest_resolves_square_root_ties():
-    # Two distinct squared distances from the origin, exact in float64,
-    # whose square roots round to one value: the second mean is truly
-    # nearer, though a comparison of distances would tie and pick the first.
     x = np.zeros((1, 2))
-    means = np.array([[67108881.0, 0.0], [67106996.0, 502988.0]])
+    means = SQRT_TIE_MEANS
     sq = (means**2).sum(axis=1)
     assert sq[1] < sq[0] and np.sqrt(sq[0]) == np.sqrt(sq[1])
     assert assign_nearest(x, means).indices.tolist() == [1]
     stacked = assign_nearest(np.stack([x, x]), np.stack([means, means[::-1]]))
     assert stacked.indices.tolist() == [[1], [0]]
     assert nearest(x, means).tolist() == [1]
+    # Past one block the search takes the Gram form, whose two values lie
+    # within its slack: every row goes to the explicit kernel.
+    many = np.zeros((3000, 2))
+    assert (assign_nearest(many, means).indices == 1).all()
+
+
+@given(
+    n_runs=st.integers(min_value=1, max_value=6),
+    k=st.integers(min_value=1, max_value=9),
+    d=st.integers(min_value=1, max_value=8),
+    # One block holds 8192 // (k * d) rows: small inputs run the explicit
+    # kernel, larger ones (alone or stacked) the Gram form.
+    n=st.integers(1, 40) | st.integers(100, 700) | st.integers(2000, 8800),
+    scale=st.sampled_from([-170, -160, -155, -150, -100, 0, 0, 100, 150]),
+    grid=st.sampled_from([0, 1, 2, 16]),
+    source=st.sampled_from(["random", "rows", "duplicate", "sqrt_tie"]),
+    jitter=st.sampled_from([0, 1, 3]),
+    bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+@example(n_runs=6, k=9, d=8, n=480, scale=0, grid=0, source="random",
+         jitter=0, bad=None, seed=1)
+@example(n_runs=6, k=9, d=8, n=480, scale=-160, grid=16, source="duplicate",
+         jitter=1, bad=np.nan, seed=2)
+@settings(max_examples=300, deadline=None)
+def test_nearest_equals_explicit_reference(
+    n_runs, k, d, n, scale, grid, source, jitter, bad, seed
+):
+    """`_nearest` returns the explicit kernel's index for every row, solo
+    and stacked: near and exact ties (rows and means rounded to a grid,
+    means that are rows, duplicated means a few ulps apart), NaN and inf
+    rows, and scales from subnormal squared distances to near overflow."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_runs, n, d))
+    means = rng.standard_normal((n_runs, k, d))
+    if grid:
+        x, means = np.round(x * grid) / grid, np.round(means * grid) / grid
+    if source == "rows":
+        means = x[np.arange(n_runs)[:, None], rng.integers(0, n, size=(n_runs, k))]
+    elif source == "duplicate" and k > 1:
+        means[:, 1:] = means[:, rng.integers(0, k - 1)][:, None]
+        means[:, 1:] *= 1.0 + jitter * 2.0**-52 * rng.choice([-1, 1], size=(k - 1, d))
+    elif source == "sqrt_tie" and k > 1 and d > 1:
+        x[:, ::2] = 0.0
+        means[:] = 0.0
+        means[:, :, :2] = SQRT_TIE_MEANS[0]
+        means[:, 1, :2] = SQRT_TIE_MEANS[1]
+    x *= 10.0**scale
+    means *= 10.0**scale
+    if bad is not None:
+        x[rng.integers(0, n_runs, size=3), rng.integers(0, n, size=3),
+          rng.integers(0, d, size=3)] = bad
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = np.stack([nearest(x[r], means[r]) for r in range(n_runs)])
+        assert np.array_equal(_nearest(x, means), want)
+        for r in range(n_runs):
+            assert np.array_equal(_nearest(x[r], means[r]), want[r])
 
 
 def reference_step(mix, batch, noise):

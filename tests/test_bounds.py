@@ -50,6 +50,11 @@ class TestGaussianEntropy:
         with pytest.raises(NonPositiveDefinite):
             gaussian_entropy(NoiseModel(std=0.0, dim=2).cov)
 
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_noise_std_non_finite_or_negative_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            NoiseModel(std=bad, dim=2)
+
 
 class TestMixtureEntropyUpper:
     def test_tight_for_single_gaussian(self):

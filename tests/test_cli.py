@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -307,6 +308,13 @@ class TestSweepAndReport:
         content = (tmp_path / "sweep" / "sweep.csv").read_text()
         assert "DegenerateData" in content
 
+    @pytest.mark.parametrize("grid", ["-0.01,nan", "0.05,-0.01", "nan", "0.05,inf"])
+    def test_sweep_bad_grid_exit_2_before_writing(self, tmp_path, capsys, grid):
+        out = tmp_path / "sweep"
+        assert main(["sweep", f"--grid={grid}", "--epochs", "2", "--out", str(out)]) == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_aggregates_runs(self, tmp_path):
         out = tmp_path / "runs"
         cmd_train(tiny_config(seed=0), out / "r0")
@@ -335,6 +343,19 @@ class TestSweepAndReport:
             cmd_report(out)
         assert (out / "report.csv").read_bytes() == before
         assert sorted(p.name for p in out.iterdir()) == ["r0", "r1", "report.csv"]
+
+    def test_report_quotes_a_path_with_a_comma(self, tmp_path):
+        out = tmp_path / "runs"
+        cmd_train(tiny_config(seed=0), out / "a,b" / "r0")
+        cmd_train(tiny_config(seed=1), out / "r1")
+        cmd_report(out)
+        with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [10, 10, 10]
+        assert rows[1][1] == str(out / "a,b" / "r0")
+        # Rows without a comma keep their unquoted bytes.
+        lines = (out / "report.csv").read_text().splitlines()
+        assert lines[2].startswith(f"{rows[2][0]},{out / 'r1'},")
 
     def test_sweep_header_written_atomically(self, tmp_path, monkeypatch):
         out = tmp_path / "sweep"

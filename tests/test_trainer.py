@@ -88,6 +88,14 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainingConfig(lam=1.0, noise_std=0.1, defense="none")
 
+    @pytest.mark.parametrize("field", ["lam", "noise_std"])
+    @pytest.mark.parametrize("bad", [-0.01, np.nan, np.inf])
+    def test_non_finite_or_negative_rejected(self, field, bad):
+        # NaN passes a plain `< 0` test; a NaN noise std with lam > 0 once
+        # reached the training step and crashed it.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            TrainingConfig(**{"lam": 1.0, "noise_std": 0.1, field: bad})
+
     def test_unknown_defense_rejected(self):
         with pytest.raises(UnknownDefense):
             TrainingConfig(defense="distillation")
