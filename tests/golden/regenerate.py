@@ -1,4 +1,4 @@
-"""Write the five golden artifacts of ``tests/test_golden.py``.
+"""Write the golden artifacts of ``tests/test_golden.py``.
 
     python tests/golden/regenerate.py           # overwrite the goldens here
     python tests/golden/regenerate.py --check   # regenerate elsewhere and diff
@@ -22,7 +22,13 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parent
 sys.path[:0] = [str(GOLDEN.parents[1] / "src"), str(GOLDEN.parent)]
 
-from test_golden import HISTORIES, make_history, make_reports  # noqa: E402
+from test_golden import (  # noqa: E402
+    CHECKPOINTS,
+    HISTORIES,
+    make_checkpoints,
+    make_history,
+    make_reports,
+)
 
 
 def regenerate(dest: Path, work: Path) -> list[str]:
@@ -31,6 +37,8 @@ def regenerate(dest: Path, work: Path) -> list[str]:
         name: make_history(overrides, work / f"history_{i}")
         for i, (name, overrides) in enumerate(HISTORIES)
     }
+    for i, (overrides, names) in enumerate(CHECKPOINTS):
+        artifacts.update(make_checkpoints(overrides, names, work / f"checkpoints_{i}"))
     artifacts.update(make_reports(work / "reports"))
     for name, path in artifacts.items():
         shutil.copyfile(path, dest / name)
