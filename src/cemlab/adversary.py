@@ -15,12 +15,10 @@ from .data import Dataset
 from .errors import CemError, NonFinite
 from .network import (
     NeuralModule,
-    backward,
-    forward,
+    StackedNet,
     init_network,
     noise_inject,
     predict,
-    sgd_step,
 )
 from .numerics import derived_seed, seeded_rng
 
@@ -156,24 +154,25 @@ class _AttackStack:
         self.ids = list(range(len(cfgs)))
         self.cfgs = list(cfgs)
         self.noises = list(noises)
-        self.attacker = NeuralModule.stack([
-            init_network(dims, activations, derived_seed(cfg.seed, 10)) for cfg in cfgs
-        ])
+        self.attacker = StackedNet(
+            [init_network(dims, activations, derived_seed(cfg.seed, 10)) for cfg in cfgs],
+            rows=min(self.batch_size, self.n_train),
+        )
         self.feats_clean = np.stack([
             predict(encoder, x) for encoder, x in zip(encoders, xs)
         ])
         self.x = np.stack(xs)
-        self.lr = np.array([cfg.lr for cfg in cfgs])[:, None, None]
-        self.momentum = np.array([cfg.momentum for cfg in cfgs])[:, None, None]
+        self.lr = np.array([cfg.lr for cfg in cfgs])[:, None]
+        self.momentum = np.array([cfg.momentum for cfg in cfgs])[:, None]
         self.feats = self.targets = None   # per epoch, in epoch order
         self._share_rates()
 
     def _share_rates(self) -> None:
-        """The lr and momentum ``sgd_step`` gets: one float where every run
-        has the same value, which it applies with the same bits as the
-        per-run array, at less cost."""
+        """The lr and momentum the step gets: one float where every run has
+        the same value, which it applies with the same bits as the per-run
+        array, at less cost."""
         self.step_lr, self.step_momentum = (
-            float(v[0, 0, 0]) if len(v) and (v == v[0]).all() else v
+            float(v[0, 0]) if len(v) and (v == v[0]).all() else v
             for v in (self.lr, self.momentum)
         )
 
@@ -185,7 +184,7 @@ class _AttackStack:
         self.noises = [self.noises[r] for r in live]
         for name in self._PER_RUN:
             setattr(self, name, getattr(self, name)[live])
-        self.attacker = self.attacker.take(live)
+        self.attacker.keep(live)
         self._share_rates()
 
     def start_epoch(self, epoch: int) -> None:
@@ -208,12 +207,17 @@ class _AttackStack:
         without the runs that failed it."""
         batch = slice(start, start + self.batch_size)
         target = self.targets[:, batch]
-        pred, tape = forward(self.attacker, self.feats[:, batch])
+        pred = self.attacker.forward(self.feats[:, batch])
         n, d = target.shape[1:]
-        # The gradient of the per-dimension reconstruction MSE.
-        grad = 2.0 * (pred - target) / (n * d)
-        grads, _ = backward(self.attacker, tape, grad, input_grad=False)
-        self.attacker = sgd_step(self.attacker, grads, self.step_lr, self.step_momentum)
+        # The gradient of the per-dimension reconstruction MSE,
+        # (2 * (pred - target)) / (n * d).
+        grad = self.attacker.out_grad()
+        np.subtract(pred, target, out=grad)
+        grad *= 2.0
+        grad /= n * d
+        self.attacker.backward()
+        self.attacker.propose(self.step_lr, self.step_momentum)
+        self.attacker.commit()
 
 
 def reconstruction_mse(

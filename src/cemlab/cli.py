@@ -435,6 +435,10 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
     finished."""
     if not grid:
         raise ValueError("sweep grid is empty")
+    # Written so that NaN fails too.
+    bad = [v for v in grid if not 0 <= v < np.inf]
+    if bad:
+        raise ValueError(f"grid variances must be finite and nonnegative, got {bad}")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     write_atomic(
@@ -541,11 +545,6 @@ def _parse_grid(text: str) -> list[float]:
         grid = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ValueError(f"bad grid {text!r}: {exc}") from exc
-    if not grid:
-        raise ValueError("grid is empty")
-    bad = [v for v in grid if not 0 <= v < np.inf]
-    if bad:
-        raise ValueError(f"grid variances must be finite and nonnegative, got {bad}")
     return grid
 
 

@@ -293,19 +293,30 @@ def _per_row(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return values[np.arange(indices.shape[0])[:, None], indices]
 
 
-def _counts(indices: np.ndarray, k: int) -> np.ndarray:
-    """Rows per component: (k,) for (n,) indices, (R, k) for a stack."""
+def _bins(indices: np.ndarray, k: int) -> np.ndarray:
+    """Each row's bin ``run * k + j`` among the components of all runs, for
+    the (R, n) indices of a stack."""
+    return np.arange(indices.shape[0])[:, None] * k + indices
+
+
+def _counts(indices: np.ndarray, k: int, bins: np.ndarray | None = None) -> np.ndarray:
+    """Rows per component: (k,) for (n,) indices, (R, k) for a stack, whose
+    ``_bins`` may be passed in."""
     if indices.ndim == 1:
         return np.bincount(indices, minlength=k)
+    if bins is None:
+        bins = _bins(indices, k)
     n_runs = indices.shape[0]
-    flat = (np.arange(n_runs)[:, None] * k + indices).ravel()
-    return np.bincount(flat, minlength=n_runs * k).reshape(n_runs, k)
+    return np.bincount(bins.ravel(), minlength=n_runs * k).reshape(n_runs, k)
 
 
-def _component_sums(rows: np.ndarray, indices: np.ndarray, k: int) -> np.ndarray:
+def _component_sums(
+    rows: np.ndarray, indices: np.ndarray, k: int, bins: np.ndarray | None = None
+) -> np.ndarray:
     """(k, d) per-component sums of ``rows`` with the bits of
     ``rows[indices == j].sum(axis=0)``, so ``sums[j] / n_j`` is that
-    component's ``mean(axis=0)``; (R, k, d) for a stack.
+    component's ``mean(axis=0)``; (R, k, d) for a stack, whose ``_bins``
+    may be passed in.
 
     NumPy sums the rows of a (n, d >= 2) array one after another, which
     ``bincount`` reproduces for all components (of all runs) at once; a
@@ -320,17 +331,18 @@ def _component_sums(rows: np.ndarray, indices: np.ndarray, k: int) -> np.ndarray
             [[run_rows[run_idx == j, 0].sum()] for j in range(k)]
             for run_rows, run_idx in zip(rows, indices)
         ]).reshape(n_runs, k, 1)
-    bins = np.arange(n_runs)[:, None] * k + indices
+    if bins is None:
+        bins = _bins(indices, k)
     flat = (bins[..., None] * d + np.arange(d)).ravel()
     sums = np.bincount(flat, weights=rows.ravel(), minlength=n_runs * k * d)
     return sums.reshape(n_runs, k, d)
 
 
-def _component_means(rows, indices, counts, fallback):
+def _component_means(rows, indices, counts, fallback, bins=None):
     """Per-component means of ``rows``; ``fallback`` rows where a component
-    has no members."""
+    has no members. A stack's ``_bins`` may be passed in."""
     present = (counts > 0)[..., None]
-    sums = _component_sums(rows, indices, counts.shape[-1])
+    sums = _component_sums(rows, indices, counts.shape[-1], bins)
     return np.where(present, sums / np.where(present, counts[..., None], 1), fallback)
 
 
@@ -424,16 +436,19 @@ def fit_init_many(
         # While every run is live, views stand in for gathered copies.
         sel = slice(None) if live.size == n_runs else live
         rows, old = x[sel], assign[sel]
-        means[sel] = _component_means(rows, old, _counts(old, k), means[sel])
+        # One set of bins serves the counts and the sums.
+        bins = _bins(old, k)
+        means[sel] = _component_means(rows, old, _counts(old, k, bins), means[sel], bins)
         new_assign = _nearest(rows, means[sel], norms[sel])
         moved = (new_assign != old).any(axis=1)
         assign[sel] = new_assign
         live = live[moved]
 
-    counts = _counts(assign, k)
+    bins = _bins(assign, k)
+    counts = _counts(assign, k, bins)
     weights = _floor_and_renormalize(counts.astype(np.float64) / n)
     dev = x - _per_row(means, assign)
-    var = _component_means(dev * dev, assign, counts, 0.0)
+    var = _component_means(dev * dev, assign, counts, 0.0, bins)
     ridge = np.repeat(ridges[:, None, None], k, axis=1)
     check_diagonal(var, ridge)
     return MixtureState(

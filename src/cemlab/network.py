@@ -8,6 +8,24 @@ weights and (R, 1, out) biases and runs on (R, N, d) batches: every
 function here takes either form, and each run of a stack gets the bits it
 would get alone, because a stacked matrix product multiplies each run's
 matrices as the unstacked product does.
+
+:class:`StackedNet` trains such a stack in place, with the bits of
+:func:`forward`, :func:`backward` and :func:`sgd_step`. Its buffers are
+allocated once, and again when runs leave it:
+
+- two (R, P) parameter buffers, current and proposed, and two velocity
+  buffers, with every layer's weights and bias as views into them;
+- one (R, P) gradient buffer;
+- per layer, (R, rows, width) buffers for the layer's output and for the
+  gradient at it; a batch of fewer rows uses row-prefix views of them.
+
+A step is ``forward``, then ``backward`` from the gradient the caller
+writes into ``out_grad()``, then ``propose``, which fills only the
+proposed buffers and raises per run if a proposed parameter is not finite,
+then ``commit``, which swaps the current and proposed buffers. A step that
+is not committed changes nothing, so it can be retried without the runs
+that failed it. What ``forward``, ``out_grad`` and ``backward`` return are
+views into the buffers, which the next step overwrites.
 """
 
 from __future__ import annotations
@@ -80,22 +98,6 @@ class NeuralModule:
             for i in range(len(layers))
         ]
         return NeuralModule(layers=layers, velocity=velocity)
-
-    def take(self, runs) -> "NeuralModule":
-        """Runs of a stacked module: one module for an index, a smaller
-        stack for an index array."""
-        # An index drops the run axis and the bias's broadcast axis.
-        bias_runs = (runs, 0) if np.ndim(runs) == 0 else runs
-        return NeuralModule(
-            layers=[
-                Layer(
-                    weights=l.weights[runs], bias=l.bias[bias_runs],
-                    activation=l.activation,
-                )
-                for l in self.layers
-            ],
-            velocity=[(vw[runs], vb[bias_runs]) for vw, vb in self.velocity],
-        )
 
     @property
     def in_dim(self) -> int:
@@ -338,6 +340,181 @@ def sgd_step(
 
 
 _NON_FINITE_UPDATE = "parameter update produced a non-finite value"
+
+
+class _Flat:
+    """An (R, P) buffer with each layer's (R, out, in) weights and (R, 1, out)
+    bias as views into it, laid out layer by layer."""
+
+    def __init__(self, data: np.ndarray, shapes: list[tuple[int, int]]):
+        self.data = data
+        self.views = []
+        n_runs, at = data.shape[0], 0
+        for out, fan_in in shapes:
+            w = data[:, at:at + out * fan_in].reshape(n_runs, out, fan_in)
+            at += out * fan_in
+            self.views.append((w, data[:, at:at + out].reshape(n_runs, 1, out)))
+            at += out
+
+
+class StackedNet:
+    """A stack of same-shaped modules, trained in place on batches of at
+    most ``rows`` rows (see the module docstring)."""
+
+    def __init__(self, modules: list[NeuralModule], rows: int):
+        stacked = NeuralModule.stack(modules)
+        self.activations = [l.activation for l in stacked.layers]
+        self.shapes = [l.weights.shape[1:] for l in stacked.layers]
+        self.rows = rows
+
+        def flat(pairs):
+            return np.concatenate(
+                [a.reshape(len(modules), -1) for pair in pairs for a in pair], axis=1
+            )
+
+        self._allocate(
+            flat((l.weights, l.bias) for l in stacked.layers), flat(stacked.velocity)
+        )
+
+    def _allocate(self, params: np.ndarray, velocity: np.ndarray) -> None:
+        """Every buffer for ``len(params)`` runs, holding ``params`` and
+        ``velocity``."""
+        n_runs = params.shape[0]
+        self._params = [_Flat(params, self.shapes), _Flat(np.empty_like(params), self.shapes)]
+        self._velocity = [
+            _Flat(velocity, self.shapes), _Flat(np.empty_like(params), self.shapes)
+        ]
+        self._grad = _Flat(np.empty_like(params), self.shapes)
+        widths = [out for out, _ in self.shapes]
+        self._outs = [np.empty((n_runs, self.rows, w)) for w in widths]
+        self._out_grads = [np.empty((n_runs, self.rows, w)) for w in widths]
+        self._in_grad = np.empty((n_runs, self.rows, self.in_dim))
+        # A relu layer's mask, a sigmoid layer's 1 - post.
+        scratch_dtype = {"relu": bool, "sigmoid": np.float64}
+        self._scratch = [
+            np.empty((n_runs, self.rows, w), dtype=scratch_dtype[act])
+            if act in scratch_dtype else None
+            for w, act in zip(widths, self.activations)
+        ]
+        self._inputs = None
+
+    @property
+    def in_dim(self) -> int:
+        return self.shapes[0][1]
+
+    @property
+    def out_dim(self) -> int:
+        return self.shapes[-1][0]
+
+    def module(self) -> NeuralModule:
+        """The current parameters and velocity as a stacked module of views
+        into the buffers, which the next step overwrites."""
+        return NeuralModule(
+            layers=[
+                Layer(weights=w, bias=b, activation=act)
+                for (w, b), act in zip(self._params[0].views, self.activations)
+            ],
+            velocity=list(self._velocity[0].views),
+        )
+
+    def take(self, run: int) -> NeuralModule:
+        """A copy of one run's module, velocity included."""
+        return NeuralModule(
+            layers=[
+                Layer(weights=w[run].copy(), bias=b[run, 0].copy(), activation=act)
+                for (w, b), act in zip(self._params[0].views, self.activations)
+            ],
+            velocity=[(w[run].copy(), b[run, 0].copy()) for w, b in self._velocity[0].views],
+        )
+
+    def keep(self, live) -> None:
+        """Drop every run not listed in ``live``."""
+        live = np.asarray(live, dtype=np.intp)
+        self._allocate(self._params[0].data[live], self._velocity[0].data[live])
+
+    def forward(self, batch: np.ndarray) -> np.ndarray:
+        """The output on an (R, n, in_dim) batch of n <= ``rows`` rows, with
+        the bits of :func:`forward`. ``batch`` must stay unchanged until
+        :meth:`backward`."""
+        n = batch.shape[1]
+        self._inputs = a = batch
+        for (w, b), act, buf in zip(self._params[0].views, self.activations, self._outs):
+            out = buf[:, :n]
+            np.matmul(a, w.swapaxes(-1, -2), out=out)
+            out += b
+            if act == "relu":
+                np.maximum(out, 0.0, out=out)
+            elif act == "sigmoid":
+                # 1 / (1 + exp(-z)), one operation at a time.
+                np.negative(out, out=out)
+                np.exp(out, out=out)
+                out += 1.0
+                np.divide(1.0, out, out=out)
+            a = out
+        return a
+
+    def out_grad(self) -> np.ndarray:
+        """The buffer for the loss gradient at the last forward's output,
+        which the caller fills before :meth:`backward`."""
+        return self._out_grads[-1][:, :self._inputs.shape[1]]
+
+    def backward(self, input_grad: bool = False) -> np.ndarray | None:
+        """Back-propagate ``out_grad()`` into the gradient buffer, with the
+        bits of :func:`backward`; the gradient at the input if
+        ``input_grad``, else None."""
+        n = self._inputs.shape[1]
+        params, grads = self._params[0].views, self._grad.views
+        for i in range(len(self.shapes) - 1, -1, -1):
+            g, post = self._out_grads[i][:, :n], self._outs[i][:, :n]
+            if self.activations[i] == "relu":
+                # post > 0 is pre > 0 for relu, NaN included.
+                mask = self._scratch[i][:, :n]
+                np.greater(post, 0.0, out=mask)
+                np.multiply(g, mask, out=g)
+            elif self.activations[i] == "sigmoid":
+                one_minus = self._scratch[i][:, :n]
+                np.subtract(1.0, post, out=one_minus)
+                g *= post
+                g *= one_minus
+            a_prev = self._inputs if i == 0 else self._outs[i - 1][:, :n]
+            gw, gb = grads[i]
+            np.matmul(g.swapaxes(-1, -2), a_prev, out=gw)
+            # np.sum's reduction, without its Python-level wrapper.
+            np.add.reduce(g, axis=-2, keepdims=True, out=gb)
+            if i > 0:
+                np.matmul(g, params[i][0], out=self._out_grads[i - 1][:, :n])
+        if not input_grad:
+            return None
+        return np.matmul(self._out_grads[0][:, :n], params[0][0], out=self._in_grad[:, :n])
+
+    def propose(self, lr, momentum) -> None:
+        """The step of :func:`sgd_step` from the last backward's gradient,
+        into the proposed buffers only; ``lr`` and ``momentum`` are floats or
+        (R, 1) arrays with one value per run. Raises per run if a proposed
+        parameter is not finite (see :class:`~cemlab.errors.CemError`)."""
+        if (lr < 0).any() if isinstance(lr, np.ndarray) else lr < 0:
+            raise ValueError("learning rate must be nonnegative")
+        if not momentum.any() if isinstance(momentum, np.ndarray) else momentum == 0:
+            # The velocity is the gradient itself.
+            self._velocity[1], self._grad = self._grad, self._velocity[1]
+        else:
+            np.multiply(momentum, self._velocity[0].data, out=self._velocity[1].data)
+            self._velocity[1].data += self._grad.data
+        new = self._params[1].data
+        np.multiply(lr, self._velocity[1].data, out=new)
+        np.subtract(self._params[0].data, new, out=new)
+        # A finite sum means every entry is finite; finite entries whose sum
+        # overflows get the entrywise test.
+        if not np.isfinite(np.add.reduce(new, axis=None)):
+            raise_for_runs({
+                int(r): NonFinite(_NON_FINITE_UPDATE)
+                for r in np.flatnonzero(~np.isfinite(new).all(axis=1))
+            })
+
+    def commit(self) -> None:
+        """Make the proposed parameters and velocity current."""
+        self._params.reverse()
+        self._velocity.reverse()
 
 
 def task_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

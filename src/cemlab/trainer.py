@@ -51,12 +51,11 @@ from .mixture import (
 )
 from .network import (
     NeuralModule,
-    backward,
+    StackedNet,
     forward,
     init_looks_linear,
     init_network,
     noise_inject,
-    sgd_step,
     task_loss,
 )
 from .numerics import derived_seed, seeded_rng
@@ -277,8 +276,8 @@ class _Stack:
             for cfg in cfgs
         ]
         models = [build_models(cfg, x0.shape[1], n_classes) for cfg in cfgs]
-        self.encoder = NeuralModule.stack([enc for enc, _ in models])
-        self.decoder = NeuralModule.stack([dec for _, dec in models])
+        self.encoder = StackedNet([enc for enc, _ in models], self.batch_size)
+        self.decoder = StackedNet([dec for _, dec in models], self.batch_size)
         self.state = None
 
         self.x = np.stack([x for x, _ in splits])
@@ -294,7 +293,7 @@ class _Stack:
         self.noise_logdet = np.array([
             [noise.logdet() if noise.std > 0 else 0.0] for noise in self.noises
         ])
-        self.momentum = np.array([cfg.momentum for cfg in cfgs])[:, None, None]
+        self.momentum = np.array([cfg.momentum for cfg in cfgs])[:, None]
         # Noisy features carry at least the injected variance in every
         # direction; ridging the cluster covariances at that scale keeps
         # singleton clusters from producing near-zero denominators in the
@@ -312,15 +311,15 @@ class _Stack:
         for name in self._PER_RUN:
             if getattr(self, name) is not None:
                 setattr(self, name, getattr(self, name)[live])
-        self.encoder = self.encoder.take(live)
-        self.decoder = self.decoder.take(live)
+        self.encoder.keep(live)
+        self.decoder.keep(live)
         if self.state is not None:
             self.state = self.state.take(live)
 
     def refit(self, epoch: int):
         """Re-encode the training split with fresh noise and refit every
         run's mixture, warm-started from its current means."""
-        feats, _ = forward(self.encoder, self.x)
+        feats, _ = forward(self.encoder.module(), self.x)
         finite = np.isfinite(feats).all(axis=(1, 2))
         raise_for_runs({
             int(r): NonFinite(f"training diverged at epoch {epoch}: non-finite features")
@@ -359,7 +358,7 @@ class _Stack:
         """The epoch's learning rates, and each run's training split and
         batch noise in its batch order for the epoch, so that a batch is a
         slice."""
-        self.lr = np.array([cfg.lr_at(epoch) for cfg in self.cfgs])[:, None, None]
+        self.lr = np.array([cfg.lr_at(epoch) for cfg in self.cfgs])[:, None]
         order = np.stack([
             seeded_rng(cfg.seed, 5, epoch).permutation(self.n_train)
             for cfg in self.cfgs
@@ -378,9 +377,9 @@ class _Stack:
         """
         batch_rows = slice(start, start + self.batch_size)
         xb, yb = self.x_epoch[:, batch_rows], self.y_epoch[:, batch_rows]
-        z_hat, tape_enc = forward(self.encoder, xb)
+        z_hat = self.encoder.forward(xb)
         zb = self.add_noise(z_hat, self.noise_epoch[:, batch_rows])
-        logits, tape_dec = forward(self.decoder, zb)
+        logits = self.decoder.forward(zb)
 
         assign = assign_nearest(zb, self.state.means)
         if self.noisy.any():
@@ -392,15 +391,20 @@ class _Stack:
             state, l_c = blend_batch(self.state, assign, zb)[0], np.zeros(len(self.ids))
 
         l_d, grad_logits = task_loss(logits, yb)
-        dec_grads, g_z = backward(self.decoder, tape_dec, grad_logits)
+        np.copyto(self.decoder.out_grad(), grad_logits)
+        g_z = self.decoder.backward(input_grad=True)
+        g = self.encoder.out_grad()
+        np.copyto(g, g_z)
         if self.lam_on.any():
-            g_z = np.where(self.lam_on[:, None, None], g_z + self.lam * penalty_grad, g_z)
-        enc_grads, _ = backward(self.encoder, tape_enc, g_z, input_grad=False)
-        encoder = sgd_step(self.encoder, enc_grads, self.lr, self.momentum)
-        decoder = sgd_step(self.decoder, dec_grads, self.lr, self.momentum)
+            np.add(g, self.lam * penalty_grad, out=g, where=self.lam_on[:, None, None])
+        self.encoder.backward()
+        self.encoder.propose(self.lr, self.momentum)
+        self.decoder.propose(self.lr, self.momentum)
 
         acc = (logits.argmax(axis=-1) == yb).sum(axis=-1) / yb.shape[1]
-        self.encoder, self.decoder, self.state = encoder, decoder, state
+        self.encoder.commit()
+        self.decoder.commit()
+        self.state = state
         self.sums[:, 0] += l_d
         self.sums[:, 1] += l_c
         self.sums[:, 2] += acc

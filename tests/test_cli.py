@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import warnings
 
 
 import numpy as np
@@ -314,6 +315,17 @@ class TestSweepAndReport:
         assert main(["sweep", f"--grid={grid}", "--epochs", "2", "--out", str(out)]) == 2
         assert "finite and nonnegative" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_sweep_rejects_bad_variances_before_writing(self, tmp_path):
+        # Called directly, as the benchmark and tests call it: the bad
+        # variance is named, no square root of it is taken, and nothing is
+        # written.
+        out = tmp_path / "sweep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"nonnegative, got \[-0\.01\]"):
+                cmd_sweep(tiny_config(), [-0.01, 0.05], out)
+        assert not (out / "sweep.csv").exists()
 
     def test_report_aggregates_runs(self, tmp_path):
         out = tmp_path / "runs"

@@ -7,6 +7,7 @@ from cemlab.errors import LabelOutOfRange, NonFinite, ParseError, ShapeMismatch,
 from cemlab.network import (
     Layer,
     NeuralModule,
+    StackedNet,
     backward,
     forward,
     init_network,
@@ -289,6 +290,116 @@ class TestSgdStep:
         stacked = NeuralModule.stack([m, m])
         out = sgd_step(stacked, [(np.zeros((2, 2, 2)), np.zeros((2, 1, 2)))], lr=0.1)
         assert np.array_equal(out.layers[0].weights, stacked.layers[0].weights)
+
+
+def module_bytes(m):
+    """Every parameter and velocity array of a module, as bytes (so signed
+    zeros count)."""
+    arrays = [a for l in m.layers for a in (l.weights, l.bias)]
+    arrays += [a for pair in m.velocity for a in pair]
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def reference_step(m, x, target, lr, momentum):
+    """One step of the forward / backward / sgd_step chain on the loss
+    whose output gradient is ``pred - target``."""
+    pred, tape = forward(m, x)
+    grads, _ = backward(m, tape, pred - target, input_grad=False)
+    return sgd_step(m, grads, lr, momentum)
+
+
+def stacked_step(net, x, target, lr, momentum):
+    """The same step on a StackedNet, proposed but not committed."""
+    pred = net.forward(x)
+    np.subtract(pred, target, out=net.out_grad())
+    net.backward()
+    net.propose(lr, momentum)
+
+
+class TestStackedNet:
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_steps_equal_the_reference_chain(self, rng, momentum):
+        # Full batches and short ones (down to one row), relu and sigmoid
+        # layers, per-run learning rates, and the input gradient.
+        refs = [
+            init_network([4, 6, 5, 3], ["relu", "relu", "sigmoid"], seed=s)
+            for s in range(2)
+        ]
+        net = StackedNet(refs, rows=7)
+        lr = np.array([[0.5], [0.1]])
+        for rows in (7, 7, 3, 7, 1):
+            x = rng.standard_normal((2, rows, 4))
+            target = rng.random((2, rows, 3))
+            tapes = [forward(m, x[r]) for r, m in enumerate(refs)]
+            pred = net.forward(x)
+            assert pred.tobytes() == np.stack([out for out, _ in tapes]).tobytes()
+            np.subtract(pred, target, out=net.out_grad())
+            in_grad = net.backward(input_grad=True)
+            net.propose(lr, momentum)
+            net.commit()
+            for r, (m, (out, tape)) in enumerate(zip(refs, tapes)):
+                grads, ref_in_grad = backward(m, tape, out - target[r])
+                assert in_grad[r].tobytes() == ref_in_grad.tobytes()
+                refs[r] = sgd_step(m, grads, float(lr[r, 0]), momentum)
+                assert module_bytes(net.take(r)) == module_bytes(refs[r])
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("rows", [8, 5], ids=["full-batch", "short-batch"])
+    def test_failed_step_stores_nothing(self, rng, momentum, rows):
+        # Run 1's learning rate makes it diverge; the step that fails must
+        # leave every run as it was, and the retry without run 1 must give
+        # the reference chain's bytes.
+        refs = [init_network([4, 6, 3], ["relu", "identity"], seed=s) for s in range(3)]
+        net = StackedNet(refs, rows=8)
+        lr = np.array([0.05, 1e6, 0.02])
+        x = rng.standard_normal((3, rows, 4))
+        target = rng.standard_normal((3, rows, 3))
+        failure = None
+        for _ in range(20):
+            before = [module_bytes(net.take(r)) for r in range(3)]
+            try:
+                stacked_step(net, x, target, lr[:, None], momentum)
+            except NonFinite as exc:
+                failure = exc
+                break
+            net.commit()
+            refs = [
+                reference_step(m, x[r], target[r], lr[r], momentum)
+                for r, m in enumerate(refs)
+            ]
+        assert failure is not None, "run 1 never diverged"
+        assert set(failure.runs) == {1}
+        assert str(failure.runs[1]) == "parameter update produced a non-finite value"
+        assert [module_bytes(net.take(r)) for r in range(3)] == before
+
+        live = [0, 2]
+        net.keep(live)
+        stacked_step(net, x[live], target[live], lr[live, None], momentum)
+        net.commit()
+        for r, i in enumerate(live):
+            expected = reference_step(refs[i], x[i], target[i], lr[i], momentum)
+            assert module_bytes(net.take(r)) == module_bytes(expected)
+
+    def test_steps_reuse_two_parameter_buffers(self, rng):
+        net = StackedNet([init_network([4, 6, 3], ["relu", "identity"], seed=0)], rows=8)
+        x = rng.standard_normal((1, 8, 4))
+        target = rng.standard_normal((1, 8, 3))
+        weights = []
+        for _ in range(4):
+            stacked_step(net, x, target, 0.01, 0.9)
+            net.commit()
+            weights.append(net.module().layers[0].weights)
+        assert np.shares_memory(weights[0], weights[2])
+        assert np.shares_memory(weights[1], weights[3])
+        assert not np.shares_memory(weights[0], weights[1])
+
+    def test_negative_lr_rejected(self, rng):
+        net = StackedNet([init_network([2, 2], ["identity"], seed=0)], rows=1)
+        pred = net.forward(rng.standard_normal((1, 1, 2)))
+        net.out_grad()[...] = pred
+        net.backward()
+        with pytest.raises(ValueError):
+            net.propose(-0.1, 0.0)
 
 
 class TestTaskLoss:

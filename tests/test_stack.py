@@ -12,7 +12,7 @@ from cemlab import cli
 from cemlab import trainer as trainer_mod
 from cemlab.data import Dataset
 from cemlab.mixture import fit_init_many
-from cemlab.network import forward
+from cemlab.network import StackedNet, forward
 from cemlab.numerics import seeded_rng
 from cemlab.trainer import train, train_many
 
@@ -101,7 +101,8 @@ def test_stack_rejects_mixed_shapes():
 def test_noise_is_one_draw_per_run_and_epoch(monkeypatch):
     # A noisy run beside a defense="none" run. Every encoder and decoder
     # forward, every refit input and every generator the trainer builds is
-    # recorded.
+    # recorded. A batch's forward runs in place, into buffers the next
+    # batch reuses, so its output is recorded as a copy.
     noisy = dict(BASE, epochs=2, seed=3, noise_std=0.3)
     quiet = dict(BASE, epochs=2, seed=1, defense="none", lam=0.0)
     configs = [noisy, quiet]
@@ -113,6 +114,13 @@ def test_noise_is_one_draw_per_run_and_epoch(monkeypatch):
         calls.append((batch, out))
         return out, tape
 
+    stacked_forward = StackedNet.forward
+
+    def recording_stacked_forward(net, batch):
+        out = stacked_forward(net, batch)
+        calls.append((batch, out.copy()))
+        return out
+
     def recording_fit(features, *args, **kwargs):
         fits.append(features)
         return fit_init_many(features, *args, **kwargs)
@@ -122,6 +130,7 @@ def test_noise_is_one_draw_per_run_and_epoch(monkeypatch):
         return seeded_rng(seed, *tags)
 
     monkeypatch.setattr(trainer_mod, "forward", recording_forward)
+    monkeypatch.setattr(StackedNet, "forward", recording_stacked_forward)
     monkeypatch.setattr(trainer_mod, "fit_init_many", recording_fit)
     monkeypatch.setattr(trainer_mod, "seeded_rng", recording_rng)
     results = train_many([cli.training_config(c) for c in configs], datasets)
