@@ -15,7 +15,12 @@ all components at once: :func:`mi_upper_bound` and
 :func:`mixture_entropy_upper` run them on a mixture, and :func:`cem_step`
 fuses them with the mixture's per-batch update
 (:func:`~cemlab.mixture.blend_batch`) into the training loop's single step,
-for one run or a stack of them.
+for one run or a stack of them. At the training shapes every array holds a
+few dozen numbers, so the step's cost is the number of NumPy calls: it
+gathers per-component values by each row's flat bin, computes in place on
+arrays of its own, and checks the blended and widened variances in one
+pass of three reductions, with the same bits and errors as the public
+chain.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from .mixture import (
     BatchAssignment,
     GaussianMixture,
     MixtureState,
+    _blend,
     _per_row,
     batch_tag,
-    blend_batch,
     blend_coefficients,
 )
 from .numerics import LOG_2PI, Covariance, check_diagonal, logdet
@@ -139,9 +144,14 @@ def _penalty(weights: np.ndarray, denom: np.ndarray, ld_ref):
     log-determinant as ``ld_ref`` this is the MI bound. Components are added
     in order, as a running sum. For a stack of runs ``ld_ref`` is (R, 1)
     and the result an (R,) array."""
-    terms = weights * (
-        -np.log(weights) + 0.5 * (np.sum(np.log(denom), axis=-1) - ld_ref)
-    )
+    # Each term as pi_i * (0.5 * (logdet_i - ld_ref) - log pi_i): IEEE
+    # a - b is a + (-b), and addition and multiplication commute, so these
+    # are the formula's bits.
+    terms = np.log(denom).sum(axis=-1)
+    terms -= ld_ref
+    terms *= 0.5
+    terms -= np.log(weights)
+    terms *= weights
     if terms.ndim == 1:
         return _running_sum(terms.tolist())
     return np.array([_running_sum(row) for row in terms.tolist()])
@@ -151,14 +161,16 @@ def _penalty_grad(
     weights: np.ndarray,
     coef: np.ndarray,
     dev: np.ndarray,
-    assign: BatchAssignment,
+    counts: np.ndarray,
     denom: np.ndarray,
+    bins: np.ndarray,
 ) -> np.ndarray:
     """Per-row gradient (pi_j * c_j) * dev / (n_j * denom_j) of the bound,
-    for rows assigned to component j."""
-    idx = assign.indices
-    scale = _per_row(weights * coef, idx)[..., None]
-    return scale * dev / (_per_row(assign.counts, idx)[..., None] * _per_row(denom, idx))
+    for rows assigned to component j; ``bins`` are the rows'
+    :func:`~cemlab.mixture._bins`."""
+    grad = _per_row(weights * coef, bins)[..., None] * dev
+    grad /= _per_row(counts[..., None] * denom, bins)
+    return grad
 
 
 def _mixture_bound(mix: GaussianMixture, noise: NoiseModel, ld_ref: float) -> float:
@@ -257,7 +269,7 @@ def cem_loss_grad(
     coef = blend_coefficients(state.weights, assign.counts, mix.dataset_size)
     denom = _widened_ridged(state.var, state.ridge, noise.std**2)
     dev = z - state.means[assign.indices]
-    return _penalty_grad(state.weights, coef, dev, assign, denom)
+    return _penalty_grad(state.weights, coef, dev, assign.counts, denom, assign.indices)
 
 
 def cem_step(
@@ -277,16 +289,33 @@ def cem_step(
     :func:`~cemlab.mixture.update_covariance`, :func:`cem_loss` and
     :func:`cem_loss_grad` in turn. The gradient belongs to the state it
     returns, so no staleness check is needed. Raises
-    :class:`~cemlab.errors.NonPositiveDefinite` where those would.
+    :class:`~cemlab.errors.NonPositiveDefinite` where those would, with the
+    same message: first for the blended variances, then for the widened
+    ones. The returned state's weights and variances, and the gradient,
+    are new arrays; neither ``state`` nor ``batch`` is written to.
 
     On a stack of runs, ``noise_var`` is (R, 1, 1), ``noise_logdet`` (R, 1)
     and the penalty an (R,) array, each run with the bits it gets alone;
     errors are raised per run (see :class:`~cemlab.errors.CemError`).
     """
-    state, coef, dev = blend_batch(state, assign, batch)
-    denom = _widened_ridged(state.var, state.ridge, noise_var)
-    penalty = _penalty(state.weights, denom, noise_logdet)
-    return state, penalty, _penalty_grad(state.weights, coef, dev, assign, denom)
+    blended, coef, dev, bins = _blend(state, assign, batch)
+    var, ridge = blended.var, blended.ridge
+    denom = var + noise_var
+    denom += ridge
+    # The blended variances must pass check_diagonal(var, ridge) and the
+    # widened ones check_diagonal(var + noise_var, ridge). With
+    # noise_var = std**2 >= 0, three reductions imply both (NaN fails every
+    # comparison, and inf + -inf is NaN): var >= 0; denom < inf, so
+    # var + noise_var is finite, and so is var <= var + noise_var; and
+    # var + ridge > 0, so denom >= var + ridge > 0, as rounding is
+    # monotone. On failure the two checks run in their old order, for
+    # their exception and per-run messages.
+    if not (var.min() >= 0 and denom.max() < np.inf and (var + ridge).min() > 0):
+        check_diagonal(var, ridge)
+        check_diagonal(var + noise_var, ridge)
+    penalty = _penalty(blended.weights, denom, noise_logdet)
+    grad = _penalty_grad(blended.weights, coef, dev, assign.counts, denom, bins)
+    return blended, penalty, grad
 
 
 def bounds_report(

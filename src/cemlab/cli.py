@@ -189,9 +189,10 @@ def noise_model(config: dict) -> bounds.NoiseModel:
 
 
 def cmd_train(config: dict, out_dir: Path) -> RunManifest:
+    cfg = training_config(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = build_dataset(config)
-    result = trainer.train(training_config(config), ds)
+    result = trainer.train(cfg, ds)
     return save_run(config, result, out_dir)
 
 

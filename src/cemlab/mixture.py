@@ -12,12 +12,13 @@ assigned samples about the stored mean. Means are refreshed only by the
 full refit, never inside the batch loop.
 
 The arithmetic lives in array kernels over the whole mixture
-(:func:`blend_weights`, :func:`blend_coefficients`,
-:func:`blend_variances`). :func:`blend_batch` runs them on a
-:class:`MixtureState` for the training loop; :func:`update_weights` and
-:func:`update_covariance` are adapters that run the same kernels on a
-:class:`GaussianMixture`. Per-component sums repeat NumPy's own order of
-addition, so both forms give the same bits as a ``np.mean`` per component.
+(:func:`blend_weights`, :func:`blend_coefficients`, and the variance
+blend). :func:`blend_batch` runs them on a :class:`MixtureState` for the
+training loop; :func:`update_weights` and :func:`update_covariance` are
+adapters that run the same kernels on a :class:`GaussianMixture`.
+Per-component sums repeat NumPy's own order of addition, so both forms
+give the same bits as a ``np.mean`` per component. The kernels compute in
+place on arrays they create and never write to their inputs.
 
 The kernels, :func:`assign_nearest` and the refit (:func:`fit_init_many`)
 also run on a stack of R same-shaped runs: a :class:`MixtureState` whose
@@ -144,8 +145,10 @@ class MixtureState:
 
 
 def _floor_and_renormalize(weights: np.ndarray) -> np.ndarray:
-    w = np.maximum(weights, WEIGHT_FLOOR)
-    return w / w.sum(axis=-1, keepdims=True)
+    """Floor and renormalize ``weights``, a fresh array, in place."""
+    np.maximum(weights, WEIGHT_FLOOR, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
 
 
 def _few_distinct(x: np.ndarray, k: int) -> list[int]:
@@ -285,65 +288,60 @@ def _nearest(
     return best
 
 
-def _per_row(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Each row's entry of the per-component ``values``: ``values[indices]``
-    for (k, ...) values and (n,) indices, run by run for a stack."""
-    if indices.ndim == 1:
-        return values[indices]
-    return values[np.arange(indices.shape[0])[:, None], indices]
-
-
 def _bins(indices: np.ndarray, k: int) -> np.ndarray:
-    """Each row's bin ``run * k + j`` among the components of all runs, for
-    the (R, n) indices of a stack."""
-    return np.arange(indices.shape[0])[:, None] * k + indices
-
-
-def _counts(indices: np.ndarray, k: int, bins: np.ndarray | None = None) -> np.ndarray:
-    """Rows per component: (k,) for (n,) indices, (R, k) for a stack, whose
-    ``_bins`` may be passed in."""
+    """Each row's bin among the components of all runs: the (n,) indices
+    themselves, or ``run * k + j`` for the (R, n) indices of a stack.
+    Bin ``b`` is row ``b`` of the per-component arrays of all runs
+    reshaped to (R * k, ...)."""
     if indices.ndim == 1:
-        return np.bincount(indices, minlength=k)
-    if bins is None:
-        bins = _bins(indices, k)
-    n_runs = indices.shape[0]
+        return indices
+    return np.arange(0, indices.shape[0] * k, k)[:, None] + indices
+
+
+def _per_row(values: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Each row's entry of the per-component ``values``, (k, ...) or
+    (R, k, ...) for a stack, gathered by the rows' :func:`_bins`."""
+    return values.reshape((-1,) + values.shape[bins.ndim:]).take(bins, axis=0)
+
+
+def _counts(bins: np.ndarray, k: int) -> np.ndarray:
+    """Rows per component, (k,) or (R, k) for a stack, from the rows'
+    :func:`_bins`."""
+    if bins.ndim == 1:
+        return np.bincount(bins, minlength=k)
+    n_runs = bins.shape[0]
     return np.bincount(bins.ravel(), minlength=n_runs * k).reshape(n_runs, k)
 
 
-def _component_sums(
-    rows: np.ndarray, indices: np.ndarray, k: int, bins: np.ndarray | None = None
-) -> np.ndarray:
-    """(k, d) per-component sums of ``rows`` with the bits of
+def _component_sums(rows: np.ndarray, bins: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) per-component sums of the (n, d) ``rows`` with the bits of
     ``rows[indices == j].sum(axis=0)``, so ``sums[j] / n_j`` is that
-    component's ``mean(axis=0)``; (R, k, d) for a stack, whose ``_bins``
-    may be passed in.
+    component's ``mean(axis=0)``; (R, k, d) for the (R, n, d) rows of a
+    stack. ``bins`` are the rows' :func:`_bins`.
 
     NumPy sums the rows of a (n, d >= 2) array one after another, which
     ``bincount`` reproduces for all components (of all runs) at once; a
     single column it sums pairwise, so ``d == 1`` goes component by
     component.
     """
-    if rows.ndim == 2:
-        return _component_sums(rows[None], indices[None], k)[0]
-    n_runs, _, d = rows.shape
+    lead, d = rows.shape[:-2], rows.shape[-1]
+    n_bins = k * (lead[0] if lead else 1)
     if d == 1:
-        return np.array([
-            [[run_rows[run_idx == j, 0].sum()] for j in range(k)]
-            for run_rows, run_idx in zip(rows, indices)
-        ]).reshape(n_runs, k, 1)
-    if bins is None:
-        bins = _bins(indices, k)
-    flat = (bins[..., None] * d + np.arange(d)).ravel()
-    sums = np.bincount(flat, weights=rows.ravel(), minlength=n_runs * k * d)
-    return sums.reshape(n_runs, k, d)
+        flat_rows, flat_bins = rows.ravel(), bins.ravel()
+        sums = np.array([flat_rows[flat_bins == b].sum() for b in range(n_bins)])
+    else:
+        flat = (bins[..., None] * d + np.arange(d)).ravel()
+        sums = np.bincount(flat, weights=rows.ravel(), minlength=n_bins * d)
+    return sums.reshape(lead + (k, d))
 
 
-def _component_means(rows, indices, counts, fallback, bins=None):
-    """Per-component means of ``rows``; ``fallback`` rows where a component
-    has no members. A stack's ``_bins`` may be passed in."""
-    present = (counts > 0)[..., None]
-    sums = _component_sums(rows, indices, counts.shape[-1], bins)
-    return np.where(present, sums / np.where(present, counts[..., None], 1), fallback)
+def _component_means(rows, bins, counts, fallback):
+    """Per-component means of ``rows``, with ``bins`` their :func:`_bins`;
+    ``fallback`` rows where a component has no members."""
+    means = _component_sums(rows, bins, counts.shape[-1])
+    means /= np.maximum(counts, 1)[..., None]
+    np.copyto(means, fallback, where=(counts == 0)[..., None])
+    return means
 
 
 def fit_init(
@@ -438,17 +436,17 @@ def fit_init_many(
         rows, old = x[sel], assign[sel]
         # One set of bins serves the counts and the sums.
         bins = _bins(old, k)
-        means[sel] = _component_means(rows, old, _counts(old, k, bins), means[sel], bins)
+        means[sel] = _component_means(rows, bins, _counts(bins, k), means[sel])
         new_assign = _nearest(rows, means[sel], norms[sel])
         moved = (new_assign != old).any(axis=1)
         assign[sel] = new_assign
         live = live[moved]
 
     bins = _bins(assign, k)
-    counts = _counts(assign, k, bins)
+    counts = _counts(bins, k)
     weights = _floor_and_renormalize(counts.astype(np.float64) / n)
-    dev = x - _per_row(means, assign)
-    var = _component_means(dev * dev, assign, counts, 0.0, bins)
+    dev = x - _per_row(means, bins)
+    var = _component_means(dev * dev, bins, counts, 0.0)
     ridge = np.repeat(ridges[:, None, None], k, axis=1)
     check_diagonal(var, ridge)
     return MixtureState(
@@ -468,8 +466,9 @@ def assign_nearest(batch: np.ndarray, mix) -> BatchAssignment:
             f"batch dim {z.shape[-1]} != mixture dim {means.shape[-1]}"
         )
     idx = _nearest(z, means)
+    k = means.shape[-2]
     return BatchAssignment(
-        indices=idx, counts=_counts(idx, means.shape[-2]), batch_size=z.shape[-2]
+        indices=idx, counts=_counts(_bins(idx, k), k), batch_size=z.shape[-2]
     )
 
 
@@ -484,37 +483,59 @@ def blend_weights(
         raise ShapeMismatch(
             f"batch size {batch_size} exceeds dataset size {dataset_size}"
         )
-    raw = (weights * (dataset_size - batch_size) + counts) / dataset_size
+    raw = weights * (dataset_size - batch_size)
+    raw += counts
+    raw /= dataset_size
     return _floor_and_renormalize(raw)
 
 
 def blend_coefficients(
     weights: np.ndarray, counts: np.ndarray, dataset_size: int
 ) -> np.ndarray:
-    """The covariance blend coefficients n_j / (pi_j * N), clamped to [0, 1],
-    and 0 for components with no samples.
+    """The covariance blend coefficients n_j / (pi_j * N), clamped to [0, 1].
+    Floored weights are positive, so a component with no samples gets 0.
 
     The clamp keeps the blend convex when a rare component receives a
     disproportionately large batch share.
     """
-    return np.where(
-        counts > 0, np.minimum(1.0, counts / (weights * dataset_size)), 0.0
-    )
+    coef = counts / (weights * dataset_size)
+    return np.minimum(coef, 1.0, out=coef)
 
 
-def blend_variances(
+def _blend_variances(
     var: np.ndarray,
     dev: np.ndarray,
-    indices: np.ndarray,
+    bins: np.ndarray,
     counts: np.ndarray,
     coef: np.ndarray,
 ) -> np.ndarray:
     """(1 - c_j) * var_j + c_j * mean of the squared deviations ``dev``
-    (batch rows minus their component's mean) over component j's rows.
-    Components with no samples keep their variances."""
-    delta = _component_means(dev * dev, indices, counts, 0.0)
+    (batch rows minus their component's mean) over component j's rows,
+    given by the rows' :func:`_bins`. Components with no samples keep their
+    variances."""
+    blended = _component_sums(dev * dev, bins, counts.shape[-1])
+    blended /= np.maximum(counts, 1)[..., None]
     c = coef[..., None]
-    return np.where((counts > 0)[..., None], (1.0 - c) * var + c * delta, var)
+    blended *= c
+    blended += (1.0 - c) * var
+    np.copyto(blended, var, where=(counts == 0)[..., None])
+    return blended
+
+
+def _blend(state: MixtureState, assign: BatchAssignment, batch: np.ndarray):
+    """:func:`blend_batch` without its variance check; also returns the
+    rows' :func:`_bins`. Every array it returns is new."""
+    n_total = state.dataset_size
+    bins = _bins(assign.indices, state.weights.shape[-1])
+    weights = blend_weights(state.weights, assign.counts, assign.batch_size, n_total)
+    coef = blend_coefficients(weights, assign.counts, n_total)
+    dev = batch - _per_row(state.means, bins)
+    var = _blend_variances(state.var, dev, bins, assign.counts, coef)
+    blended = MixtureState(
+        weights=weights, means=state.means, var=var, ridge=state.ridge,
+        dataset_size=n_total,
+    )
+    return blended, coef, dev, bins
 
 
 def blend_batch(
@@ -524,17 +545,16 @@ def blend_batch(
     covariances blended with coefficients from the new weights.
 
     Returns the new state, the blend coefficients, and each row's deviation
-    from its component mean, which the penalty gradient reuses. Raises
+    from its component mean, which the penalty gradient reuses. The new
+    state shares ``means`` and ``ridge`` with ``state``; its weights and
+    variances, the coefficients and the deviations are new arrays, and
+    neither ``state`` nor ``batch`` is written to. Raises
     :class:`~cemlab.errors.NonPositiveDefinite` on variances
     :meth:`Covariance.diagonal` would reject (per run, for a stack).
     """
-    n_total = state.dataset_size
-    weights = blend_weights(state.weights, assign.counts, assign.batch_size, n_total)
-    coef = blend_coefficients(weights, assign.counts, n_total)
-    dev = batch - _per_row(state.means, assign.indices)
-    var = blend_variances(state.var, dev, assign.indices, assign.counts, coef)
-    check_diagonal(var, state.ridge)
-    return replace(state, weights=weights, var=var), coef, dev
+    blended, coef, dev, _ = _blend(state, assign, batch)
+    check_diagonal(blended.var, blended.ridge)
+    return blended, coef, dev
 
 
 # -- adapters over the kernels for the component-list form ----------------
@@ -575,7 +595,7 @@ def update_covariance(
     state = MixtureState.of(mix)
     coef = blend_coefficients(state.weights, assign.counts, mix.dataset_size)
     dev = z - state.means[assign.indices]
-    var = blend_variances(state.var, dev, assign.indices, assign.counts, coef)
+    var = _blend_variances(state.var, dev, assign.indices, assign.counts, coef)
     components = [
         replace(comp, cov=Covariance.diagonal(v, ridge=comp.cov.ridge)) if n_j > 0
         else comp

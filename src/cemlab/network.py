@@ -523,31 +523,34 @@ def task_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
     For a stack of runs (logits (R, N, C), labels (R, N)) the loss is an
     (R,) array, and labels out of range raise per run (see
     :class:`~cemlab.errors.CemError`)."""
-    z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    # C order, so that flat indices address the rows' entries.
+    z = np.atleast_2d(np.ascontiguousarray(logits, dtype=np.float64))
     stacked = z.ndim == 3
     y = np.asarray(labels, dtype=np.int64)
     n, n_classes = z.shape[-2:]
     if stacked:
         if y.shape != z.shape[:2]:
             raise ShapeMismatch(f"labels of shape {y.shape} for logits {z.shape}")
-        idx = (np.arange(z.shape[0])[:, None], np.arange(n), y)
     else:
         y = y.reshape(-1)
         if y.size != n:
             raise ShapeMismatch(f"{y.size} labels for {n} rows of logits")
-        idx = (np.arange(n), y)
     if y.size and (y.min() < 0 or y.max() >= n_classes):
         message = f"labels must lie in [0, {n_classes})"
         if not stacked:
             raise LabelOutOfRange(message)
         bad = ((y < 0) | (y >= n_classes)).any(axis=1)
         raise_for_runs({int(r): LabelOutOfRange(message) for r in np.flatnonzero(bad)})
+    # Each row's logit of its label, by its index in the flattened logits.
+    picks = np.arange(0, y.size * n_classes, n_classes).reshape(y.shape) + y
     log_z = logsumexp_rows(z)
     # np.mean's own sum and division, without its Python-level wrapper.
-    loss = np.add.reduce(log_z - z[idx], axis=-1) / n
-    probs = np.exp(z - log_z[..., None])
-    probs[idx] -= 1.0
-    return (loss if stacked else float(loss)), probs / n
+    loss = np.add.reduce(log_z - z.take(picks), axis=-1) / n
+    probs = z - log_z[..., None]
+    np.exp(probs, out=probs)
+    probs.reshape(-1)[picks] -= 1.0
+    probs /= n
+    return (loss if stacked else float(loss)), probs
 
 
 def save_network(m: NeuralModule, path) -> None:

@@ -149,12 +149,19 @@ def logsumexp_rows(z: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = z.max(axis=-1, keepdims=True)
         is_top = z == top
-        m = is_top.sum(axis=-1, keepdims=True, dtype=np.float64)
-        s = np.exp(np.where(is_top, -np.inf, z) - top).sum(axis=-1, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + top)[..., 0]
-        bad = ~np.isfinite(out)
-        if bad.any():
+        m = is_top.sum(axis=-1, dtype=np.float64)
+        terms = z - top
+        np.copyto(terms, -np.inf, where=is_top)
+        np.exp(terms, out=terms)
+        # Where the sum is 0 and the result finite, m >= 1 and 0 / m is 0.
+        out = terms.sum(axis=-1)
+        out /= m
+        np.log1p(out, out=out)
+        out += np.log(m)
+        out += top[..., 0]
+        finite = np.isfinite(out)
+        if not finite.all():
+            bad = ~finite
             out[bad] = np.log(np.exp(z[bad]).sum(axis=-1))
     return out
 

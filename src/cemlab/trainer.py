@@ -88,8 +88,14 @@ class TrainingConfig:
         # Written so that NaN fails too.
         if not (0 <= self.lam < np.inf and 0 <= self.noise_std < np.inf):
             raise ValueError("lam and noise_std must be finite and nonnegative")
-        if self.lr < 0 or self.lr_decay_factor < 0:
-            raise ValueError("lr and lr_decay_factor must be nonnegative")
+        if not (0 <= self.lr < np.inf and 0 <= self.lr_decay_factor < np.inf):
+            raise ValueError("lr and lr_decay_factor must be finite and nonnegative")
+        if not -np.inf < self.momentum < np.inf:
+            raise ValueError("momentum must be finite")
+        if self.epochs < 0 or self.gmm_iters < 0:
+            raise ValueError("epochs and gmm_iters must be nonnegative")
+        if self.batch_size < 1 or (self.k is not None and self.k < 1):
+            raise ValueError("batch_size and k must be at least 1")
         if self.lam > 0 and (self.defense == "none" or self.noise_std == 0):
             raise ValueError(
                 "a positive entropy-penalty weight requires the noise_only "

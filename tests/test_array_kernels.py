@@ -8,7 +8,9 @@ arithmetic; the vectorized refit (`fit_init`) against a per-component
 Lloyd loop. The stacked forms (a leading run axis, as `train_many` runs
 them) are checked against the same kernels run one run at a time. The
 nearest-mean search is checked against the explicit-difference reference
-on both sides of its switch to the Gram form."""
+on both sides of its switch to the Gram form. The per-batch kernels are
+also checked never to write to their inputs, and to raise the public
+chain's errors where the fused step's one-pass variance check fails."""
 
 from dataclasses import replace
 
@@ -388,3 +390,76 @@ def test_stacked_step_fails_per_run(bad):
         with pytest.raises(NonPositiveDefinite, match="finite") as info:
             cem_step(stacked, assign, batch, np.full((3, 1, 1), 0.01), np.zeros((3, 1)))
     assert set(info.value.runs) == {1}
+
+
+@pytest.mark.parametrize("bad", [None, np.inf, np.nan, 1e200])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_kernels_never_write_to_inputs(stacked, bad):
+    """`blend_batch` and `cem_step` compute in place on arrays of their own:
+    the input state, batch and assignment keep their bytes whether the step
+    succeeds or raises, and no array returned shares memory with them."""
+    cases = [random_case(s, 9, 2, 6, 3) for s in (3, 4, 5)]
+    states = [replace(MixtureState.of(mix), dataset_size=12) for mix, _, _ in cases]
+    batch = np.stack([b for _, b, _ in cases])
+    if bad is not None:
+        batch[1, 2, 1] = bad
+    state, noise_var, noise_logdet = stack_states(states), np.full((3, 1, 1), 0.01), np.zeros((3, 1))
+    if not stacked:
+        state, batch, noise_var, noise_logdet = states[1], batch[1], 0.01, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assign = assign_nearest(batch, state.means)
+        inputs = [state.weights, state.means, state.var, state.ridge, batch,
+                  assign.indices, assign.counts]
+        before = [a.tobytes() for a in inputs]
+        for kernel in (
+            lambda: blend_batch(state, assign, batch),
+            lambda: cem_step(state, assign, batch, noise_var, noise_logdet),
+        ):
+            if bad is None:
+                new, second, third = kernel()
+                for out in (new.weights, new.var, second, third):
+                    assert not any(np.shares_memory(out, a) for a in inputs)
+            else:
+                with pytest.raises(NonPositiveDefinite, match="finite"):
+                    kernel()
+            assert [a.tobytes() for a in inputs] == before
+
+
+def overflowing_case(seed):
+    """A mixture whose variances of 1.7e308 stay finite when blended but
+    overflow once widened by a noise variance of 1.69e308."""
+    mix, batch, _ = random_case(seed, 4, 3, 8, 0)
+    for comp in mix.components:
+        comp.cov = Covariance.diagonal(np.full(3, 1.7e308), ridge=comp.cov.ridge)
+    return mix, batch, NoiseModel(std=1.3e154, dim=3)
+
+
+@np.errstate(over="ignore")
+def test_widened_overflow_raises_as_public_chain():
+    """`cem_step` checks the blended and widened variances in one fast pass;
+    where that pass fails it must raise what the public chain raises, solo
+    and per run in a stack where only one run overflows."""
+    mix, batch, noise = overflowing_case(7)
+    assign = assign_nearest(batch, mix)
+    updated = update_covariance(update_weights(mix, assign), assign, batch)
+    with pytest.raises(NonPositiveDefinite) as chain:
+        cem_loss(updated, noise)
+    with pytest.raises(NonPositiveDefinite) as fused:
+        cem_step(MixtureState.of(mix), assign, batch, noise.std**2, noise.logdet())
+    assert str(fused.value) == str(chain.value)
+    assert fused.value.runs is None
+
+    cases = [random_case(s, 4, 3, 8, 0) for s in (1, 2)]
+    cases.insert(1, (mix, batch, noise))
+    states = [replace(MixtureState.of(m), dataset_size=mix.dataset_size) for m, _, _ in cases]
+    stacked = stack_states(states)
+    batches = np.stack([b for _, b, _ in cases])
+    noises = [n for _, _, n in cases]
+    with pytest.raises(NonPositiveDefinite) as info:
+        cem_step(
+            stacked, assign_nearest(batches, stacked.means), batches,
+            np.array([n.std**2 for n in noises])[:, None, None],
+            np.array([[n.logdet()] for n in noises]),
+        )
+    assert set(info.value.runs) == {1}
+    assert str(info.value.runs[1]) == str(chain.value)

@@ -84,6 +84,15 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--k", "0"], ["--epochs", "-1"]])
+    def test_bad_shape_exit_2_before_writing(self, tmp_path, capsys, flags):
+        cfg_path = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out), *flags])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_epochs_header_only_history(self, tmp_path):
         manifest = cmd_train(tiny_config(epochs=0), tmp_path / "run")
         lines = (tmp_path / "run" / "history.csv").read_text().splitlines()

@@ -421,6 +421,30 @@ class TestTaskLoss:
         fd = central_diff(lambda z: task_loss(z, labels)[0], logits)
         assert rel_error(grad, fd) <= 1e-5
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 300.0])
+    def test_equals_reference_bits(self, rng, scale):
+        """Solo and stacked, the loss and gradient are the plain formula's
+        bits, and the logits are left as they were."""
+        z = scale * rng.standard_normal((3, 16, 5))
+        y = rng.integers(0, 5, size=(3, 16))
+        z_before = z.copy()
+        losses, grads = task_loss(z, y)
+        rows = np.arange(16)
+        for r in range(3):
+            log_z = logsumexp(z[r], axis=1)
+            want_loss = np.add.reduce(log_z - z[r, rows, y[r]]) / 16
+            want_grad = np.exp(z[r] - log_z[:, None])
+            want_grad[rows, y[r]] -= 1.0
+            want_grad /= 16
+            loss, grad = task_loss(z[r], y[r])
+            assert loss == want_loss and losses[r] == want_loss
+            assert np.array_equal(grad, want_grad)
+            assert np.array_equal(grads[r], want_grad)
+            # Logits in Fortran order give the same bits.
+            loss, grad = task_loss(np.asfortranarray(z[r]), y[r])
+            assert loss == want_loss and np.array_equal(grad, want_grad)
+        assert np.array_equal(z, z_before)
+
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             task_loss(np.zeros((2, 3)), np.array([0, 3]))
@@ -469,6 +493,15 @@ class TestLogsumexpRows:
         z = rng.standard_normal((16, 3))
         z[5] = -np.inf
         self.check(z)
+
+    def test_stacked_rows(self, rng):
+        z = rng.standard_normal((3, 16, 5))
+        z[1, 4] = -np.inf
+        z[2, 7, 1] = np.inf
+        z[2, 9, 0] = np.nan
+        with np.errstate(all="ignore"):
+            expected = logsumexp(z, axis=-1)
+        assert np.array_equal(logsumexp_rows(z), expected, equal_nan=True)
 
 
 class TestCheckpoint:

@@ -96,6 +96,30 @@ class TestTrain:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             TrainingConfig(**{"lam": 1.0, "noise_std": 0.1, field: bad})
 
+    @pytest.mark.parametrize("field, bad", [
+        ("epochs", -1),
+        ("batch_size", 0),
+        ("k", 0),
+        ("gmm_iters", -3),
+        ("lr", np.nan),
+        ("lr", np.inf),
+        ("lr_decay_factor", np.nan),
+        ("lr_decay_factor", np.inf),
+        ("momentum", np.nan),
+        ("momentum", np.inf),
+        ("momentum", -np.inf),
+    ])
+    def test_bad_shape_or_schedule_rejected(self, field, bad):
+        # Each once crashed training (k=0, batch_size=0), was silently
+        # changed (epochs=-1 trained an epoch, gmm_iters=-3 ran none) or
+        # surfaced as a divergence at epoch 0 (NaN passes `< 0`).
+        with pytest.raises(ValueError):
+            TrainingConfig(**{field: bad})
+
+    def test_smallest_shapes_accepted(self):
+        TrainingConfig(epochs=0, batch_size=1, k=1, gmm_iters=0, lr=0.0,
+                       lr_decay_factor=0.0, momentum=-0.5)
+
     def test_unknown_defense_rejected(self):
         with pytest.raises(UnknownDefense):
             TrainingConfig(defense="distillation")
