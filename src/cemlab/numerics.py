@@ -187,11 +187,22 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     fewer than 2 samples raise :class:`ValueError`, because the standard
     error is undefined.
 
-    The samples are processed in blocks of rows, so memory beyond the
-    (n_samples,) choices and -log p(z) stays fixed. The component choices
-    are drawn first for all samples, then the standard normals block by
-    block; the generator fills them in order, so the stream, and every bit
-    of the result, is the same as drawing one (n_samples, d) array.
+    The component choices are drawn first for all samples, then the
+    standard normals block by block of rows; the generator fills them in
+    order, so the stream is that of one (n_samples, d) draw. A sample from
+    component c is ``m_c + s_c * z`` with ``s_c**2 = v_c``, so its
+    quadratic form under component i is the grouped form
+
+        (z*z) . (v_c / v_i) + z . (2 s_c (m_c - m_i) / v_i)
+            + sum((m_c - m_i)**2 / v_i),
+
+    whose coefficients are built once per call. Each block orders its rows
+    by component and scores every group with one plain ``einsum`` product,
+    never a BLAS call (``matmul``, ``@``, ``dot`` or
+    ``einsum(optimize=...)``): a BLAS product's last bits can depend on the
+    group's row count, so only the plain product keeps the result's bits
+    independent of the block size. Memory beyond the (n_samples,) choices
+    and -log p(z) stays fixed.
     """
     if n_samples < 2:
         raise ValueError(f"mc_entropy needs n_samples >= 2, got {n_samples}")
@@ -205,25 +216,46 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     variances = np.stack(
         [np.asarray(comp.cov.entries, dtype=np.float64) for comp in mix.components]
     ) + noise_var
-    std = np.sqrt(variances)
-    log_weights = np.log(weights)
-    # d*log(2*pi) + log-determinant of each widened component.
-    log_norms = [d * LOG_2PI + np.sum(np.log(variances[i])) for i in range(k)]
+    # gap[c, i] = m_c - m_i; coef[c] stacks the (d, k) quadratic and linear
+    # coefficients of the grouped form for samples from c.
+    gap = means[:, None, :] - means[None, :, :]
+    coef = np.concatenate([
+        variances[:, None, :] / variances,
+        2.0 * np.sqrt(variances)[:, None, :] * gap / variances,
+    ], axis=2).transpose(0, 2, 1).copy()
+    const = np.log(weights) - 0.5 * (
+        d * LOG_2PI + np.log(variances).sum(axis=1) + (gap * gap / variances).sum(axis=2)
+    )
 
-    choices = rng.choice(k, size=n_samples, p=weights / weights.sum())
+    # The narrowest unsigned type lets the stable sort below run as a radix
+    # sort; a stable order is the same whatever the key type.
+    choices = rng.choice(k, size=n_samples, p=weights / weights.sum()).astype(
+        np.min_scalar_type(k - 1)
+    )
     neg_logp = np.empty(n_samples)
-    log_terms = np.empty((min(n_samples, _MC_BLOCK), k))
+    rows = min(n_samples, _MC_BLOCK)
+    sorted_z = np.empty((rows, d))
+    features = np.empty((rows, 2 * d))
+    log_terms = np.empty((rows, k))
     for start in range(0, n_samples, _MC_BLOCK):
-        c = choices[start:start + _MC_BLOCK]
-        draws = means[c] + rng.standard_normal((c.size, d)) * std[c]
+        block = choices[start:start + _MC_BLOCK]
+        z = rng.standard_normal((block.size, d))
+        # Rows ordered by source component, as features [z*z, z].
+        order = np.argsort(block, kind="stable")
+        zs = np.take(z, order, axis=0, out=sorted_z[: block.size])
+        feat = features[: block.size]
+        np.multiply(zs, zs, out=feat[:, :d])
+        feat[:, d:] = zs
         # log p(z) under the mixture, via logsumexp over components.
-        terms = log_terms[: c.size]
-        for i in range(k):
-            dev = draws - means[i]
-            terms[:, i] = log_weights[i] - 0.5 * (
-                log_norms[i] + np.sum(dev * dev / variances[i], axis=1)
-            )
-        neg_logp[start:start + c.size] = -logsumexp_rows(terms)
+        terms = log_terms[: block.size]
+        counts = np.bincount(block, minlength=k)
+        ends = np.cumsum(counts)
+        for c in np.flatnonzero(counts):
+            group = slice(ends[c] - counts[c], ends[c])
+            np.einsum("nl,li->ni", feat[group], coef[c], out=terms[group])
+            terms[group] *= -0.5
+            terms[group] += const[c]
+        neg_logp[start:start + block.size][order] = -logsumexp_rows(terms)
     value = float(np.mean(neg_logp))
     std_error = float(np.std(neg_logp, ddof=1) / np.sqrt(n_samples))
     return McEstimate(value=value, std_error=std_error, n_samples=n_samples, seed=seed)

@@ -96,6 +96,17 @@ class TrainingConfig:
             raise ValueError("epochs and gmm_iters must be nonnegative")
         if self.batch_size < 1 or (self.k is not None and self.k < 1):
             raise ValueError("batch_size and k must be at least 1")
+        # The looks-linear encoder pairs its hidden units, so this also
+        # needs hidden >= 2.
+        if not 1 <= self.d_z <= self.hidden // 2:
+            raise ValueError(
+                f"need 1 <= d_z <= hidden // 2, got d_z={self.d_z}, "
+                f"hidden={self.hidden}"
+            )
+        if self.lr_decay_every is not None and self.lr_decay_every < 1:
+            raise ValueError("lr_decay_every must be at least 1")
+        if not 0 < self.feature_scale < np.inf:
+            raise ValueError("feature_scale must be finite and positive")
         if self.lam > 0 and (self.defense == "none" or self.noise_std == 0):
             raise ValueError(
                 "a positive entropy-penalty weight requires the noise_only "
@@ -114,7 +125,7 @@ class TrainingConfig:
 
     def decay_every(self) -> int:
         if self.lr_decay_every is not None:
-            return max(1, self.lr_decay_every)
+            return self.lr_decay_every
         return max(1, self.epochs // 3)
 
     def lr_at(self, epoch: int) -> float:

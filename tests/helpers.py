@@ -64,24 +64,65 @@ def random_spec(rng, d_x=None, d_z=None):
     )
 
 
-def mc_entropy_whole_array(mix, noise, n_samples, seed):
-    """Reference Monte-Carlo entropy oracle: the whole-array form that
-    ``numerics.mc_entropy`` streams in row blocks. Every intermediate is
-    built at full (n_samples, ...) length and the row-wise log-sum-exp is
-    scipy's; the blocked oracle must reproduce its bits."""
+def _oracle_draws(mix, noise, n_samples, seed):
+    """The widened mixture and the oracle's random stream at full length:
+    weights, means and variances, the component choices, and the standard
+    normals as one (n_samples, d) draw."""
     rng = seeded_rng(seed)
     weights = np.array([comp.weight for comp in mix.components])
     means = np.stack([comp.mean for comp in mix.components])
-    noise_var = noise.std**2
     k, d = means.shape
     variances = np.stack(
         [np.asarray(comp.cov.entries, dtype=np.float64) for comp in mix.components]
-    ) + noise_var
-
+    ) + noise.std**2
     choices = rng.choice(k, size=n_samples, p=weights / weights.sum())
-    draws = means[choices] + rng.standard_normal((n_samples, d)) * np.sqrt(
-        variances[choices]
-    )
+    z = rng.standard_normal((n_samples, d))
+    return weights, means, variances, choices, z
+
+
+def neg_logp_grouped(mix, noise, n_samples, seed):
+    """Per-sample -log p(z) in the grouped form ``numerics.mc_entropy``
+    computes block by block, here over all rows at once with scipy's
+    log-sum-exp: rows ordered by source component c, features [z*z, z],
+    and one non-BLAS product per group with the coefficients of
+
+        (z*z) . (v_c / v_i) + z . (2 s_c (m_c - m_i) / v_i)
+            + sum((m_c - m_i)**2 / v_i)."""
+    weights, means, variances, choices, z = _oracle_draws(mix, noise, n_samples, seed)
+    k, d = means.shape
+    coef = np.empty((k, 2 * d, k))
+    const = np.empty((k, k))
+    for c in range(k):
+        for i in range(k):
+            gap = means[c] - means[i]
+            coef[c, :d, i] = variances[c] / variances[i]
+            coef[c, d:, i] = 2.0 * np.sqrt(variances[c]) * gap / variances[i]
+            const[c, i] = np.log(weights[i]) - 0.5 * (
+                d * LOG_2PI
+                + np.sum(np.log(variances[i]))
+                + np.sum(gap * gap / variances[i])
+            )
+    order = np.argsort(choices, kind="stable")
+    zs = z[order]
+    feat = np.concatenate([zs * zs, zs], axis=1)
+    log_terms = np.empty((n_samples, k))
+    for c in range(k):
+        group = slice(*np.searchsorted(choices[order], [c, c + 1]))
+        np.einsum("nl,li->ni", feat[group], coef[c], out=log_terms[group])
+        log_terms[group] *= -0.5
+        log_terms[group] += const[c]
+    neg_logp = np.empty(n_samples)
+    neg_logp[order] = -logsumexp(log_terms, axis=1)
+    return neg_logp
+
+
+def neg_logp_direct(mix, noise, n_samples, seed):
+    """Per-sample -log p(z) in the direct form the oracle used before the
+    grouped one: each sample is drawn as ``m_c + s_c z`` and scored against
+    every component from its deviation, with scipy's log-sum-exp."""
+    weights, means, variances, choices, z = _oracle_draws(mix, noise, n_samples, seed)
+    k, d = means.shape
+    draws = means[choices] + z * np.sqrt(variances[choices])
     log_terms = np.empty((n_samples, k))
     for i in range(k):
         dev = draws - means[i]
@@ -90,7 +131,14 @@ def mc_entropy_whole_array(mix, noise, n_samples, seed):
             + np.sum(np.log(variances[i]))
             + np.sum(dev * dev / variances[i], axis=1)
         )
-    neg_logp = -logsumexp(log_terms, axis=1)
+    return -logsumexp(log_terms, axis=1)
+
+
+def mc_entropy_whole_array(mix, noise, n_samples, seed):
+    """Reference Monte-Carlo entropy oracle: the grouped form of
+    ``numerics.mc_entropy`` over all rows at once (:func:`neg_logp_grouped`).
+    The blocked oracle must reproduce its bits."""
+    neg_logp = neg_logp_grouped(mix, noise, n_samples, seed)
     value = float(np.mean(neg_logp))
     std_error = float(np.std(neg_logp, ddof=1) / np.sqrt(n_samples))
     return McEstimate(value=value, std_error=std_error, n_samples=n_samples, seed=seed)

@@ -93,6 +93,14 @@ class TestTrainCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_feature_width_in_file_exit_2_before_writing(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "cfg.json", d_z=0)
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_epochs_header_only_history(self, tmp_path):
         manifest = cmd_train(tiny_config(epochs=0), tmp_path / "run")
         lines = (tmp_path / "run" / "history.csv").read_text().splitlines()

@@ -2,7 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import make_mixture, mc_entropy_whole_array, random_mixture
+from helpers import (
+    make_mixture,
+    mc_entropy_whole_array,
+    neg_logp_direct,
+    neg_logp_grouped,
+    random_mixture,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -145,13 +151,31 @@ class TestMcEntropy:
         assert peak <= 64 * 2**20
 
 
+def degenerate_mixture(k, d, seed, n_zero_weights, zero_variances, mean_scale=1.0):
+    """A random k-component mixture in d dimensions, with up to k-1
+    zero-weight components and, optionally, about half its variances 0."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.05, 1.0, size=k)
+    weights[: min(n_zero_weights, k - 1)] = 0.0
+    variances = rng.uniform(0.05, 2.0, size=(k, d))
+    if zero_variances:
+        variances[rng.random((k, d)) < 0.5] = 0.0
+    return make_mixture(
+        weights / weights.sum(),
+        rng.uniform(-3.0, 3.0, size=(k, d)) * mean_scale,
+        variances,
+        ridge=1e-12,
+    )
+
+
+ORACLE_SIZES = [2, 777, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 3 * _MC_BLOCK + 7]
+
+
 class TestMcEntropyBlocks:
     """The row-blocked oracle reproduces the whole-array reference bit for
     bit, on both sides of every block boundary."""
 
-    @pytest.mark.parametrize(
-        "n", [2, 777, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 3 * _MC_BLOCK + 7]
-    )
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
     @settings(max_examples=10, deadline=None)
     @given(
         k=st.integers(1, 9),
@@ -166,21 +190,48 @@ class TestMcEntropyBlocks:
     def test_matches_whole_array_reference(
         self, n, k, d, seed, n_zero_weights, zero_variances, noise_std
     ):
-        rng = np.random.default_rng(seed)
-        weights = rng.uniform(0.05, 1.0, size=k)
-        weights[: min(n_zero_weights, k - 1)] = 0.0
-        variances = rng.uniform(0.05, 2.0, size=(k, d))
-        if zero_variances:
-            variances[rng.random((k, d)) < 0.5] = 0.0
-        mix = make_mixture(
-            weights / weights.sum(),
-            rng.uniform(-3.0, 3.0, size=(k, d)),
-            variances,
-            ridge=1e-12,
-        )
+        mix = degenerate_mixture(k, d, seed, n_zero_weights, zero_variances)
         noise = NoiseModel(std=noise_std, dim=d)
         with np.errstate(all="ignore"):
             got = mc_entropy(mix, noise, n_samples=n, seed=seed)
             want = mc_entropy_whole_array(mix, noise, n_samples=n, seed=seed)
         assert repr(got.value) == repr(want.value)
         assert repr(got.std_error) == repr(want.std_error)
+
+
+class TestMcEntropyForms:
+    """The grouped form of -log p(z) differs from the direct form (each
+    sample drawn as m_c + s_c z and scored from its deviations) by rounding
+    only, sample by sample on the same stream. The direct form's error
+    grows with ulp(|m_c|) / s_c, so means are scaled past the default only
+    in the separated case of criterion 3."""
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        k=st.integers(1, 9),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        n_zero_weights=st.integers(0, 8),
+        zero_variances=st.booleans(),
+        noise_std=st.sampled_from([0.0, 0.05, 1.3]),
+        mean_scale=st.just(1.0),
+    )
+    @example(k=9, d=8, seed=0, n_zero_weights=3, zero_variances=False, noise_std=0.0,
+             mean_scale=1.0)
+    @example(k=5, d=3, seed=1, n_zero_weights=0, zero_variances=True, noise_std=0.0,
+             mean_scale=1.0)
+    @example(k=3, d=2, seed=400, n_zero_weights=0, zero_variances=False, noise_std=0.5,
+             mean_scale=500.0)
+    def test_per_sample_difference_from_direct_form(
+        self, n, k, d, seed, n_zero_weights, zero_variances, noise_std, mean_scale
+    ):
+        mix = degenerate_mixture(k, d, seed, n_zero_weights, zero_variances, mean_scale)
+        noise = NoiseModel(std=noise_std, dim=d)
+        with np.errstate(all="ignore"):
+            grouped = neg_logp_grouped(mix, noise, n, seed)
+            direct = neg_logp_direct(mix, noise, n, seed)
+        nan = np.isnan(direct)
+        np.testing.assert_array_equal(np.isnan(grouped), nan)
+        gap = np.abs(grouped[~nan] - direct[~nan])
+        assert (gap <= 1e-12 * np.maximum(1.0, np.abs(direct[~nan]))).all()

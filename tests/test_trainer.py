@@ -108,17 +108,34 @@ class TestTrain:
         ("momentum", np.nan),
         ("momentum", np.inf),
         ("momentum", -np.inf),
+        ("d_z", 0),
+        ("hidden", 0),
+        ("hidden", 1),
+        ("d_z", 17),
+        ("lr_decay_every", 0),
+        ("lr_decay_every", -5),
+        ("feature_scale", 0.0),
+        ("feature_scale", -1.0),
+        ("feature_scale", np.nan),
+        ("feature_scale", np.inf),
     ])
     def test_bad_shape_or_schedule_rejected(self, field, bad):
-        # Each once crashed training (k=0, batch_size=0), was silently
-        # changed (epochs=-1 trained an epoch, gmm_iters=-3 ran none) or
-        # surfaced as a divergence at epoch 0 (NaN passes `< 0`).
+        # Each once crashed training (k=0, batch_size=0, d_z=0, hidden=0),
+        # was silently changed (epochs=-1 trained an epoch, gmm_iters=-3 ran
+        # none, lr_decay_every=-5 decayed every epoch) or surfaced as a
+        # divergence at epoch 0 (NaN passes `< 0`). d_z=17 exceeds the
+        # default hidden=32's 16 looks-linear pairs.
         with pytest.raises(ValueError):
             TrainingConfig(**{field: bad})
 
     def test_smallest_shapes_accepted(self):
         TrainingConfig(epochs=0, batch_size=1, k=1, gmm_iters=0, lr=0.0,
-                       lr_decay_factor=0.0, momentum=-0.5)
+                       lr_decay_factor=0.0, momentum=-0.5, d_z=1, hidden=2,
+                       lr_decay_every=1)
+        TrainingConfig(d_z=16, hidden=33)
+
+    def test_explicit_decay_period_kept(self):
+        assert TrainingConfig(epochs=30, lr_decay_every=7).decay_every() == 7
 
     def test_unknown_defense_rejected(self):
         with pytest.raises(UnknownDefense):
