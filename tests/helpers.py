@@ -105,9 +105,10 @@ def neg_logp_grouped(mix, noise, n_samples, seed):
     order = np.argsort(choices, kind="stable")
     zs = z[order]
     feat = np.concatenate([zs * zs, zs], axis=1)
+    bounds = np.searchsorted(choices[order], np.arange(k + 1))
     log_terms = np.empty((n_samples, k))
     for c in range(k):
-        group = slice(*np.searchsorted(choices[order], [c, c + 1]))
+        group = slice(bounds[c], bounds[c + 1])
         np.einsum("nl,li->ni", feat[group], coef[c], out=log_terms[group])
         log_terms[group] *= -0.5
         log_terms[group] += const[c]
