@@ -2,11 +2,17 @@
 mapping noisy features back to inputs, with white-box access to the frozen
 encoder and the training split, plus the closed-form posterior-mean
 adversary for jointly Gaussian worlds.
+
+Random streams: initial weights from ``derived_seed(seed, 10)``; per
+epoch, noise from ``seeded_rng(derived_seed(seed, 11, epoch), 0xE9)``
+(none for a noise-free run) and batch order from ``seeded_rng(seed, 12,
+epoch)``; evaluation noise from :func:`~cemlab.network.noise_inject`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -15,6 +21,7 @@ from .data import Dataset
 from .errors import CemError, NonFinite
 from .network import (
     NeuralModule,
+    RunStack,
     StackedNet,
     init_network,
     noise_inject,
@@ -101,35 +108,24 @@ def train_attacker_many(
     for it, and the other runs go on.
     """
     stack = _AttackStack(encoders, noises, datasets, cfgs)
-    results: list = [None] * len(cfgs)
     starts = range(0, stack.n_train, stack.batch_size)
     for epoch in range(cfgs[0].epochs):
         if not stack.ids:
             break
         stack.start_epoch(epoch)
+        diverged = f"attack diverged at epoch {epoch}"
         for start in starts:
-            while stack.ids:
-                try:
-                    stack.step(start)
-                    break
-                except NonFinite as exc:
-                    errors = exc.runs or dict.fromkeys(range(len(stack.ids)), exc)
-                    for r, err in errors.items():
-                        err.runs = None
-                        wrapped = NonFinite(f"attack diverged at epoch {epoch}: {err}")
-                        wrapped.__cause__ = err
-                        results[stack.ids[r]] = wrapped
-                    stack.keep([r for r in range(len(stack.ids)) if r not in errors])
+            stack.attempt(lambda: stack.step(start), NonFinite, NonFinite, diverged)
     for r, i in enumerate(stack.ids):
-        results[i] = stack.attacker.take(r)
-    return results
+        stack.results[i] = stack.attacker.take(r)
+    return stack.results
 
 
-class _AttackStack:
-    """The live runs of a :func:`train_attacker_many` call, stacked along a
-    leading axis; ``ids`` holds each run's position in the caller's list."""
+class _AttackStack(RunStack):
+    """The live runs of a :func:`train_attacker_many` call (see
+    :class:`RunStack`)."""
 
-    _PER_RUN = ("feats_clean", "x", "lr", "momentum", "feats", "targets")
+    _PER_RUN = ("feats_clean", "x", "feats", "targets")
 
     def __init__(self, encoders, noises, datasets, cfgs):
         if not cfgs or not len(encoders) == len(noises) == len(datasets) == len(cfgs):
@@ -138,68 +134,40 @@ class _AttackStack:
                 "per config"
             )
         xs = [data.train_arrays()[0] for data in datasets]
-
-        def shape(encoder, x, cfg):
-            return (encoder.out_dim, x.shape, list(cfg.hidden_dims), cfg.batch_size,
-                    cfg.epochs, cfg.output_activation)
-
-        first = shape(encoders[0], xs[0], cfgs[0])
-        if any(shape(*run) != first for run in zip(encoders, xs, cfgs)):
-            raise ValueError("the runs of a stack must share their shapes")
-        self.n_train, d_in = xs[0].shape
+        shapes = [
+            (encoder.out_dim, x.shape, list(cfg.hidden_dims), cfg.batch_size,
+             cfg.epochs, cfg.output_activation)
+            for encoder, x, cfg in zip(encoders, xs, cfgs)
+        ]
+        n_train, d_in = xs[0].shape
+        super().__init__(cfgs, noises, shapes, n_train, encoders[0].out_dim)
         self.batch_size = cfgs[0].batch_size
         dims = [encoders[0].out_dim, *cfgs[0].hidden_dims, d_in]
         activations = ["relu"] * len(cfgs[0].hidden_dims) + [cfgs[0].output_activation]
-
-        self.ids = list(range(len(cfgs)))
-        self.cfgs = list(cfgs)
-        self.noises = list(noises)
         self.attacker = StackedNet(
             [init_network(dims, activations, derived_seed(cfg.seed, 10)) for cfg in cfgs],
-            rows=min(self.batch_size, self.n_train),
+            rows=min(self.batch_size, n_train),
         )
         self.feats_clean = np.stack([
             predict(encoder, x) for encoder, x in zip(encoders, xs)
         ])
         self.x = np.stack(xs)
-        self.lr = np.array([cfg.lr for cfg in cfgs])[:, None]
-        self.momentum = np.array([cfg.momentum for cfg in cfgs])[:, None]
         self.feats = self.targets = None   # per epoch, in epoch order
-        self._share_rates()
-
-    def _share_rates(self) -> None:
-        """The lr and momentum the step gets: one float where every run has
-        the same value, which it applies with the same bits as the per-run
-        array, at less cost."""
-        self.step_lr, self.step_momentum = (
-            float(v[0, 0]) if len(v) and (v == v[0]).all() else v
-            for v in (self.lr, self.momentum)
-        )
+        self.set_rates([cfg.lr for cfg in cfgs], [cfg.momentum for cfg in cfgs])
 
     def keep(self, live) -> None:
-        """Drop every run not listed in ``live``."""
-        live = np.asarray(live, dtype=np.intp)
-        self.ids = [self.ids[r] for r in live]
-        self.cfgs = [self.cfgs[r] for r in live]
-        self.noises = [self.noises[r] for r in live]
-        for name in self._PER_RUN:
-            setattr(self, name, getattr(self, name)[live])
+        super().keep(live)
         self.attacker.keep(live)
-        self._share_rates()
 
     def start_epoch(self, epoch: int) -> None:
         """Each run's fresh noise draw for ``epoch``, with the features and
         targets put in the run's batch order for the epoch."""
-        feats = noise_inject(
-            self.feats_clean, self.noises,
-            [derived_seed(cfg.seed, 11, epoch) for cfg in self.cfgs],
-        )
-        order = np.stack([
-            seeded_rng(cfg.seed, 12, epoch).permutation(self.n_train)
-            for cfg in self.cfgs
-        ])
-        pick = (np.arange(len(self.ids))[:, None], order)
-        self.feats, self.targets = feats[pick], self.x[pick]
+        rngs = [
+            seeded_rng(derived_seed(cfg.seed, 11, epoch), 0xE9)
+            for cfg in compress(self.cfgs, self.noisy)
+        ]
+        feats = self.add_noise(self.feats_clean, self.draw_noise(rngs))
+        self.feats, self.targets = self.in_epoch_order(12, epoch, feats, self.x)
 
     def step(self, start: int) -> None:
         """One batch for every run, from ``start`` in each run's epoch

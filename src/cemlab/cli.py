@@ -99,6 +99,19 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _cell(x: float | None) -> str:
+    return "" if x is None else _fmt(x)
+
+
+def _csv_text(rows) -> str:
+    """``rows`` as CSV lines. Minimal quoting: a cell with a comma, a quote
+    or a line break (say, an error message or a run path) is quoted, and
+    other rows keep their plain bytes."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
+
+
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
@@ -168,17 +181,12 @@ def training_config(config: dict) -> trainer.TrainingConfig:
 
 
 def write_history_csv(path: Path, run_id: str, history) -> None:
-    lines = [f"# run_id={run_id}", "epoch,l_d,l_c,total,accuracy,rel_cond_entropy"]
-    for row in history:
-        lines.append(",".join([
-            str(row.epoch),
-            _fmt(row.l_d),
-            _fmt(row.l_c),
-            _fmt(row.total),
-            _fmt(row.accuracy),
-            _fmt(-row.l_c),
-        ]))
-    write_atomic(path, "\n".join(lines) + "\n")
+    rows = [["epoch", "l_d", "l_c", "total", "accuracy", "rel_cond_entropy"]]
+    rows += [
+        [str(row.epoch), *map(_fmt, (row.l_d, row.l_c, row.total, row.accuracy, -row.l_c))]
+        for row in history
+    ]
+    write_atomic(path, f"# run_id={run_id}\n" + _csv_text(rows))
 
 
 def noise_model(config: dict) -> bounds.NoiseModel:
@@ -296,19 +304,16 @@ def save_attack(base: Path, run_id: str, attack_seed: int,
                 f"refusing to append a row of run {run_id}"
             )
     write_atomic(base / "attack_report.json", _json_text(report.to_dict()))
-    row = ",".join([
+    rows = [[
         str(attack_seed),
-        _fmt(report.mse_train),
-        _fmt(report.mse_infer),
-        _fmt(report.psnr_train),
-        _fmt(report.psnr_infer),
-        "" if report.floor is None else _fmt(report.floor),
-    ]) + "\n"
+        *map(_cell, (report.mse_train, report.mse_infer, report.psnr_train,
+                     report.psnr_infer, report.floor)),
+    ]]
+    if fresh:
+        rows.insert(0, ["attack_seed", "mse_train", "mse_infer", "psnr_train",
+                        "psnr_infer", "floor"])
     with open(csv_path, "a", encoding="utf-8", newline="") as fh:
-        if fresh:
-            fh.write(f"# run_id={run_id}\n")
-            fh.write("attack_seed,mse_train,mse_infer,psnr_train,psnr_infer,floor\n")
-        fh.write(row)
+        fh.write((f"# run_id={run_id}\n" if fresh else "") + _csv_text(rows))
 
 
 def cmd_bounds(run: str, h_x_offset: float | None = None) -> bounds.BoundsReport:
@@ -415,16 +420,7 @@ def _attack_points(points: list[dict], trained: list) -> list:
     return outcomes
 
 
-def _sweep_csv_row(row: dict) -> str:
-    fields = [
-        _fmt(row["variance"]),
-        "" if row["rel_cond_entropy"] is None else _fmt(row["rel_cond_entropy"]),
-        "" if row["mse_train"] is None else _fmt(row["mse_train"]),
-        "" if row["mse_infer"] is None else _fmt(row["mse_infer"]),
-        "" if row["accuracy"] is None else _fmt(row["accuracy"]),
-        row["error"],
-    ]
-    return ",".join(fields) + "\n"
+_SWEEP_COLUMNS = ["variance", "rel_cond_entropy", "mse_train", "mse_infer", "accuracy"]
 
 
 def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
@@ -442,11 +438,8 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
         raise ValueError(f"grid variances must be finite and nonnegative, got {bad}")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
-    write_atomic(
-        csv_path,
-        f"# run_id={run_id_for(config)}\n"
-        "variance,rel_cond_entropy,mse_train,mse_infer,accuracy,error\n",
-    )
+    header = _csv_text([[*_SWEEP_COLUMNS, "error"]])
+    write_atomic(csv_path, f"# run_id={run_id_for(config)}\n" + header)
 
     points = [
         dict(config, noise_std=float(np.sqrt(variance)), defense="noise_only")
@@ -467,7 +460,7 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
                 "error": f"{type(exc).__name__}: {exc}",
             }
         with open(csv_path, "a", encoding="utf-8", newline="") as fh:
-            fh.write(_sweep_csv_row(row))
+            fh.write(_csv_text([[*(_cell(row[c]) for c in _SWEEP_COLUMNS), row["error"]]]))
         rows.append(row)
     return rows
 
@@ -531,13 +524,8 @@ def cmd_report(out_dir: Path) -> list[dict]:
         "run_id", "path", "lam", "noise_std", "seed",
         "final_accuracy", "final_l_c", "mse_train", "mse_infer", "mi_bound",
     ]
-    # Minimal quoting: a field with a comma (say, in a run path) is quoted,
-    # and other rows keep their plain bytes.
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([entry[c] for c in columns] for entry in entries)
-    write_atomic(out_dir / "report.csv", text.getvalue())
+    rows = [columns, *([entry[c] for c in columns] for entry in entries)]
+    write_atomic(out_dir / "report.csv", _csv_text(rows))
     return entries
 
 

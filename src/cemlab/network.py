@@ -5,9 +5,13 @@ cross-entropy, and the additive noise layer with identity pass-through.
 Everything is float64; batches are (N, d) row matrices. A stack of R
 same-shaped modules (:meth:`NeuralModule.stack`) holds (R, out, in)
 weights and (R, 1, out) biases and runs on (R, N, d) batches: every
-function here takes either form, and each run of a stack gets the bits it
-would get alone, because a stacked matrix product multiplies each run's
-matrices as the unstacked product does.
+function here but :func:`noise_inject` takes either form, and each run of
+a stack gets the bits it would get alone, because a stacked matrix product
+multiplies each run's matrices as the unstacked product does.
+
+The package runs :class:`StackedNet` and :func:`predict`; the tape chain
+(:func:`forward`, :func:`backward`, :func:`sgd_step`) is the reference they
+match bit for bit, called only by tests and the benchmark's tracer.
 
 :class:`StackedNet` trains such a stack in place, with the bits of
 :func:`forward`, :func:`backward` and :func:`sgd_step`. Its buffers are
@@ -26,12 +30,16 @@ then ``commit``, which swaps the current and proposed buffers. A step that
 is not committed changes nothing, so it can be retried without the runs
 that failed it. What ``forward``, ``out_grad`` and ``backward`` return are
 views into the buffers, which the next step overwrites.
+
+:class:`RunStack` is what the trainer's and the attacker's stacks share:
+live runs, the retry without failed runs, batch order, noise and rates.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -159,12 +167,12 @@ def init_looks_linear(
     the inputs, which the entropy penalty needs: its pull toward cluster
     means only respects class structure if the initial clusters do.
 
-    ``hidden`` is rounded down to an even width by the pairing.
+    The pairing needs an even ``hidden``.
     """
     half = hidden // 2
-    if half < 1 or d_z > half:
+    if hidden % 2 or half < 1 or d_z > half:
         raise ShapeMismatch(
-            f"looks-linear init needs hidden >= 2 and d_z <= hidden//2, "
+            f"looks-linear init needs an even hidden >= 2 and d_z <= hidden//2, "
             f"got hidden={hidden}, d_z={d_z}"
         )
     rng = seeded_rng(seed, 0x11)
@@ -240,25 +248,15 @@ def predict(m: NeuralModule, batch: np.ndarray) -> np.ndarray:
 
 
 def noise_inject(feats: np.ndarray, noise, seed: int) -> np.ndarray:
-    """Add i.i.d. zero-mean Gaussian noise of variance std^2 per entry.
+    """One run's ``feats`` plus i.i.d. zero-mean Gaussian noise of variance
+    std^2 per entry, from ``seeded_rng(seed, 0xE9)``; a copy of ``feats``
+    if std is 0. A stack's noise is :meth:`RunStack.draw_noise`.
 
     Gradient contract: identity pass-through. The noise is independent of
     the features, so the upstream gradient flows through unchanged; callers
     simply reuse the gradient at the noisy output for the clean features.
-
-    For a stack of runs (``feats`` of shape (R, N, d)), ``noise`` and
-    ``seed`` are sequences with one entry per run.
     """
     x = np.asarray(feats, dtype=np.float64)
-    if x.ndim == 3:
-        out = np.empty_like(x)
-        for r, (model, run_seed) in enumerate(zip(noise, seed)):
-            if model.std == 0:
-                out[r] = x[r]
-            else:
-                rng = seeded_rng(run_seed, 0xE9)
-                np.add(x[r], model.std * rng.standard_normal(x.shape[1:]), out=out[r])
-        return out
     if noise.std == 0:
         return x.copy()
     rng = seeded_rng(seed, 0xE9)
@@ -515,6 +513,102 @@ class StackedNet:
         """Make the proposed parameters and velocity current."""
         self._params.reverse()
         self._velocity.reverse()
+
+
+class RunStack:
+    """The live runs of a stacked training call, along a leading run axis:
+    ``ids`` holds each one's position in the caller's lists and ``results``
+    each run's outcome by that position. The runs' ``shapes`` must be equal.
+    A subclass names its per-run arrays in ``_PER_RUN`` and drops its
+    networks' runs in its own ``keep``."""
+
+    _PER_RUN: tuple[str, ...] = ()
+
+    def __init__(self, cfgs: list, noises: list, shapes: list, n_train: int, width: int):
+        if any(shape != shapes[0] for shape in shapes):
+            raise ValueError("the runs of a stack must share their shapes")
+        self.ids = list(range(len(cfgs)))
+        self.cfgs = list(cfgs)
+        self.noises = list(noises)
+        self.noisy = np.array([noise.std > 0 for noise in noises])
+        self.n_train, self.width = n_train, width
+        self.results: list = [None] * len(cfgs)
+        self.lr = self.momentum = None
+
+    def keep(self, live) -> None:
+        """Drop every run not listed in ``live``."""
+        live = np.asarray(live, dtype=np.intp)
+        self.ids, self.cfgs, self.noises = (
+            [runs[r] for r in live] for runs in (self.ids, self.cfgs, self.noises)
+        )
+        self.noisy = self.noisy[live]
+        for name in self._PER_RUN:
+            if getattr(self, name) is not None:
+                setattr(self, name, getattr(self, name)[live])
+        if self.lr is not None:
+            self.set_rates(self.lr[live, 0], self.momentum[live, 0])
+
+    def attempt(self, action, caught, wrapped, prefix: str):
+        """``action()``, which stores nothing when it fails, retried without
+        the runs it fails with a ``caught`` error; None if no run is left.
+        A failed run's result is its solo error, a ``wrapped`` kind wrapped
+        as ``NonFinite(f"{prefix}: {err}")``."""
+        while self.ids:
+            try:
+                return action()
+            except caught as exc:
+                errors = exc.runs or dict.fromkeys(range(len(self.ids)), exc)
+                for r, err in errors.items():
+                    err.runs = None
+                    if isinstance(err, wrapped):
+                        diverged = NonFinite(f"{prefix}: {err}")
+                        diverged.__cause__ = err
+                        err = diverged
+                    self.results[self.ids[r]] = err
+                self.keep([r for r in range(len(self.ids)) if r not in errors])
+        return None
+
+    def set_rates(self, lr, momentum) -> None:
+        """Each live run's lr and momentum as (R, 1) arrays, and as
+        ``step_lr``/``step_momentum`` what a step passes to ``propose``: one
+        float where every run shares the value (same bits, less cost)."""
+        self.lr, self.momentum = (
+            np.asarray(v, dtype=np.float64).reshape(-1, 1) for v in (lr, momentum)
+        )
+        self.step_lr, self.step_momentum = (
+            float(v[0, 0]) if len(v) and (v == v[0]).all() else v
+            for v in (self.lr, self.momentum)
+        )
+
+    def rngs(self, tag: int, epoch: int, where=None) -> list:
+        """``seeded_rng(seed, tag, epoch)`` for each live run, or for each one
+        that the boolean array ``where`` selects."""
+        cfgs = self.cfgs if where is None else compress(self.cfgs, where)
+        return [seeded_rng(cfg.seed, tag, epoch) for cfg in cfgs]
+
+    def in_epoch_order(self, tag: int, epoch: int, *arrays) -> list[np.ndarray]:
+        """``arrays`` with each run's rows in its order for ``epoch``,
+        ``seeded_rng(seed, tag, epoch).permutation``: a batch is a slice."""
+        order = np.stack([rng.permutation(self.n_train) for rng in self.rngs(tag, epoch)])
+        pick = (np.arange(len(self.ids))[:, None], order)
+        return [a[pick] for a in arrays]
+
+    def draw_noise(self, rngs) -> np.ndarray:
+        """Each live run's std times (n_train, width) standard normals, from
+        ``rngs``: one generator per noisy run, in stack order. A noise-free
+        run draws nothing and gets zeros."""
+        out = np.zeros((len(self.ids), self.n_train, self.width))
+        for r, rng in zip(np.flatnonzero(self.noisy), rngs):
+            np.multiply(self.noises[r].std, rng.standard_normal(out.shape[1:]), out=out[r])
+        return out
+
+    def add_noise(self, feats: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """``feats + noise`` as a new array, with a noise-free run's features
+        copied untouched (no ``+ 0.0``, which would turn -0.0 into 0.0)."""
+        out = feats + noise
+        if not self.noisy.all():
+            out[~self.noisy] = feats[~self.noisy]
+        return out
 
 
 def task_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

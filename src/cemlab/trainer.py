@@ -11,20 +11,23 @@ Inside an epoch the mixture is held as a :class:`MixtureState` of plain
 arrays; one :func:`cem_step` per batch updates it and returns the penalty
 and its gradient.
 
-:func:`train_many` runs several same-shaped runs as one computation, with
-every array carrying a leading run axis; :func:`train` is one run of it.
-Each run keeps its own random streams and gets the bits it gets alone.
+:func:`train_many` runs several same-shaped runs as one computation, a
+:class:`~cemlab.network.RunStack` with every array carrying a leading run
+axis; :func:`train` is one run of it. Each run keeps its own random streams
+and gets the bits it gets alone. The refit encodes with
+:func:`~cemlab.network.predict`, a batch with the stack's ``StackedNet``.
 
 Random streams: each run draws its noise and batch order from generators
-``seeded_rng(seed, tag, epoch)``, one per (run, tag, epoch): tag 3 is the
-refit's noise, tag 5 the batch order and tag 6 the batch noise. The batch
-noise is drawn once per epoch as std times (n_train, d_z) standard
-normals, row ``i`` belonging to the epoch's ``i``-th batch row, and each
-batch takes its slice; since a generator fills in order, that is the
-stream one generator per (run, epoch) gives batch by batch. A noise-free
-run draws nothing and its features pass through untouched. The models'
-initial weights come from ``derived_seed(seed, 1)`` and ``(seed, 2)``, and
-the first refit's k-means++ seeding from ``derived_seed(seed, 4, 0)``.
+``seeded_rng(seed, tag, epoch)`` (:meth:`RunStack.rngs`), one per (run,
+tag, epoch): tag 3 is the refit's noise, tag 5 the batch order and tag 6
+the batch noise. The batch noise is drawn once per epoch as std times
+(n_train, d_z) standard normals, row ``i`` belonging to the epoch's
+``i``-th batch row, and each batch takes its slice; since a generator
+fills in order, that is the stream one generator per (run, epoch) gives
+batch by batch. A noise-free run draws nothing and its features pass
+through untouched. The models' initial weights come from
+``derived_seed(seed, 1)`` and ``(seed, 2)``, and the first refit's
+k-means++ seeding from ``derived_seed(seed, 4, 0)``.
 """
 
 from __future__ import annotations
@@ -51,14 +54,15 @@ from .mixture import (
 )
 from .network import (
     NeuralModule,
+    RunStack,
     StackedNet,
-    forward,
     init_looks_linear,
     init_network,
     noise_inject,
+    predict,
     task_loss,
 )
-from .numerics import derived_seed, seeded_rng
+from .numerics import derived_seed
 
 # Both kinds train on the plain task loss; `none` injects no noise.
 DEFENSE_KINDS = ("none", "noise_only")
@@ -97,11 +101,11 @@ class TrainingConfig:
         if self.batch_size < 1 or (self.k is not None and self.k < 1):
             raise ValueError("batch_size and k must be at least 1")
         # The looks-linear encoder pairs its hidden units, so this also
-        # needs hidden >= 2.
-        if not 1 <= self.d_z <= self.hidden // 2:
+        # needs an even hidden >= 2.
+        if self.hidden % 2 or not 1 <= self.d_z <= self.hidden // 2:
             raise ValueError(
-                f"need 1 <= d_z <= hidden // 2, got d_z={self.d_z}, "
-                f"hidden={self.hidden}"
+                f"need an even hidden and 1 <= d_z <= hidden // 2, got "
+                f"d_z={self.d_z}, hidden={self.hidden}"
             )
         if self.lr_decay_every is not None and self.lr_decay_every < 1:
             raise ValueError("lr_decay_every must be at least 1")
@@ -199,36 +203,21 @@ def train_many(
     for it, and the other runs go on.
     """
     stack = _Stack(cfgs, datasets)
-    results: list = [None] * len(cfgs)
     histories = [[] for _ in cfgs]
     epochs = cfgs[0].epochs
-
-    def attempt(action, epoch, wrapped):
-        """``action()``, retried without the runs it fails; their errors are
-        recorded, the ``wrapped`` kinds as a divergence at ``epoch``."""
-        while stack.ids:
-            try:
-                return action()
-            except CemError as exc:
-                errors = exc.runs or dict.fromkeys(range(len(stack.ids)), exc)
-                for r, err in errors.items():
-                    err.runs = None
-                    if isinstance(err, wrapped):
-                        err = _diverged(err, epoch)
-                    results[stack.ids[r]] = err
-                stack.keep([r for r in range(len(stack.ids)) if r not in errors])
-        return None
-
     starts = range(0, stack.n_train, stack.batch_size)
     for epoch in range(max(epochs, 1)):
+        diverged = f"training diverged at epoch {epoch}"
         # Features whose squares overflow the covariance are a divergence,
         # not a data defect.
-        stack.state = attempt(lambda: stack.refit(epoch), epoch, NonPositiveDefinite)
+        stack.state = stack.attempt(lambda: stack.refit(epoch), CemError,
+                                    NonPositiveDefinite, diverged)
         if epochs == 0 or not stack.ids:
             break
         stack.start_epoch(epoch)
         for start in starts:
-            attempt(lambda: stack.step(start), epoch, (NonFinite, NonPositiveDefinite))
+            stack.attempt(lambda: stack.step(start), CemError,
+                          (NonFinite, NonPositiveDefinite), diverged)
         for i, cfg, run_sums in zip(stack.ids, stack.cfgs, stack.sums):
             l_d_mean, l_c_mean, acc_mean = run_sums / len(starts)
             histories[i].append(
@@ -242,56 +231,44 @@ def train_many(
             )
 
     for r, i in enumerate(stack.ids):
-        results[i] = TrainResult(
+        stack.results[i] = TrainResult(
             stack.encoder.take(r), stack.decoder.take(r),
             stack.state.take(r).to_mixture(), histories[i],
         )
-    return results
+    return stack.results
 
 
-def _diverged(err: CemError, epoch: int) -> NonFinite:
-    wrapped = NonFinite(f"training diverged at epoch {epoch}: {err}")
-    wrapped.__cause__ = err
-    return wrapped
+class _Stack(RunStack):
+    """The live runs of a :func:`train_many` call (see :class:`RunStack`)."""
 
-
-class _Stack:
-    """The live runs of a :func:`train_many` call, stacked along a leading
-    axis; ``ids`` holds each run's position in the caller's list."""
-
-    _PER_RUN = (
-        "x", "y", "lam", "lam_on", "noisy", "noise_var", "noise_logdet",
-        "momentum", "ridge", "lr", "x_epoch", "y_epoch", "noise_epoch", "sums",
-    )
+    _PER_RUN = ("x", "y", "lam", "lam_on", "noise_var", "noise_logdet", "ridge",
+                "x_epoch", "y_epoch", "noise_epoch", "sums")
 
     def __init__(self, cfgs: list[TrainingConfig], datasets: list[Dataset]):
         if not cfgs or len(cfgs) != len(datasets):
             raise ValueError("train_many needs one dataset per config")
         splits = [data.train_arrays() for data in datasets]
         x0 = splits[0][0]
-        self.n_train = x0.shape[0]
-        if self.n_train == 0:
+        n_train = x0.shape[0]
+        if n_train == 0:
             raise ValueError("training split is empty")
         self.batch_size = cfgs[0].batch_size
-        if self.batch_size > self.n_train:
+        if self.batch_size > n_train:
             raise ValueError(
-                f"batch_size {self.batch_size} exceeds training set size {self.n_train}"
+                f"batch_size {self.batch_size} exceeds training set size {n_train}"
             )
-        n_classes = datasets[0].n_classes
-        self.k = cfgs[0].resolved_k(n_classes)
-        shape = (x0.shape, n_classes, self.k, cfgs[0].hidden, cfgs[0].d_z,
-                 self.batch_size, cfgs[0].epochs)
-        for cfg, data, (x, _) in list(zip(cfgs, datasets, splits))[1:]:
-            if (x.shape, data.n_classes, cfg.resolved_k(data.n_classes), cfg.hidden,
-                    cfg.d_z, cfg.batch_size, cfg.epochs) != shape:
-                raise ValueError("the runs of a stack must share their shapes")
-
-        self.ids = list(range(len(cfgs)))
-        self.cfgs = list(cfgs)
-        self.noises = [
+        shapes = [
+            (x.shape, data.n_classes, cfg.resolved_k(data.n_classes), cfg.hidden,
+             cfg.d_z, cfg.batch_size, cfg.epochs)
+            for cfg, data, (x, _) in zip(cfgs, datasets, splits)
+        ]
+        noises = [
             NoiseModel(std=effective_noise_std(cfg.defense, cfg.noise_std), dim=cfg.d_z)
             for cfg in cfgs
         ]
+        super().__init__(cfgs, noises, shapes, n_train, cfgs[0].d_z)
+        n_classes = datasets[0].n_classes
+        self.k = shapes[0][2]
         models = [build_models(cfg, x0.shape[1], n_classes) for cfg in cfgs]
         self.encoder = StackedNet([enc for enc, _ in models], self.batch_size)
         self.decoder = StackedNet([dec for _, dec in models], self.batch_size)
@@ -302,32 +279,23 @@ class _Stack:
         lam = np.array([cfg.lam for cfg in cfgs])
         self.lam = lam[:, None, None]
         self.lam_on = lam > 0
-        std = np.array([noise.std for noise in self.noises])
-        self.noisy = std > 0
+        std = np.array([noise.std for noise in noises])
         self.noise_var = (std**2)[:, None, None]
         # A noise-free run's penalty is computed with a stand-in 0 and
         # discarded.
         self.noise_logdet = np.array([
-            [noise.logdet() if noise.std > 0 else 0.0] for noise in self.noises
+            [noise.logdet() if noise.std > 0 else 0.0] for noise in noises
         ])
-        self.momentum = np.array([cfg.momentum for cfg in cfgs])[:, None]
         # Noisy features carry at least the injected variance in every
         # direction; ridging the cluster covariances at that scale keeps
         # singleton clusters from producing near-zero denominators in the
         # penalty gradient.
         self.ridge = np.maximum(1e-6, std**2)
         # per epoch
-        self.lr = self.x_epoch = self.y_epoch = self.noise_epoch = self.sums = None
+        self.x_epoch = self.y_epoch = self.noise_epoch = self.sums = None
 
     def keep(self, live) -> None:
-        """Drop every run not listed in ``live``."""
-        live = np.asarray(live, dtype=np.intp)
-        self.ids = [self.ids[r] for r in live]
-        self.cfgs = [self.cfgs[r] for r in live]
-        self.noises = [self.noises[r] for r in live]
-        for name in self._PER_RUN:
-            if getattr(self, name) is not None:
-                setattr(self, name, getattr(self, name)[live])
+        super().keep(live)
         self.encoder.keep(live)
         self.decoder.keep(live)
         if self.state is not None:
@@ -336,13 +304,13 @@ class _Stack:
     def refit(self, epoch: int):
         """Re-encode the training split with fresh noise and refit every
         run's mixture, warm-started from its current means."""
-        feats, _ = forward(self.encoder.module(), self.x)
+        feats = predict(self.encoder.module(), self.x)
         finite = np.isfinite(feats).all(axis=(1, 2))
         raise_for_runs({
             int(r): NonFinite(f"training diverged at epoch {epoch}: non-finite features")
             for r in np.flatnonzero(~finite)
         })
-        noisy = self.add_noise(feats, self.draw_noise(3, epoch))
+        noisy = self.add_noise(feats, self.draw_noise(self.rngs(3, epoch, self.noisy)))
         # Seeds are drawn only for the first fit; later fits warm-start.
         seeds = None if self.state is not None else [
             derived_seed(cfg.seed, 4, epoch) for cfg in self.cfgs
@@ -353,36 +321,15 @@ class _Stack:
             ridges=self.ridge,
         )
 
-    def draw_noise(self, tag: int, epoch: int) -> np.ndarray:
-        """Each run's noise for the training split in ``epoch``: std times
-        (n_train, d_z) standard normals from one generator per run,
-        ``seeded_rng(seed, tag, epoch)``; zeros for a noise-free run."""
-        out = np.zeros((len(self.ids), self.n_train, self.encoder.out_dim))
-        for r in np.flatnonzero(self.noisy):
-            rng = seeded_rng(self.cfgs[r].seed, tag, epoch)
-            np.multiply(self.noises[r].std, rng.standard_normal(out.shape[1:]), out=out[r])
-        return out
-
-    def add_noise(self, feats: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """``feats + noise`` as a new array, with a noise-free run's features
-        copied untouched (no ``+ 0.0``, which would turn -0.0 into 0.0)."""
-        out = feats + noise
-        if not self.noisy.all():
-            out[~self.noisy] = feats[~self.noisy]
-        return out
-
     def start_epoch(self, epoch: int) -> None:
         """The epoch's learning rates, and each run's training split and
         batch noise in its batch order for the epoch, so that a batch is a
         slice."""
-        self.lr = np.array([cfg.lr_at(epoch) for cfg in self.cfgs])[:, None]
-        order = np.stack([
-            seeded_rng(cfg.seed, 5, epoch).permutation(self.n_train)
-            for cfg in self.cfgs
-        ])
-        pick = (np.arange(len(self.ids))[:, None], order)
-        self.x_epoch, self.y_epoch = self.x[pick], self.y[pick]
-        self.noise_epoch = self.draw_noise(6, epoch)
+        self.set_rates(
+            [cfg.lr_at(epoch) for cfg in self.cfgs], [cfg.momentum for cfg in self.cfgs]
+        )
+        self.x_epoch, self.y_epoch = self.in_epoch_order(5, epoch, self.x, self.y)
+        self.noise_epoch = self.draw_noise(self.rngs(6, epoch, self.noisy))
         self.sums = np.zeros((len(self.ids), 3))  # l_d, l_c, accuracy
 
     def step(self, start: int) -> None:
@@ -415,8 +362,8 @@ class _Stack:
         if self.lam_on.any():
             np.add(g, self.lam * penalty_grad, out=g, where=self.lam_on[:, None, None])
         self.encoder.backward()
-        self.encoder.propose(self.lr, self.momentum)
-        self.decoder.propose(self.lr, self.momentum)
+        self.encoder.propose(self.step_lr, self.step_momentum)
+        self.decoder.propose(self.step_lr, self.step_momentum)
 
         acc = (logits.argmax(axis=-1) == yb).sum(axis=-1) / yb.shape[1]
         self.encoder.commit()
@@ -439,8 +386,8 @@ def evaluate_utility(
     """Mean top-1 accuracy with (by default) inference-time corruption
     matching the training-time noise."""
     x, y = data.test_arrays() if split == "test" else data.train_arrays()
-    feats, _ = forward(encoder, x)
+    feats = predict(encoder, x)
     if with_noise:
         feats = noise_inject(feats, noise, seed)
-    logits, _ = forward(decoder, feats)
+    logits = predict(decoder, feats)
     return float(np.mean(np.argmax(logits, axis=1) == y))

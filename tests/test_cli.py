@@ -101,6 +101,16 @@ class TestTrainCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_odd_hidden_in_file_exit_2_before_writing(self, tmp_path, capsys):
+        # The looks-linear encoder pairs its hidden units; an odd width once
+        # trained a 32-unit encoder beside a 33-unit decoder.
+        cfg_path = write_config(tmp_path / "cfg.json", hidden=33)
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "even hidden" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_epochs_header_only_history(self, tmp_path):
         manifest = cmd_train(tiny_config(epochs=0), tmp_path / "run")
         lines = (tmp_path / "run" / "history.csv").read_text().splitlines()
@@ -343,6 +353,19 @@ class TestSweepAndReport:
             with pytest.raises(ValueError, match=r"nonnegative, got \[-0\.01\]"):
                 cmd_sweep(tiny_config(), [-0.01, 0.05], out)
         assert not (out / "sweep.csv").exists()
+
+    def test_sweep_error_row_quoted(self, tmp_path):
+        # An error message with commas once split its row into 8 fields
+        # under the 6-column header.
+        out = tmp_path / "sweep"
+        rows = cmd_sweep(dict(DEFAULT_CONFIG, d_z=40, epochs=1), [0.01], out)
+        message = rows[0]["error"]
+        assert message.startswith("ValueError: ") and "," in message
+        with open(out / "sweep.csv", newline="") as fh:
+            records = list(csv.reader(fh))
+        assert records[0][0].startswith("# run_id=")
+        assert [len(r) for r in records[1:]] == [6, 6]
+        assert records[2] == ["0.01", "", "", "", "", message]
 
     def test_report_aggregates_runs(self, tmp_path):
         out = tmp_path / "runs"

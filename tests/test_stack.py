@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from cemlab import cli
+from cemlab import network as network_mod
 from cemlab import trainer as trainer_mod
 from cemlab.data import Dataset
 from cemlab.mixture import fit_init_many
-from cemlab.network import StackedNet, forward
-from cemlab.numerics import seeded_rng
+from cemlab.network import StackedNet, predict
+from cemlab.numerics import derived_seed, seeded_rng
 from cemlab.trainer import train, train_many
 
 ARTIFACTS = ("history.csv", "encoder.json", "decoder.json", "mixture.json")
@@ -46,7 +47,12 @@ def assert_same_artifacts(a, b):
         dict(BASE, epochs=4, batch_size=50, seed=2, momentum=0.9, lr=0.0005),
         dict(BASE, epochs=4, batch_size=50, seed=5, lam=8.0, gmm_iters=2),
     ],
-], ids=["seed-lam-noise-lr", "none-momentum-short-batch"])
+    [  # one lr and momentum for every run: the step gets them as floats
+        dict(BASE, epochs=6, momentum=0.9),
+        dict(BASE, epochs=6, momentum=0.9, seed=2, lam=4.0, noise_std=0.2),
+        dict(BASE, epochs=6, momentum=0.9, seed=5, defense="none", lam=0.0),
+    ],
+], ids=["seed-lam-noise-lr", "none-momentum-short-batch", "shared-lr-momentum"])
 def test_stack_matches_solo_runs(tmp_path, configs):
     train_stack(configs, tmp_path / "stack")
     for i, config in enumerate(configs):
@@ -100,7 +106,8 @@ def test_stack_rejects_mixed_shapes():
 
 def test_noise_is_one_draw_per_run_and_epoch(monkeypatch):
     # A noisy run beside a defense="none" run. Every encoder and decoder
-    # forward, every refit input and every generator the trainer builds is
+    # forward, every refit input and every generator the network module
+    # builds (the stack's streams and the models' initial weights) is
     # recorded. A batch's forward runs in place, into buffers the next
     # batch reuses, so its output is recorded as a copy.
     noisy = dict(BASE, epochs=2, seed=3, noise_std=0.3)
@@ -109,10 +116,10 @@ def test_noise_is_one_draw_per_run_and_epoch(monkeypatch):
     datasets = [cli.build_dataset(c) for c in configs]
     calls, fits, streams = [], [], []
 
-    def recording_forward(module, batch):
-        out, tape = forward(module, batch)
+    def recording_predict(module, batch):
+        out = predict(module, batch)
         calls.append((batch, out))
-        return out, tape
+        return out
 
     stacked_forward = StackedNet.forward
 
@@ -129,10 +136,10 @@ def test_noise_is_one_draw_per_run_and_epoch(monkeypatch):
         streams.append((seed, *tags))
         return seeded_rng(seed, *tags)
 
-    monkeypatch.setattr(trainer_mod, "forward", recording_forward)
+    monkeypatch.setattr(trainer_mod, "predict", recording_predict)
     monkeypatch.setattr(StackedNet, "forward", recording_stacked_forward)
     monkeypatch.setattr(trainer_mod, "fit_init_many", recording_fit)
-    monkeypatch.setattr(trainer_mod, "seeded_rng", recording_rng)
+    monkeypatch.setattr(network_mod, "seeded_rng", recording_rng)
     results = train_many([cli.training_config(c) for c in configs], datasets)
     assert not any(isinstance(r, Exception) for r in results)
 
@@ -142,11 +149,14 @@ def test_noise_is_one_draw_per_run_and_epoch(monkeypatch):
     per_epoch = 1 + 2 * n_batches  # the refit's encoding, then each batch
     assert len(calls) == 2 * per_epoch and len(fits) == 2
     # One generator per run and epoch for each stream; none for the noise
-    # of the noise-free run, and none per batch.
-    assert sorted(streams) == sorted(
+    # of the noise-free run, and none per batch. Besides them, one per
+    # model for its initial weights.
+    inits = [(derived_seed(seed, tag), key) for seed in (3, 1)
+             for tag, key in ((1, 0x11), (2, 0x4E))]
+    assert sorted(streams) == sorted(inits + [
         stream for e in (0, 1)
         for stream in [(3, 3, e), (3, 5, e), (1, 5, e), (3, 6, e)]
-    )
+    ])
     for e in (0, 1):
         feats = calls[e * per_epoch][1]
         refit_noise = 0.3 * seeded_rng(3, 3, e).standard_normal((n_train, d_z))

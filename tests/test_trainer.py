@@ -111,6 +111,7 @@ class TestTrain:
         ("d_z", 0),
         ("hidden", 0),
         ("hidden", 1),
+        ("hidden", 33),
         ("d_z", 17),
         ("lr_decay_every", 0),
         ("lr_decay_every", -5),
@@ -124,7 +125,8 @@ class TestTrain:
         # was silently changed (epochs=-1 trained an epoch, gmm_iters=-3 ran
         # none, lr_decay_every=-5 decayed every epoch) or surfaced as a
         # divergence at epoch 0 (NaN passes `< 0`). d_z=17 exceeds the
-        # default hidden=32's 16 looks-linear pairs.
+        # default hidden=32's 16 looks-linear pairs; an odd hidden=33 once
+        # gave a 32-unit encoder beside a 33-unit decoder.
         with pytest.raises(ValueError):
             TrainingConfig(**{field: bad})
 
@@ -132,7 +134,7 @@ class TestTrain:
         TrainingConfig(epochs=0, batch_size=1, k=1, gmm_iters=0, lr=0.0,
                        lr_decay_factor=0.0, momentum=-0.5, d_z=1, hidden=2,
                        lr_decay_every=1)
-        TrainingConfig(d_z=16, hidden=33)
+        TrainingConfig(d_z=16, hidden=32)
 
     def test_explicit_decay_period_kept(self):
         assert TrainingConfig(epochs=30, lr_decay_every=7).decay_every() == 7
