@@ -45,6 +45,13 @@ class AttackConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("attack training needs at least one epoch")
+        if self.batch_size < 1 or any(h < 1 for h in self.hidden_dims):
+            raise ValueError("batch_size and hidden_dims entries must be at least 1")
+        # Written so that NaN fails too.
+        if not 0 <= self.lr < np.inf:
+            raise ValueError("lr must be finite and nonnegative")
+        if not -np.inf < self.momentum < np.inf:
+            raise ValueError("momentum must be finite")
 
 
 @dataclass

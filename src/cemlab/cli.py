@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, bounds, data, mixture, network, trainer
-from .errors import CemError, MissingArtifact, ParseError, UnknownDefense
+from .errors import CemError, MissingArtifact, ParseError
 from .files import write_atomic
 
 # Desk-scale calibration: at a few hundred training samples the entropy
@@ -37,7 +37,6 @@ DEFAULT_CONFIG = {
     "lr": 0.001,
     "momentum": 0.0,
     "seed": 0,
-    "defense": "noise_only",
     "d_z": 8,
     "hidden": 32,
     "feature_scale": 2.0,
@@ -63,9 +62,6 @@ class RunManifest:
     config: dict
     output_dir: str
     artifacts: dict
-    # The noise std the run injected (trainer.effective_noise_std); None for
-    # a manifest written without it.
-    effective_noise_std: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -73,7 +69,6 @@ class RunManifest:
             "config": self.config,
             "output_dir": self.output_dir,
             "artifacts": self.artifacts,
-            "effective_noise_std": self.effective_noise_std,
         }
 
     def save(self, path: Path) -> None:
@@ -84,15 +79,26 @@ class RunManifest:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+            config = check_config_keys(doc["config"], f"the config of manifest {path}")
             return RunManifest(
                 run_id=doc["run_id"],
-                config=doc["config"],
+                config=config,
                 output_dir=doc["output_dir"],
                 artifacts=doc["artifacts"],
-                effective_noise_std=doc.get("effective_noise_std"),
             )
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ParseError(f"invalid manifest {path}: {exc}") from exc
+
+
+def check_config_keys(values, source: str) -> dict:
+    """``values``, if it is a JSON object whose keys are all keys of
+    ``DEFAULT_CONFIG``; otherwise ``ParseError`` naming ``source``."""
+    if not isinstance(values, dict):
+        raise ParseError(f"{source} is not a JSON object")
+    unknown = set(values) - set(DEFAULT_CONFIG)
+    if unknown:
+        raise ParseError(f"unknown keys in {source}: {sorted(unknown)}")
+    return values
 
 
 def _fmt(x: float) -> str:
@@ -134,10 +140,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
                 file_values = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"config file {p} is not valid JSON: {exc}") from exc
-        unknown = set(file_values) - set(DEFAULT_CONFIG)
-        if unknown:
-            raise ParseError(f"unknown config keys in {p}: {sorted(unknown)}")
-        config.update(file_values)
+        config.update(check_config_keys(file_values, f"config file {p}"))
     for key, value in overrides.items():
         if value is not None:
             config[key] = value
@@ -172,7 +175,6 @@ def training_config(config: dict) -> trainer.TrainingConfig:
         lr=float(config["lr"]),
         momentum=float(config["momentum"]),
         seed=int(config["seed"]),
-        defense=str(config["defense"]),
         d_z=int(config["d_z"]),
         hidden=int(config["hidden"]),
         feature_scale=float(config["feature_scale"]),
@@ -190,14 +192,12 @@ def write_history_csv(path: Path, run_id: str, history) -> None:
 
 
 def noise_model(config: dict) -> bounds.NoiseModel:
-    """The noise a run's config injects: none under ``defense="none"``,
-    whatever its ``noise_std``."""
-    std = trainer.effective_noise_std(str(config["defense"]), float(config["noise_std"]))
-    return bounds.NoiseModel(std=std, dim=int(config["d_z"]))
+    """The noise a run's config injects."""
+    return bounds.NoiseModel(std=float(config["noise_std"]), dim=int(config["d_z"]))
 
 
 def cmd_train(config: dict, out_dir: Path) -> RunManifest:
-    cfg = training_config(config)
+    cfg = training_config(check_config_keys(config, "the run config"))
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = build_dataset(config)
     result = trainer.train(cfg, ds)
@@ -222,7 +222,6 @@ def save_run(config: dict, result: trainer.TrainResult, out_dir: Path) -> RunMan
 
     manifest = RunManifest(
         run_id=run_id, config=config, output_dir=str(out_dir), artifacts=artifacts,
-        effective_noise_std=noise_model(config).std,
     )
     manifest.save(out_dir / "manifest.json")
     return manifest
@@ -323,8 +322,7 @@ def cmd_bounds(run: str, h_x_offset: float | None = None) -> bounds.BoundsReport
     if noise.std <= 0:
         raise ValueError(
             f"the leakage bound needs noise_std > 0; run {manifest.run_id} "
-            f"injects noise_std={noise.std} (noise_std={config['noise_std']}, "
-            f"defense={config['defense']!r})"
+            f"injects noise_std={noise.std}"
         )
     mix = mixture.load_mixture(_artifact_path(manifest, base, "mixture"))
     offset = float(config["h_x_offset"]) if h_x_offset is None else float(h_x_offset)
@@ -436,15 +434,13 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
     bad = [v for v in grid if not 0 <= v < np.inf]
     if bad:
         raise ValueError(f"grid variances must be finite and nonnegative, got {bad}")
+    check_config_keys(config, "the sweep config")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     header = _csv_text([[*_SWEEP_COLUMNS, "error"]])
     write_atomic(csv_path, f"# run_id={run_id_for(config)}\n" + header)
 
-    points = [
-        dict(config, noise_std=float(np.sqrt(variance)), defense="noise_only")
-        for variance in grid
-    ]
+    points = [dict(config, noise_std=float(np.sqrt(variance))) for variance in grid]
     rows = []
     attacked = _attack_points(points, _train_points(points))
     for i, (variance, point, trained) in enumerate(zip(grid, points, attacked)):
@@ -627,7 +623,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UnknownDefense, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CemError, OSError) as exc:

@@ -52,10 +52,6 @@ class LabelOutOfRange(CemError):
     """A class label falls outside [0, n_classes)."""
 
 
-class UnknownDefense(CemError):
-    """Defense hook kind is not one of the registered kinds."""
-
-
 class MissingArtifact(CemError):
     """A run manifest references an artifact that does not exist."""
 

@@ -43,7 +43,6 @@ from .errors import (
     CemError,
     NonFinite,
     NonPositiveDefinite,
-    UnknownDefense,
     raise_for_runs,
 )
 from .mixture import (
@@ -64,9 +63,6 @@ from .network import (
 )
 from .numerics import derived_seed
 
-# Both kinds train on the plain task loss; `none` injects no noise.
-DEFENSE_KINDS = ("none", "noise_only")
-
 
 @dataclass
 class TrainingConfig:
@@ -75,25 +71,20 @@ class TrainingConfig:
     k: int | None = None        # mixture components; defaults to 3 * n_classes
     epochs: int = 30
     batch_size: int = 64
-    lr: float = 0.05
-    lr_decay_factor: float = 0.5
-    lr_decay_every: int | None = None   # defaults to max(1, epochs // 3)
+    lr: float = 0.05            # halved every max(1, epochs // 3) epochs
     momentum: float = 0.0
     seed: int = 0
-    defense: str = "noise_only"
     d_z: int = 8
     hidden: int = 32
     feature_scale: float = 2.0   # encoder init scale per layer
     gmm_iters: int = 10
 
     def __post_init__(self):
-        if self.defense not in DEFENSE_KINDS:
-            raise UnknownDefense(f"defense must be one of {DEFENSE_KINDS}")
         # Written so that NaN fails too.
         if not (0 <= self.lam < np.inf and 0 <= self.noise_std < np.inf):
             raise ValueError("lam and noise_std must be finite and nonnegative")
-        if not (0 <= self.lr < np.inf and 0 <= self.lr_decay_factor < np.inf):
-            raise ValueError("lr and lr_decay_factor must be finite and nonnegative")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError("lr must be finite and nonnegative")
         if not -np.inf < self.momentum < np.inf:
             raise ValueError("momentum must be finite")
         if self.epochs < 0 or self.gmm_iters < 0:
@@ -107,15 +98,10 @@ class TrainingConfig:
                 f"need an even hidden and 1 <= d_z <= hidden // 2, got "
                 f"d_z={self.d_z}, hidden={self.hidden}"
             )
-        if self.lr_decay_every is not None and self.lr_decay_every < 1:
-            raise ValueError("lr_decay_every must be at least 1")
         if not 0 < self.feature_scale < np.inf:
             raise ValueError("feature_scale must be finite and positive")
-        if self.lam > 0 and (self.defense == "none" or self.noise_std == 0):
-            raise ValueError(
-                "a positive entropy-penalty weight requires the noise_only "
-                "defense with noise_std > 0"
-            )
+        if self.lam > 0 and self.noise_std == 0:
+            raise ValueError("a positive entropy-penalty weight needs noise_std > 0")
 
     def resolved_k(self, n_classes: int) -> int:
         k = self.k if self.k is not None else 3 * n_classes
@@ -127,13 +113,8 @@ class TrainingConfig:
             )
         return k
 
-    def decay_every(self) -> int:
-        if self.lr_decay_every is not None:
-            return self.lr_decay_every
-        return max(1, self.epochs // 3)
-
     def lr_at(self, epoch: int) -> float:
-        return self.lr * self.lr_decay_factor ** (epoch // self.decay_every())
+        return self.lr * 0.5 ** (epoch // max(1, self.epochs // 3))
 
 
 @dataclass
@@ -151,12 +132,6 @@ class TrainResult:
     decoder: NeuralModule
     mixture: GaussianMixture
     history: list[LossBreakdown] = field(default_factory=list)
-
-
-def effective_noise_std(defense: str, noise_std: float) -> float:
-    """The noise std a run actually injects: ``noise_std`` under the
-    ``noise_only`` defense, 0 under ``none``."""
-    return noise_std if defense == "noise_only" else 0.0
 
 
 def build_models(cfg: TrainingConfig, d_in: int, n_classes: int):
@@ -196,11 +171,11 @@ def train_many(
 
     The runs must share their shapes: the input width, ``hidden``, ``d_z``,
     the class count and ``k``, ``batch_size``, ``epochs`` and the size of
-    the training split. Seeds, ``lam``, noise, learning-rate schedule,
-    momentum and data may differ. Every run gets the bits :func:`train`
-    gives it alone. A run that fails (it diverges, or its features cannot
-    be fitted) leaves the stack: its entry is the error :func:`train` raises
-    for it, and the other runs go on.
+    the training split. Seeds, ``lam``, noise, learning rate, momentum and
+    data may differ. Every run gets the bits :func:`train` gives it alone.
+    A run that fails (it diverges, or its features cannot be fitted) leaves
+    the stack: its entry is the error :func:`train` raises for it, and the
+    other runs go on.
     """
     stack = _Stack(cfgs, datasets)
     histories = [[] for _ in cfgs]
@@ -262,10 +237,7 @@ class _Stack(RunStack):
              cfg.d_z, cfg.batch_size, cfg.epochs)
             for cfg, data, (x, _) in zip(cfgs, datasets, splits)
         ]
-        noises = [
-            NoiseModel(std=effective_noise_std(cfg.defense, cfg.noise_std), dim=cfg.d_z)
-            for cfg in cfgs
-        ]
+        noises = [NoiseModel(std=cfg.noise_std, dim=cfg.d_z) for cfg in cfgs]
         super().__init__(cfgs, noises, shapes, n_train, cfgs[0].d_z)
         n_classes = datasets[0].n_classes
         self.k = shapes[0][2]

@@ -51,8 +51,7 @@ from conftest import central_diff, rel_error
 # Desk-scale calibrated settings for the criterion runs; the published
 # hyperparameters (penalty weight 16, noise std 0.025, k = 3n) stay fixed,
 # while step size, batch size, and budgets are sized for ~500 samples.
-TRAIN_KW = dict(noise_std=0.025, defense="noise_only", epochs=300, lr=0.001,
-                batch_size=16)
+TRAIN_KW = dict(noise_std=0.025, epochs=300, lr=0.001, batch_size=16)
 ATTACK_KW = dict(epochs=150, lr=0.01)
 
 

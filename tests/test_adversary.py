@@ -34,6 +34,31 @@ def blobs():
     return synth_blobs(n_classes=3, d=8, per_class=60, spread=0.1, seed=5)
 
 
+class TestAttackConfig:
+    @pytest.mark.parametrize("field, bad", [
+        ("epochs", 0),
+        ("hidden_dims", [0]),
+        ("hidden_dims", [16, -1]),
+        ("batch_size", 0),
+        ("lr", np.nan),
+        ("lr", np.inf),
+        ("lr", -0.01),
+        ("momentum", np.nan),
+        ("momentum", np.inf),
+        ("momentum", -np.inf),
+    ])
+    def test_bad_setting_rejected(self, field, bad):
+        # Each once reached training: hidden_dims=[0] raised
+        # ZeroDivisionError, batch_size=0 a bare range() error, and a NaN lr
+        # or momentum was reported as a divergence at epoch 0.
+        with pytest.raises(ValueError):
+            AttackConfig(**{field: bad})
+
+    def test_smallest_settings_accepted(self):
+        AttackConfig(epochs=1, hidden_dims=[], batch_size=1, lr=0.0, momentum=-0.5)
+        AttackConfig(hidden_dims=[1])
+
+
 class TestTrainAttacker:
     def test_invertible_channel_recovered(self, blobs):
         encoder = identity_encoder(8)

@@ -19,6 +19,7 @@ from cemlab.cli import (
     read_history_csv,
     run_id_for,
 )
+from cemlab.errors import ParseError
 from cemlab.mixture import save_mixture
 from cemlab.numerics import Covariance
 from cemlab import cli
@@ -57,14 +58,15 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("overrides, std", [
         ({"noise_std": 0.3}, 0.3),
-        ({"defense": "none", "lam": 0.0, "noise_std": 0.3}, 0.0),
-    ], ids=["noise_only", "none"])
+    ], ids=["noise_only"])
     def test_manifest_records_effective_noise_std(self, tmp_path, overrides, std):
+        # The config's noise_std is the noise the run injects; the manifest
+        # keeps no second copy of it.
         cmd_train(tiny_config(epochs=1, **overrides), tmp_path / "run")
         doc = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert doc["effective_noise_std"] == std
-        assert cli.RunManifest.load(tmp_path / "run" / "manifest.json") \
-            .effective_noise_std == std
+        assert set(doc) == {"run_id", "config", "output_dir", "artifacts"}
+        manifest = cli.RunManifest.load(tmp_path / "run" / "manifest.json")
+        assert cli.noise_model(manifest.config).std == std
 
     def test_exit_codes_via_main(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.json")
@@ -83,6 +85,31 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg_path),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_unknown_key_refused_before_writing(self, tmp_path):
+        # A key no code reads, such as the removed `defense`, would be
+        # written to a manifest that no command can read back.
+        config = tiny_config(defense="none", lam=0.0)
+        with pytest.raises(ParseError, match="defense"):
+            cmd_train(config, tmp_path / "run")
+        with pytest.raises(ParseError, match="defense"):
+            cmd_sweep(config, [0.01], tmp_path / "sweep")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]", '"lam"'],
+                             ids=["number", "null", "empty-list", "string"])
+    def test_config_not_an_object_exit_2_before_writing(self, tmp_path, capsys, text):
+        # A number or null once crashed load_config with a TypeError, and an
+        # empty list was taken as an empty config.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        with pytest.raises(ParseError):
+            load_config(str(cfg_path), {})
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--k", "0"], ["--epochs", "-1"]])
     def test_bad_shape_exit_2_before_writing(self, tmp_path, capsys, flags):
@@ -140,6 +167,41 @@ class TestTrainCommand:
 
 
 class TestAttackCommand:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_bad_attack_lr_exit_2_before_training(self, tmp_path, capsys,
+                                                   monkeypatch, value):
+        # A NaN lr was once reported as "attack diverged", a numeric failure.
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(epochs=1), run_dir)
+        before = sorted(run_dir.iterdir())
+        trained = []
+        monkeypatch.setattr(cli.adversary, "train_attacker",
+                            lambda *args: trained.append(args))
+        assert main(["attack", str(run_dir), "--attack-lr", value]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert trained == []
+        assert sorted(run_dir.iterdir()) == before
+
+    def test_manifest_with_unknown_key_refused(self, tmp_path, capsys):
+        # A run written when the config still had a `defense` key: its
+        # noise_std need not be the noise it injected, so no command may
+        # read it.
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(epochs=1), run_dir)
+        path = run_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["defense"] = "none"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="defense"):
+            cli.RunManifest.load(path)
+        before = sorted(run_dir.iterdir())
+        for argv in (["attack", str(run_dir)], ["bounds", str(run_dir)],
+                     ["report", "--out", str(tmp_path)]):
+            assert main(argv) == 1
+            assert "ParseError" in capsys.readouterr().err
+        assert sorted(run_dir.iterdir()) == before
+        assert not (tmp_path / "report.csv").exists()
+
     def test_attack_writes_reports(self, tmp_path):
         run_dir = tmp_path / "run"
         cmd_train(tiny_config(), run_dir)
@@ -263,26 +325,34 @@ class TestBoundsCommand:
 
     def test_noise_free_run_is_a_config_error(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
-        cmd_train(tiny_config(defense="none", lam=0.0, noise_std=0.0), run_dir)
+        cmd_train(tiny_config(lam=0.0, noise_std=0.0), run_dir)
         with pytest.raises(ValueError, match="noise_std > 0"):
             cmd_bounds(str(run_dir))
         assert main(["bounds", str(run_dir)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (run_dir / "bounds_report.json").exists()
 
-    def test_defense_none_injects_no_noise(self, tmp_path, capsys):
-        # The config keeps the default noise_std, which training never used.
+    def test_defense_none_injects_no_noise(self, tmp_path):
+        # The baseline without the defense is a noise_std=0 run: its attack
+        # sees the noise-free channel and reports no floor.
+        from cemlab.adversary import evaluate_attack, train_attacker
+        from cemlab.bounds import NoiseModel
+        from cemlab.network import load_network
+
+        config = tiny_config(lam=0.0, noise_std=0.0)
         run_dir = tmp_path / "run"
-        cmd_train(tiny_config(defense="none", lam=0.0), run_dir)
-        assert main(["bounds", str(run_dir)]) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not (run_dir / "bounds_report.json").exists()
+        cmd_train(config, run_dir)
         report = cmd_attack(str(run_dir))
         assert report.floor is None
-        # The attack sees the noise-free channel of an explicit noise_std=0 run.
-        twin = tmp_path / "twin"
-        cmd_train(tiny_config(defense="none", lam=0.0, noise_std=0.0), twin)
-        assert cmd_attack(str(twin)).to_dict() == report.to_dict()
+        encoder = load_network(run_dir / "encoder.json")
+        ds = cli.build_dataset(config)
+        noise = NoiseModel(std=0.0, dim=config["d_z"])
+        attacker = train_attacker(encoder, noise, ds, cli.attack_config(config))
+        direct = evaluate_attack(
+            attacker, encoder, noise, ds.train_arrays()[0], ds.test_arrays()[0],
+            seed=config["attack_seed"],
+        )
+        assert direct.to_dict() == report.to_dict()
 
 
 class TestSweepAndReport:

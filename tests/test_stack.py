@@ -43,14 +43,14 @@ def assert_same_artifacts(a, b):
     ],
     [  # a noise-free run beside noisy ones, momentum, and a short last batch
         dict(BASE, epochs=4, batch_size=50),
-        dict(BASE, epochs=4, batch_size=50, seed=1, defense="none", lam=0.0),
+        dict(BASE, epochs=4, batch_size=50, seed=1, noise_std=0.0, lam=0.0),
         dict(BASE, epochs=4, batch_size=50, seed=2, momentum=0.9, lr=0.0005),
         dict(BASE, epochs=4, batch_size=50, seed=5, lam=8.0, gmm_iters=2),
     ],
     [  # one lr and momentum for every run: the step gets them as floats
         dict(BASE, epochs=6, momentum=0.9),
         dict(BASE, epochs=6, momentum=0.9, seed=2, lam=4.0, noise_std=0.2),
-        dict(BASE, epochs=6, momentum=0.9, seed=5, defense="none", lam=0.0),
+        dict(BASE, epochs=6, momentum=0.9, seed=5, noise_std=0.0, lam=0.0),
     ],
 ], ids=["seed-lam-noise-lr", "none-momentum-short-batch", "shared-lr-momentum"])
 def test_stack_matches_solo_runs(tmp_path, configs):
@@ -74,7 +74,7 @@ def solo_error(cfg, ds) -> str:
 
 def test_failed_runs_leave_the_stack(tmp_path):
     good = [dict(BASE, epochs=5), dict(BASE, epochs=5, seed=4, lam=2.0)]
-    noise_free = dict(BASE, epochs=5, seed=9, defense="none", lam=0.0)
+    noise_free = dict(BASE, epochs=5, seed=9, noise_std=0.0, lam=0.0)
     diverging = dict(BASE, epochs=5, seed=1, lr=1e6)
     configs = [good[0], noise_free, diverging, good[1]]
     datasets = [cli.build_dataset(c) for c in configs]
@@ -105,13 +105,13 @@ def test_stack_rejects_mixed_shapes():
 
 
 def test_noise_is_one_draw_per_run_and_epoch(monkeypatch):
-    # A noisy run beside a defense="none" run. Every encoder and decoder
+    # A noisy run beside a noise-free run. Every encoder and decoder
     # forward, every refit input and every generator the network module
     # builds (the stack's streams and the models' initial weights) is
     # recorded. A batch's forward runs in place, into buffers the next
     # batch reuses, so its output is recorded as a copy.
     noisy = dict(BASE, epochs=2, seed=3, noise_std=0.3)
-    quiet = dict(BASE, epochs=2, seed=1, defense="none", lam=0.0)
+    quiet = dict(BASE, epochs=2, seed=1, noise_std=0.0, lam=0.0)
     configs = [noisy, quiet]
     datasets = [cli.build_dataset(c) for c in configs]
     calls, fits, streams = [], [], []

@@ -3,7 +3,7 @@ import pytest
 
 from cemlab.bounds import NoiseModel
 from cemlab.data import synth_blobs
-from cemlab.errors import NonFinite, UnknownDefense
+from cemlab.errors import NonFinite
 from cemlab.network import Layer, NeuralModule, init_network, task_loss
 from cemlab.trainer import TrainingConfig, evaluate_utility, train
 from conftest import central_diff, rel_error
@@ -22,7 +22,7 @@ def small_blobs():
 class TestTrain:
     def test_plain_classification_sanity(self, blobs):
         cfg = TrainingConfig(
-            lam=0.0, noise_std=0.0, defense="none", epochs=25, seed=0, lr=0.05
+            lam=0.0, noise_std=0.0, epochs=25, seed=0, lr=0.05
         )
         result = train(cfg, blobs)
         acc = evaluate_utility(
@@ -32,14 +32,14 @@ class TestTrain:
 
     def test_entropy_bound_improves(self, blobs):
         cfg = TrainingConfig(
-            lam=16.0, noise_std=0.025, defense="noise_only",
+            lam=16.0, noise_std=0.025,
             epochs=60, seed=0, lr=0.001, batch_size=16,
         )
         result = train(cfg, blobs)
         assert result.history[-1].l_c < result.history[0].l_c
 
     def test_zero_epochs_noop(self, blobs):
-        cfg = TrainingConfig(lam=0.0, noise_std=0.0, defense="none", epochs=0, seed=0)
+        cfg = TrainingConfig(lam=0.0, noise_std=0.0, epochs=0, seed=0)
         result = train(cfg, blobs)
         assert result.history == []
         assert result.mixture.k == 9
@@ -47,7 +47,7 @@ class TestTrain:
 
     def test_loss_ledger_identity(self, small_blobs):
         cfg = TrainingConfig(
-            lam=2.0, noise_std=0.05, defense="noise_only",
+            lam=2.0, noise_std=0.05,
             epochs=4, seed=2, lr=0.001, batch_size=16,
         )
         result = train(cfg, small_blobs)
@@ -56,7 +56,7 @@ class TestTrain:
 
     def test_reproducible_history(self, small_blobs):
         cfg = TrainingConfig(
-            lam=4.0, noise_std=0.05, defense="noise_only",
+            lam=4.0, noise_std=0.05,
             epochs=5, seed=7, lr=0.001, batch_size=16,
         )
         a = train(cfg, small_blobs)
@@ -70,23 +70,21 @@ class TestTrain:
 
     def test_batch_size_exceeding_split_rejected(self, small_blobs):
         cfg = TrainingConfig(
-            lam=0.0, noise_std=0.0, defense="none", epochs=1, batch_size=10_000
+            lam=0.0, noise_std=0.0, epochs=1, batch_size=10_000
         )
         with pytest.raises(ValueError):
             train(cfg, small_blobs)
 
     def test_low_k_warns(self, small_blobs):
         cfg = TrainingConfig(
-            lam=0.0, noise_std=0.0, defense="none", epochs=1, k=2, batch_size=16
+            lam=0.0, noise_std=0.0, epochs=1, k=2, batch_size=16
         )
         with pytest.warns(UserWarning):
             train(cfg, small_blobs)
 
     def test_positive_lam_requires_noise(self):
         with pytest.raises(ValueError):
-            TrainingConfig(lam=1.0, noise_std=0.0, defense="noise_only")
-        with pytest.raises(ValueError):
-            TrainingConfig(lam=1.0, noise_std=0.1, defense="none")
+            TrainingConfig(lam=1.0, noise_std=0.0)
 
     @pytest.mark.parametrize("field", ["lam", "noise_std"])
     @pytest.mark.parametrize("bad", [-0.01, np.nan, np.inf])
@@ -103,8 +101,6 @@ class TestTrain:
         ("gmm_iters", -3),
         ("lr", np.nan),
         ("lr", np.inf),
-        ("lr_decay_factor", np.nan),
-        ("lr_decay_factor", np.inf),
         ("momentum", np.nan),
         ("momentum", np.inf),
         ("momentum", -np.inf),
@@ -113,8 +109,6 @@ class TestTrain:
         ("hidden", 1),
         ("hidden", 33),
         ("d_z", 17),
-        ("lr_decay_every", 0),
-        ("lr_decay_every", -5),
         ("feature_scale", 0.0),
         ("feature_scale", -1.0),
         ("feature_scale", np.nan),
@@ -123,29 +117,28 @@ class TestTrain:
     def test_bad_shape_or_schedule_rejected(self, field, bad):
         # Each once crashed training (k=0, batch_size=0, d_z=0, hidden=0),
         # was silently changed (epochs=-1 trained an epoch, gmm_iters=-3 ran
-        # none, lr_decay_every=-5 decayed every epoch) or surfaced as a
-        # divergence at epoch 0 (NaN passes `< 0`). d_z=17 exceeds the
-        # default hidden=32's 16 looks-linear pairs; an odd hidden=33 once
-        # gave a 32-unit encoder beside a 33-unit decoder.
+        # none) or surfaced as a divergence at epoch 0 (NaN passes `< 0`).
+        # d_z=17 exceeds the default hidden=32's 16 looks-linear pairs; an
+        # odd hidden=33 once gave a 32-unit encoder beside a 33-unit decoder.
         with pytest.raises(ValueError):
             TrainingConfig(**{field: bad})
 
     def test_smallest_shapes_accepted(self):
         TrainingConfig(epochs=0, batch_size=1, k=1, gmm_iters=0, lr=0.0,
-                       lr_decay_factor=0.0, momentum=-0.5, d_z=1, hidden=2,
-                       lr_decay_every=1)
+                       momentum=-0.5, d_z=1, hidden=2)
         TrainingConfig(d_z=16, hidden=32)
 
-    def test_explicit_decay_period_kept(self):
-        assert TrainingConfig(epochs=30, lr_decay_every=7).decay_every() == 7
-
-    def test_unknown_defense_rejected(self):
-        with pytest.raises(UnknownDefense):
-            TrainingConfig(defense="distillation")
+    def test_lr_halves_every_third_of_the_epochs(self):
+        cfg = TrainingConfig(epochs=30, lr=0.05)
+        assert [cfg.lr_at(e) for e in (0, 9, 10, 19, 20, 29)] == [
+            0.05, 0.05, 0.025, 0.025, 0.0125, 0.0125
+        ]
+        # Fewer than three epochs halve the rate every epoch.
+        assert TrainingConfig(epochs=2, lr=0.05).lr_at(1) == 0.025
 
     def test_divergence_reports_epoch(self, small_blobs):
         cfg = TrainingConfig(
-            lam=0.0, noise_std=0.0, defense="none", epochs=50, seed=0,
+            lam=0.0, noise_std=0.0, epochs=50, seed=0,
             lr=1e12, batch_size=16,
         )
         with np.errstate(over="ignore", invalid="ignore"):
@@ -154,9 +147,8 @@ class TestTrain:
 
 
 class TestDefenseHook:
-    """Under every defense kind the trainer's task term is plain
-    :func:`task_loss`; the kind only decides whether noise is injected, and
-    an unknown kind fails when the config is built."""
+    """The trainer's task term is plain :func:`task_loss`, with or without
+    noise."""
 
     def test_none_is_task_loss_passthrough(self):
         logits = np.array([[50.0, 0.0], [0.0, 50.0]])
@@ -172,10 +164,6 @@ class TestDefenseHook:
             _, grad = task_loss(logits, labels)
             fd = central_diff(lambda z: task_loss(z, labels)[0], logits)
             assert rel_error(grad, fd) <= 1e-5
-
-    def test_unknown_kind(self):
-        with pytest.raises(UnknownDefense):
-            TrainingConfig(defense="prune")
 
 
 class TestEvaluateUtility:
@@ -193,7 +181,7 @@ class TestEvaluateUtility:
 
     def test_huge_noise_destroys_information(self, blobs):
         cfg = TrainingConfig(
-            lam=0.0, noise_std=0.0, defense="none", epochs=10, seed=0, lr=0.05
+            lam=0.0, noise_std=0.0, epochs=10, seed=0, lr=0.05
         )
         result = train(cfg, blobs)
         acc = evaluate_utility(
@@ -215,7 +203,7 @@ class TestEvaluateUtility:
 
     def test_noise_flag_disables_corruption(self, blobs):
         cfg = TrainingConfig(
-            lam=0.0, noise_std=0.0, defense="none", epochs=10, seed=0, lr=0.05
+            lam=0.0, noise_std=0.0, epochs=10, seed=0, lr=0.05
         )
         result = train(cfg, blobs)
         noisy = evaluate_utility(
