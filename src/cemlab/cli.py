@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,6 +102,18 @@ def check_config_keys(values, source: str) -> dict:
     return values
 
 
+def config_int(config: dict, key: str) -> int:
+    """``config[key]`` as an int. A config file may give an integer key as
+    an int or an integral float such as 300.0; a bool, a string or a
+    fractional number raises ``ValueError`` rather than being truncated."""
+    value = config[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -150,17 +163,18 @@ def load_config(path: str | None, overrides: dict) -> dict:
 def build_dataset(config: dict) -> data.Dataset:
     if config["data_kind"] == "blobs":
         return data.synth_blobs(
-            n_classes=int(config["data_classes"]),
-            d=int(config["data_dim"]),
-            per_class=int(config["data_per_class"]),
+            n_classes=config_int(config, "data_classes"),
+            d=config_int(config, "data_dim"),
+            per_class=config_int(config, "data_per_class"),
             spread=float(config["data_spread"]),
-            seed=int(config["seed"]),
+            seed=config_int(config, "seed"),
         )
     if config["data_kind"] == "csv":
         if not config["data_csv"]:
             raise ValueError("data_kind=csv requires data_csv")
         return data.load_csv(
-            config["data_csv"], int(config["data_classes"]), seed=int(config["seed"])
+            config["data_csv"], config_int(config, "data_classes"),
+            seed=config_int(config, "seed"),
         )
     raise ValueError(f"unknown data_kind {config['data_kind']!r}")
 
@@ -169,16 +183,16 @@ def training_config(config: dict) -> trainer.TrainingConfig:
     return trainer.TrainingConfig(
         lam=float(config["lam"]),
         noise_std=float(config["noise_std"]),
-        k=None if config["k"] is None else int(config["k"]),
-        epochs=int(config["epochs"]),
-        batch_size=int(config["batch_size"]),
+        k=None if config["k"] is None else config_int(config, "k"),
+        epochs=config_int(config, "epochs"),
+        batch_size=config_int(config, "batch_size"),
         lr=float(config["lr"]),
         momentum=float(config["momentum"]),
-        seed=int(config["seed"]),
-        d_z=int(config["d_z"]),
-        hidden=int(config["hidden"]),
+        seed=config_int(config, "seed"),
+        d_z=config_int(config, "d_z"),
+        hidden=config_int(config, "hidden"),
         feature_scale=float(config["feature_scale"]),
-        gmm_iters=int(config["gmm_iters"]),
+        gmm_iters=config_int(config, "gmm_iters"),
     )
 
 
@@ -193,13 +207,15 @@ def write_history_csv(path: Path, run_id: str, history) -> None:
 
 def noise_model(config: dict) -> bounds.NoiseModel:
     """The noise a run's config injects."""
-    return bounds.NoiseModel(std=float(config["noise_std"]), dim=int(config["d_z"]))
+    return bounds.NoiseModel(
+        std=float(config["noise_std"]), dim=config_int(config, "d_z")
+    )
 
 
 def cmd_train(config: dict, out_dir: Path) -> RunManifest:
     cfg = training_config(check_config_keys(config, "the run config"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     ds = build_dataset(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = trainer.train(cfg, ds)
     return save_run(config, result, out_dir)
 
@@ -255,14 +271,14 @@ def run_floor(manifest: RunManifest, base: Path) -> float:
     h_cond = bounds.cond_entropy_lower(
         float(config["h_x_offset"]), bounds.mi_upper_bound(mix, noise)
     )
-    return bounds.mse_floor(h_cond, int(config["data_dim"]))
+    return bounds.mse_floor(h_cond, config_int(config, "data_dim"))
 
 
 def attack_config(config: dict) -> adversary.AttackConfig:
     return adversary.AttackConfig(
-        epochs=int(config["attack_epochs"]),
+        epochs=config_int(config, "attack_epochs"),
         lr=float(config["attack_lr"]),
-        seed=int(config["attack_seed"]),
+        seed=config_int(config, "attack_seed"),
     )
 
 
@@ -326,7 +342,7 @@ def cmd_bounds(run: str, h_x_offset: float | None = None) -> bounds.BoundsReport
         )
     mix = mixture.load_mixture(_artifact_path(manifest, base, "mixture"))
     offset = float(config["h_x_offset"]) if h_x_offset is None else float(h_x_offset)
-    report = bounds.bounds_report(mix, noise, offset, int(config["data_dim"]))
+    report = bounds.bounds_report(mix, noise, offset, config_int(config, "data_dim"))
     write_atomic(base / "bounds_report.json", _json_text(report.to_dict()))
     return report
 
@@ -347,13 +363,13 @@ def _sweep_point(point: dict, variance: float, out_dir: Path, trained) -> dict:
     x_train, _ = ds.train_arrays()
     x_test, _ = ds.test_arrays()
     floor = run_floor(manifest, out_dir) if noise.std > 0 else None
-    seed = int(point["attack_seed"])
+    seed = config_int(point, "attack_seed")
     report = adversary.evaluate_attack(
         attacker, result.encoder, noise, x_train, x_test, seed=seed, floor=floor
     )
     save_attack(out_dir, manifest.run_id, seed, report)
     accuracy = trainer.evaluate_utility(
-        result.encoder, result.decoder, ds, noise, seed=int(point["seed"])
+        result.encoder, result.decoder, ds, noise, seed=config_int(point, "seed")
     )
     return {
         "variance": variance,

@@ -18,7 +18,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 DEFAULT_RIDGE = 1e-6
 
 # Rows per block of the Monte-Carlo oracle. Its working memory is a few
-# (block, d) and (block, k) arrays whatever the sample count; 2**12 to 2**15
+# (block, d) and (k, block) arrays whatever the sample count; 2**12 to 2**15
 # run at about the same speed.
 _MC_BLOCK = 2**15
 
@@ -140,21 +140,65 @@ def trace(c: Covariance) -> float:
     return float(np.trace(c.matrix))
 
 
+def _row_sums(t: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of ``t``, each row added in the order
+    NumPy's pairwise sum adds a contiguous row, whatever the memory layout:
+    below 8 entries one by one, up to 128 in eight lanes whose totals are
+    paired and the rest then added one by one, and above 128 as two parts
+    split at a multiple of 8. (NumPy also starts from +0.0, which only
+    turns a sum of -0.0 into +0.0; the terms summed here have no -0.0.)
+    The work runs along the rows, so a layout whose rows are the fast axis
+    sums fastest.
+    """
+    n = t.shape[-1]
+    if n < 8:
+        return t.sum(axis=-1)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        out = _row_sums(t[..., :half])
+        out += _row_sums(t[..., half:])
+        return out
+    # Lane j adds entries j, j + 8, j + 16, ... in turn. Slices and ufunc
+    # outputs keep the layout, so the rows stay the fast axis throughout.
+    stop = n - n % 8
+    lanes = t[..., :8]
+    if stop > 8:
+        lanes = lanes + t[..., 8:16]
+        for i in range(16, stop, 8):
+            lanes += t[..., i:i + 8]
+    pairs = lanes[..., 0::2] + lanes[..., 1::2]
+    quads = pairs[..., 0::2] + pairs[..., 1::2]
+    out = quads[..., 0] + quads[..., 1]
+    for i in range(stop, n):
+        out += t[..., i]
+    return out
+
+
 def logsumexp_rows(z: np.ndarray) -> np.ndarray:
     """Log-sum-exp over the last axis of a float64 array of rows (2-D, or
     stacked with leading axes), bit-identical row by row to
-    ``scipy.special.logsumexp(z, axis=1)`` (scipy 1.17) without its
-    array-API dispatch: the row maxima are split out of the sum, and rows
-    whose result is not finite fall back to ``log(sum(exp(z)))``."""
+    ``scipy.special.logsumexp(np.ascontiguousarray(z), axis=-1)`` (scipy
+    1.17) without its array-API dispatch, in any memory layout: the row
+    maxima are split out of the sum, and rows whose result is not finite
+    fall back to ``log(sum(exp(z)))``.
+
+    Every reduction runs over the last axis, so the work follows the
+    layout: a component-major input, whose rows are the fast axis (the
+    ``.T`` of a (k, n) buffer), reduces across whole rows at once and is
+    the fastest.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = z.max(axis=-1, keepdims=True)
         is_top = z == top
         m = is_top.sum(axis=-1, dtype=np.float64)
         terms = z - top
-        np.copyto(terms, -np.inf, where=is_top)
         np.exp(terms, out=terms)
+        # Drops the maxima from the sum: in a row with a finite maximum they
+        # are exp(0) = 1 and become +0.0, and every other row ends non-finite
+        # and is recomputed below.
+        terms *= ~is_top
         # Where the sum is 0 and the result finite, m >= 1 and 0 / m is 0.
-        out = terms.sum(axis=-1)
+        out = _row_sums(terms)
         out /= m
         np.log1p(out, out=out)
         out += np.log(m)
@@ -201,8 +245,10 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     never a BLAS call (``matmul``, ``@``, ``dot`` or
     ``einsum(optimize=...)``): a BLAS product's last bits can depend on the
     group's row count, so only the plain product keeps the result's bits
-    independent of the block size. Memory beyond the (n_samples,) choices
-    and -log p(z) stays fixed.
+    independent of the block size. The products fill a component-major
+    (k, block) buffer, whose transpose :func:`logsumexp_rows` reduces along
+    whole rows at once. Memory beyond the (n_samples,) choices and
+    -log p(z) stays fixed.
     """
     if n_samples < 2:
         raise ValueError(f"mc_entropy needs n_samples >= 2, got {n_samples}")
@@ -236,7 +282,9 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     rows = min(n_samples, _MC_BLOCK)
     sorted_z = np.empty((rows, d))
     features = np.empty((rows, 2 * d))
-    log_terms = np.empty((rows, k))
+    # Component-major, so that the log-sum-exp over components runs along
+    # whole rows of this buffer.
+    log_terms = np.empty((k, rows))
     for start in range(0, n_samples, _MC_BLOCK):
         block = choices[start:start + _MC_BLOCK]
         z = rng.standard_normal((block.size, d))
@@ -247,15 +295,15 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
         np.multiply(zs, zs, out=feat[:, :d])
         feat[:, d:] = zs
         # log p(z) under the mixture, via logsumexp over components.
-        terms = log_terms[: block.size]
+        terms = log_terms[:, : block.size]
         counts = np.bincount(block, minlength=k)
         ends = np.cumsum(counts)
         for c in np.flatnonzero(counts):
             group = slice(ends[c] - counts[c], ends[c])
-            np.einsum("nl,li->ni", feat[group], coef[c], out=terms[group])
-            terms[group] *= -0.5
-            terms[group] += const[c]
-        neg_logp[start:start + block.size][order] = -logsumexp_rows(terms)
+            np.einsum("nl,li->in", feat[group], coef[c], out=terms[:, group])
+            terms[:, group] *= -0.5
+            terms[:, group] += const[c][:, None]
+        neg_logp[start:start + block.size][order] = -logsumexp_rows(terms.T)
     value = float(np.mean(neg_logp))
     std_error = float(np.std(neg_logp, ddof=1) / np.sqrt(n_samples))
     return McEstimate(value=value, std_error=std_error, n_samples=n_samples, seed=seed)

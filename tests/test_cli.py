@@ -138,6 +138,33 @@ class TestTrainCommand:
         assert "even hidden" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 2.7), ("k", True), ("data_per_class", 20.5), ("seed", "0"),
+    ], ids=["fractional-epochs", "boolean-k", "fractional-data-key", "string-seed"])
+    def test_non_integer_key_in_file_exit_2_before_writing(
+        self, tmp_path, capsys, key, value
+    ):
+        # int() once read 2.7 epochs as 2 and true as k=1, while the
+        # manifest kept the file's values.
+        cfg_path = write_config(tmp_path / "cfg.json", **{key: value})
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err
+        assert not out.exists()
+
+    def test_integral_float_key_accepted(self, tmp_path):
+        cmd_train(tiny_config(epochs=2.0), tmp_path / "run")
+        assert len(read_history_csv(tmp_path / "run" / "history.csv")) == 2
+
+    def test_config_int(self):
+        config = {"a": 3, "b": 3.0, "c": np.int64(4), "d": -2.0}
+        assert [cli.config_int(config, key) for key in config] == [3, 3, 4, -2]
+        for value in (2.7, True, False, "3", None, float("nan"), float("inf"), [3]):
+            with pytest.raises(ValueError, match="'x' must be an integer"):
+                cli.config_int({"x": value}, "x")
+
     def test_zero_epochs_header_only_history(self, tmp_path):
         manifest = cmd_train(tiny_config(epochs=0), tmp_path / "run")
         lines = (tmp_path / "run" / "history.csv").read_text().splitlines()

@@ -503,6 +503,45 @@ class TestLogsumexpRows:
             expected = logsumexp(z, axis=-1)
         assert np.array_equal(logsumexp_rows(z), expected, equal_nan=True)
 
+    # The layouts below put the rows, not the entries of a row, on the fast
+    # axis; the row sums must still be added in the contiguous row's order.
+    # 16 and 24 columns add one and two more blocks of eight to the lanes,
+    # and 129 and 200 take the split above 128 entries.
+    LAYOUT_COLUMNS = (1, 3, 8, 9, 16, 17, 24, 129, 200)
+
+    def check_layout(self, z):
+        with np.errstate(all="ignore"):
+            expected = logsumexp(np.ascontiguousarray(z), axis=-1)
+        assert np.array_equal(logsumexp_rows(z), expected, equal_nan=True)
+
+    def rows_with_specials(self, rng, n, cols):
+        z = 30.0 * rng.standard_normal((n, cols))
+        z[1] = -np.inf
+        z[2, 0] = np.inf
+        z[3, -1] = np.nan
+        z[4, ::2] = 1e308
+        z[5] = np.round(z[5] / 30.0)
+        return z
+
+    @pytest.mark.parametrize("cols", LAYOUT_COLUMNS)
+    def test_fortran_ordered(self, rng, cols):
+        z = np.asfortranarray(self.rows_with_specials(rng, 40, cols))
+        self.check_layout(z)
+
+    @pytest.mark.parametrize("cols", LAYOUT_COLUMNS)
+    def test_transposed_component_major_slice(self, rng, cols):
+        # As mc_entropy passes its (k, rows) buffer, including the last,
+        # narrower block.
+        buf = np.ascontiguousarray(self.rows_with_specials(rng, 50, cols).T)
+        self.check_layout(buf.T)
+        self.check_layout(buf[:, :37].T)
+
+    @pytest.mark.parametrize("cols", LAYOUT_COLUMNS)
+    def test_stacked_with_strided_last_axis(self, rng, cols):
+        z = np.stack([self.rows_with_specials(rng, 12, cols) for _ in range(3)])
+        self.check_layout(np.ascontiguousarray(z.transpose(2, 0, 1)).transpose(1, 2, 0))
+        self.check_layout(z[:, :, ::-1])
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path, rng):

@@ -187,6 +187,9 @@ class TestMcEntropyBlocks:
     )
     @example(k=9, d=8, seed=0, n_zero_weights=3, zero_variances=False, noise_std=0.0)
     @example(k=5, d=3, seed=1, n_zero_weights=0, zero_variances=True, noise_std=0.0)
+    # Seventeen components: the log-sum-exp's row sums fill two blocks of
+    # eight lanes.
+    @example(k=17, d=3, seed=2, n_zero_weights=4, zero_variances=False, noise_std=0.05)
     def test_matches_whole_array_reference(
         self, n, k, d, seed, n_zero_weights, zero_variances, noise_std
     ):
@@ -223,6 +226,8 @@ class TestMcEntropyForms:
              mean_scale=1.0)
     @example(k=3, d=2, seed=400, n_zero_weights=0, zero_variances=False, noise_std=0.5,
              mean_scale=500.0)
+    @example(k=17, d=3, seed=2, n_zero_weights=4, zero_variances=False, noise_std=0.05,
+             mean_scale=1.0)
     def test_per_sample_difference_from_direct_form(
         self, n, k, d, seed, n_zero_weights, zero_variances, noise_std, mean_scale
     ):
