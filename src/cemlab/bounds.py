@@ -131,30 +131,25 @@ def _widened_ridged(var: np.ndarray, ridge, noise_var) -> np.ndarray:
     return widened + ridge
 
 
-def _running_sum(values: list[float]) -> float:
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def _penalty(weights: np.ndarray, denom: np.ndarray, ld_ref):
     """sum_i pi_i * (-log pi_i + 0.5 * (logdet_i - ld_ref)) from the weights
     and the ridged widened diagonals ``denom``. With the noise
     log-determinant as ``ld_ref`` this is the MI bound. Components are added
-    in order, as a running sum. For a stack of runs ``ld_ref`` is (R, 1)
-    and the result an (R,) array."""
+    in order, as a running sum from 0.0. For a stack of runs ``ld_ref`` is
+    (R, 1) and the result an (R,) array."""
     # Each term as pi_i * (0.5 * (logdet_i - ld_ref) - log pi_i): IEEE
     # a - b is a + (-b), and addition and multiplication commute, so these
     # are the formula's bits.
-    terms = np.log(denom).sum(axis=-1)
+    terms = np.add.reduce(np.log(denom), axis=-1)
     terms -= ld_ref
     terms *= 0.5
     terms -= np.log(weights)
     terms *= weights
-    if terms.ndim == 1:
-        return _running_sum(terms.tolist())
-    return np.array([_running_sum(row) for row in terms.tolist()])
+    # np.cumsum's accumulation adds the terms in order from the first one;
+    # adding 0.0 then gives a running sum's start from 0.0, which only
+    # turns a total of -0.0 into +0.0.
+    total = np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+    return total if total.ndim else float(total)
 
 
 def _penalty_grad(
@@ -298,7 +293,7 @@ def cem_step(
     and the penalty an (R,) array, each run with the bits it gets alone;
     errors are raised per run (see :class:`~cemlab.errors.CemError`).
     """
-    blended, coef, dev, bins = _blend(state, assign, batch)
+    blended, coef, dev = _blend(state, assign, batch)
     var, ridge = blended.var, blended.ridge
     denom = var + noise_var
     denom += ridge
@@ -314,7 +309,7 @@ def cem_step(
         check_diagonal(var, ridge)
         check_diagonal(var + noise_var, ridge)
     penalty = _penalty(blended.weights, denom, noise_logdet)
-    grad = _penalty_grad(blended.weights, coef, dev, assign.counts, denom, bins)
+    grad = _penalty_grad(blended.weights, coef, dev, assign.counts, denom, assign.bins)
     return blended, penalty, grad
 
 

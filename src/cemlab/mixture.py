@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateData, ParseError, ShapeMismatch, raise_for_runs
 from .files import write_atomic
-from .numerics import Covariance, check_diagonal, seeded_rng
+from .numerics import Covariance, _row_starts, check_diagonal, seeded_rng
 
 WEIGHT_FLOOR = 1e-8
 
@@ -87,6 +87,12 @@ class BatchAssignment:
     indices: np.ndarray   # (N_batch,) cluster id per sample; (R, N_batch) stacked
     counts: np.ndarray    # (k,) samples per cluster; (R, k) stacked
     batch_size: int
+    # The rows' _bins, computed from indices and counts if not given.
+    bins: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.bins is None:
+            self.bins = _bins(self.indices, self.counts.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -190,7 +196,7 @@ def _nearest_block(x: np.ndarray, means: np.ndarray) -> np.ndarray:
     # distances do, without two distinct sums rounding to one square root.
     diff = x[..., :, None, :] - means[..., None, :, :]
     np.multiply(diff, diff, out=diff)
-    return np.argmin(diff.sum(axis=-1), axis=-1)
+    return np.add.reduce(diff, axis=-1).argmin(axis=-1)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -295,7 +301,7 @@ def _bins(indices: np.ndarray, k: int) -> np.ndarray:
     reshaped to (R * k, ...)."""
     if indices.ndim == 1:
         return indices
-    return np.arange(0, indices.shape[0] * k, k)[:, None] + indices
+    return _row_starts((indices.shape[0], 1, k)) + indices
 
 
 def _per_row(values: np.ndarray, bins: np.ndarray) -> np.ndarray:
@@ -458,7 +464,8 @@ def assign_nearest(batch: np.ndarray, mix) -> BatchAssignment:
     """Map each sample to the component with the nearest mean (Euclidean,
     ties to the lowest index). ``mix`` is a :class:`GaussianMixture` or
     the (k, d) array of its means; for a stack of runs, ``batch`` is
-    (R, N, d) and ``mix`` the (R, k, d) means."""
+    (R, N, d) and ``mix`` the (R, k, d) means. The assignment carries the
+    rows' :func:`_bins`, which the batch's update and penalty reuse."""
     means = mix.means() if isinstance(mix, GaussianMixture) else mix
     z = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if z.shape[-1] != means.shape[-1]:
@@ -467,8 +474,9 @@ def assign_nearest(batch: np.ndarray, mix) -> BatchAssignment:
         )
     idx = _nearest(z, means)
     k = means.shape[-2]
+    bins = _bins(idx, k)
     return BatchAssignment(
-        indices=idx, counts=_counts(_bins(idx, k), k), batch_size=z.shape[-2]
+        indices=idx, counts=_counts(bins, k), batch_size=z.shape[-2], bins=bins
     )
 
 
@@ -523,10 +531,10 @@ def _blend_variances(
 
 
 def _blend(state: MixtureState, assign: BatchAssignment, batch: np.ndarray):
-    """:func:`blend_batch` without its variance check; also returns the
-    rows' :func:`_bins`. Every array it returns is new."""
+    """:func:`blend_batch` without its variance check. Every array it
+    returns is new."""
     n_total = state.dataset_size
-    bins = _bins(assign.indices, state.weights.shape[-1])
+    bins = assign.bins
     weights = blend_weights(state.weights, assign.counts, assign.batch_size, n_total)
     coef = blend_coefficients(weights, assign.counts, n_total)
     dev = batch - _per_row(state.means, bins)
@@ -535,7 +543,7 @@ def _blend(state: MixtureState, assign: BatchAssignment, batch: np.ndarray):
         weights=weights, means=state.means, var=var, ridge=state.ridge,
         dataset_size=n_total,
     )
-    return blended, coef, dev, bins
+    return blended, coef, dev
 
 
 def blend_batch(
@@ -552,7 +560,7 @@ def blend_batch(
     :class:`~cemlab.errors.NonPositiveDefinite` on variances
     :meth:`Covariance.diagonal` would reject (per run, for a stack).
     """
-    blended, coef, dev, _ = _blend(state, assign, batch)
+    blended, coef, dev = _blend(state, assign, batch)
     check_diagonal(blended.var, blended.ridge)
     return blended, coef, dev
 

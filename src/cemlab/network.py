@@ -52,7 +52,7 @@ from .errors import (
     raise_for_runs,
 )
 from .files import write_atomic
-from .numerics import logsumexp_rows, seeded_rng
+from .numerics import _row_starts, logsumexp_rows, seeded_rng
 
 ACTIVATIONS = ("relu", "identity", "sigmoid")
 
@@ -531,6 +531,7 @@ class RunStack:
         self.cfgs = list(cfgs)
         self.noises = list(noises)
         self.noisy = np.array([noise.std > 0 for noise in noises])
+        self.all_noisy = bool(self.noisy.all())
         self.n_train, self.width = n_train, width
         self.results: list = [None] * len(cfgs)
         self.lr = self.momentum = None
@@ -542,6 +543,7 @@ class RunStack:
             [runs[r] for r in live] for runs in (self.ids, self.cfgs, self.noises)
         )
         self.noisy = self.noisy[live]
+        self.all_noisy = bool(self.noisy.all())
         for name in self._PER_RUN:
             if getattr(self, name) is not None:
                 setattr(self, name, getattr(self, name)[live])
@@ -606,7 +608,7 @@ class RunStack:
         """``feats + noise`` as a new array, with a noise-free run's features
         copied untouched (no ``+ 0.0``, which would turn -0.0 into 0.0)."""
         out = feats + noise
-        if not self.noisy.all():
+        if not self.all_noisy:
             out[~self.noisy] = feats[~self.noisy]
         return out
 
@@ -635,8 +637,15 @@ def task_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
             raise LabelOutOfRange(message)
         bad = ((y < 0) | (y >= n_classes)).any(axis=1)
         raise_for_runs({int(r): LabelOutOfRange(message) for r in np.flatnonzero(bad)})
-    # Each row's logit of its label, by its index in the flattened logits.
-    picks = np.arange(0, y.size * n_classes, n_classes).reshape(y.shape) + y
+    loss, probs = _softmax_xent(z, _row_starts(z.shape) + y)
+    return (loss if stacked else float(loss)), probs
+
+
+def _softmax_xent(z: np.ndarray, picks: np.ndarray):
+    """:func:`task_loss` unchecked, for C-ordered float64 logits ``z`` and
+    each row's label's flat index ``picks`` (:func:`_row_starts` plus the
+    labels); the gradient is a new array."""
+    n = z.shape[-2]
     log_z = logsumexp_rows(z)
     # np.mean's own sum and division, without its Python-level wrapper.
     loss = np.add.reduce(log_z - z.take(picks), axis=-1) / n
@@ -644,7 +653,7 @@ def task_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
     np.exp(probs, out=probs)
     probs.reshape(-1)[picks] -= 1.0
     probs /= n
-    return (loss if stacked else float(loss)), probs
+    return loss, probs
 
 
 def save_network(m: NeuralModule, path) -> None:

@@ -7,6 +7,7 @@ randomness is involved; nothing touches numpy's global generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,6 +141,16 @@ def trace(c: Covariance) -> float:
     return float(np.trace(c.matrix))
 
 
+@functools.lru_cache(maxsize=16)
+def _row_starts(shape: tuple[int, ...]) -> np.ndarray:
+    """The flat index of each row's first entry in a C-ordered array of
+    ``shape``, as an array of ``shape[:-1]``, built once per shape and
+    read-only: the offsets of a softmax's picks or of a stack's bins."""
+    starts = np.arange(0, int(np.prod(shape)), shape[-1]).reshape(shape[:-1])
+    starts.flags.writeable = False
+    return starts
+
+
 def _row_sums(t: np.ndarray) -> np.ndarray:
     """Sums over the last axis of ``t``, each row added in the order
     NumPy's pairwise sum adds a contiguous row, whatever the memory layout:
@@ -152,7 +163,7 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     """
     n = t.shape[-1]
     if n < 8:
-        return t.sum(axis=-1)
+        return np.add.reduce(t, axis=-1)
     if n > 128:
         half = n // 2 - (n // 2) % 8
         out = _row_sums(t[..., :half])
@@ -187,10 +198,11 @@ def logsumexp_rows(z: np.ndarray) -> np.ndarray:
     ``.T`` of a (k, n) buffer), reduces across whole rows at once and is
     the fastest.
     """
+    # Ufunc reductions, without the ndarray methods' Python wrappers.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = z.max(axis=-1, keepdims=True)
+        top = np.maximum.reduce(z, axis=-1, keepdims=True)
         is_top = z == top
-        m = is_top.sum(axis=-1, dtype=np.float64)
+        m = np.add.reduce(is_top, axis=-1, dtype=np.float64)
         terms = z - top
         np.exp(terms, out=terms)
         # Drops the maxima from the sum: in a row with a finite maximum they
@@ -204,7 +216,7 @@ def logsumexp_rows(z: np.ndarray) -> np.ndarray:
         out += np.log(m)
         out += top[..., 0]
         finite = np.isfinite(out)
-        if not finite.all():
+        if not np.logical_and.reduce(finite, axis=None):
             bad = ~finite
             out[bad] = np.log(np.exp(z[bad]).sum(axis=-1))
     return out

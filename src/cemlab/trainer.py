@@ -41,6 +41,7 @@ from .bounds import NoiseModel, cem_step
 from .data import Dataset
 from .errors import (
     CemError,
+    LabelOutOfRange,
     NonFinite,
     NonPositiveDefinite,
     raise_for_runs,
@@ -55,13 +56,13 @@ from .network import (
     NeuralModule,
     RunStack,
     StackedNet,
+    _softmax_xent,
     init_looks_linear,
     init_network,
     noise_inject,
     predict,
-    task_loss,
 )
-from .numerics import derived_seed
+from .numerics import _row_starts, derived_seed
 
 
 @dataclass
@@ -214,10 +215,12 @@ def train_many(
 
 
 class _Stack(RunStack):
-    """The live runs of a :func:`train_many` call (see :class:`RunStack`)."""
+    """The live runs of a :func:`train_many` call (see :class:`RunStack`).
+    What depends only on the live set, the label check and which parts of
+    a step run, is settled when that changes, not in every step."""
 
-    _PER_RUN = ("x", "y", "lam", "lam_on", "noise_var", "noise_logdet", "ridge",
-                "x_epoch", "y_epoch", "noise_epoch", "sums")
+    _PER_RUN = ("x", "y", "bad_labels", "lam", "lam_on", "noise_var",
+                "noise_logdet", "ridge", "x_epoch", "y_epoch", "noise_epoch", "sums")
 
     def __init__(self, cfgs: list[TrainingConfig], datasets: list[Dataset]):
         if not cfgs or len(cfgs) != len(datasets):
@@ -248,6 +251,7 @@ class _Stack(RunStack):
 
         self.x = np.stack([x for x, _ in splits])
         self.y = np.stack([y for _, y in splits])
+        self.bad_labels = ((self.y < 0) | (self.y >= n_classes)).any(axis=1)
         lam = np.array([cfg.lam for cfg in cfgs])
         self.lam = lam[:, None, None]
         self.lam_on = lam > 0
@@ -265,6 +269,7 @@ class _Stack(RunStack):
         self.ridge = np.maximum(1e-6, std**2)
         # per epoch
         self.x_epoch = self.y_epoch = self.noise_epoch = self.sums = None
+        self._settle_flags()
 
     def keep(self, live) -> None:
         super().keep(live)
@@ -272,6 +277,12 @@ class _Stack(RunStack):
         self.decoder.keep(live)
         if self.state is not None:
             self.state = self.state.take(live)
+        self._settle_flags()
+
+    def _settle_flags(self) -> None:
+        self.labels_ok = not self.bad_labels.any()
+        self.any_noisy = bool(self.noisy.any())
+        self.any_lam, self.all_lam = bool(self.lam_on.any()), bool(self.lam_on.all())
 
     def refit(self, epoch: int):
         """Re-encode the training split with fresh noise and refit every
@@ -318,26 +329,39 @@ class _Stack(RunStack):
         logits = self.decoder.forward(zb)
 
         assign = assign_nearest(zb, self.state.means)
-        if self.noisy.any():
+        if self.any_noisy:
             state, l_c, penalty_grad = cem_step(
                 self.state, assign, zb, self.noise_var, self.noise_logdet
             )
-            l_c = np.where(self.noisy, l_c, 0.0)
+            if not self.all_noisy:
+                l_c = np.where(self.noisy, l_c, 0.0)
         else:
             state, l_c = blend_batch(self.state, assign, zb)[0], np.zeros(len(self.ids))
 
-        l_d, grad_logits = task_loss(logits, yb)
+        # task_loss, its label check settled (a stack's short last batch is
+        # a strided view; the kernel needs C order).
+        if not self.labels_ok:
+            message = f"labels must lie in [0, {self.decoder.out_dim})"
+            raise_for_runs({
+                int(r): LabelOutOfRange(message) for r in np.flatnonzero(self.bad_labels)
+            })
+        z = np.ascontiguousarray(logits)
+        l_d, grad_logits = _softmax_xent(z, _row_starts(z.shape) + yb)
         np.copyto(self.decoder.out_grad(), grad_logits)
         g_z = self.decoder.backward(input_grad=True)
         g = self.encoder.out_grad()
-        np.copyto(g, g_z)
-        if self.lam_on.any():
-            np.add(g, self.lam * penalty_grad, out=g, where=self.lam_on[:, None, None])
+        if self.all_lam:
+            penalty_grad *= self.lam   # the step's own array
+            np.add(g_z, penalty_grad, out=g)
+        else:
+            np.copyto(g, g_z)
+            if self.any_lam:
+                np.add(g, self.lam * penalty_grad, out=g, where=self.lam_on[:, None, None])
         self.encoder.backward()
         self.encoder.propose(self.step_lr, self.step_momentum)
         self.decoder.propose(self.step_lr, self.step_momentum)
 
-        acc = (logits.argmax(axis=-1) == yb).sum(axis=-1) / yb.shape[1]
+        acc = np.add.reduce(z.argmax(axis=-1) == yb, axis=-1) / yb.shape[1]
         self.encoder.commit()
         self.decoder.commit()
         self.state = state

@@ -117,14 +117,12 @@ def neg_logp_grouped(mix, noise, n_samples, seed):
     return neg_logp
 
 
-def neg_logp_direct(mix, noise, n_samples, seed):
-    """Per-sample -log p(z) in the direct form the oracle used before the
-    grouped one: each sample is drawn as ``m_c + s_c z`` and scored against
-    every component from its deviation, with scipy's log-sum-exp."""
-    weights, means, variances, choices, z = _oracle_draws(mix, noise, n_samples, seed)
+def _direct_log_terms(weights, means, variances, choices, z):
+    """The (n_samples, k) log terms of the direct form (see
+    :func:`neg_logp_direct`)."""
     k, d = means.shape
     draws = means[choices] + z * np.sqrt(variances[choices])
-    log_terms = np.empty((n_samples, k))
+    log_terms = np.empty((choices.size, k))
     for i in range(k):
         dev = draws - means[i]
         log_terms[:, i] = np.log(weights[i]) - 0.5 * (
@@ -132,7 +130,50 @@ def neg_logp_direct(mix, noise, n_samples, seed):
             + np.sum(np.log(variances[i]))
             + np.sum(dev * dev / variances[i], axis=1)
         )
-    return -logsumexp(log_terms, axis=1)
+    return log_terms
+
+
+def neg_logp_direct(mix, noise, n_samples, seed):
+    """Per-sample -log p(z) in the direct form the oracle used before the
+    grouped one: each sample is drawn as ``m_c + s_c z`` and scored against
+    every component from its deviation, with scipy's log-sum-exp."""
+    draws = _oracle_draws(mix, noise, n_samples, seed)
+    return -logsumexp(_direct_log_terms(*draws), axis=1)
+
+
+def grouped_direct_rounding_bound(mix, noise, n_samples, seed):
+    """Per sample, a first-order bound on what rounding in the quadratic
+    forms can add to |neg_logp_grouped - neg_logp_direct|; the constants'
+    logarithms and the log-sum-exp are left out.
+
+    With u = 2**-53, take a sample from component c and, per coordinate,
+    ``a = |s_c z| + |m_c - m_i|``, which bounds both the deviation
+    ``x - m_i`` with ``x = m_c + s_c z`` and the square root of the grouped
+    form's terms' magnitude ``(z*z v_c + |2 s_c z (m_c - m_i)| +
+    (m_c - m_i)**2) / v_i = a**2 / v_i``. The grouped form's few roundings
+    per coefficient and its 2d-term product err by at most
+    ``(2d + 6) u a**2 / v_i``. The direct form draws ``x`` with an error up
+    to ``u (|m_c| + 2 |s_c z|)``, which moves the deviation's square by
+    twice that times ``a``, divided by ``v_i``, and squares, divides and
+    sums d terms with ``(d + 3) u a**2 / v_i`` more. For the component
+    itself (``m_i = m_c``) the draw's part is ``2 u |m_c| |z| / s_c``: the
+    direct form's error grows with ulp(|m_c|) / s_c. The log-sum-exp moves
+    by at most each component's error weighted by its responsibility
+    ``r_i``, so the bound is ``u sum_i r_i sum_l
+    ((3d + 9) a + 2 (|m_c| + 2 |s_c z|)) a / v_i``. NaN where the direct
+    form is."""
+    weights, means, variances, choices, z = _oracle_draws(mix, noise, n_samples, seed)
+    k, d = means.shape
+    log_terms = _direct_log_terms(weights, means, variances, choices, z)
+    resp = np.exp(log_terms - logsumexp(log_terms, axis=1, keepdims=True))
+    m_c = means[choices]
+    s_z = np.abs(z) * np.sqrt(variances[choices])
+    bound = np.zeros(n_samples)
+    for i in range(k):
+        a = s_z + np.abs(m_c - means[i])
+        per_coord = ((3 * d + 9) * a + 2 * (np.abs(m_c) + 2 * s_z)) * a / variances[i]
+        bound += resp[:, i] * per_coord.sum(axis=1)
+    return 2.0**-53 * bound
 
 
 def mc_entropy_whole_array(mix, noise, n_samples, seed):

@@ -12,14 +12,16 @@ on both sides of its switch to the Gram form. The per-batch kernels are
 also checked never to write to their inputs, and to raise the public
 chain's errors where the fused step's one-pass variance check fails."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from cemlab.bounds import NoiseModel, cem_loss, cem_loss_grad, cem_step
+from cemlab.bounds import NoiseModel, _penalty, cem_loss, cem_loss_grad, cem_step
 from cemlab.errors import DegenerateData, NonPositiveDefinite
 from cemlab.mixture import (
     GaussianComponent,
@@ -33,7 +35,7 @@ from cemlab.mixture import (
     update_covariance,
     update_weights,
 )
-from cemlab.numerics import Covariance
+from cemlab.numerics import Covariance, logsumexp_rows
 
 
 def nearest(x, means):
@@ -308,6 +310,7 @@ def test_stacked_step_equals_runs_alone(n_runs, k, d, n_batch, mult, rare, seed)
     stacked = stack_states(states)
 
     assign = assign_nearest(batch, stacked.means)
+    assert np.array_equal(assign.bins, np.arange(n_runs)[:, None] * k + assign.indices)
     blended = blend_batch(stacked, assign, batch)
     new, penalty, grad = cem_step(
         stacked, assign, batch,
@@ -463,3 +466,91 @@ def test_widened_overflow_raises_as_public_chain():
         )
     assert set(info.value.runs) == {1}
     assert str(info.value.runs[1]) == str(chain.value)
+
+
+def running_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row of ``terms`` added in order from 0.0 in Python floats."""
+    sums = []
+    for row in terms.tolist():
+        total = 0.0
+        for value in row:
+            total += value
+        sums.append(total)
+    return np.array(sums)
+
+
+def same_bits(a, b) -> bool:
+    """Equal float64 bits, except that any NaN matches any NaN."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    nan = np.isnan(a)
+    return bool(
+        np.array_equal(nan, np.isnan(b))
+        and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+    )
+
+
+@np.errstate(all="ignore")
+def test_penalty_sum_is_a_running_sum(rng):
+    """`_penalty` adds its per-component terms in order from 0.0, exactly as
+    a Python running sum does, on rows that mix -0.0, +-inf, NaN,
+    subnormals and sums that overflow. With d = 1 a term is
+    w * (0.5 * (log(denom) - ld_ref) - log(w))."""
+    tiny = 5e-324
+    # (weight, denom) pairs: with ld_ref = tiny, (1, 1) gives the term -0.0,
+    # and (tiny, 1) a subnormal.
+    finite = np.array([(1.0, 1.0), (tiny, 1.0), (tiny, 2.0), (0.3, 1.7), (1.0, 1e-300)])
+    # +inf, -inf, and NaN twice (log(nan), and 0 * inf).
+    non_finite = np.array([(1.0, np.inf), (1.0, 0.0), (1.0, np.nan), (0.0, 1.0)])
+    n_rows, k = 6000, 10
+    picked = finite[rng.integers(0, len(finite), size=(n_rows, k))]
+    rare = rng.random((n_rows, k)) < 0.04
+    picked[rare] = non_finite[rng.integers(0, len(non_finite), size=rare.sum())]
+    weights, denom = picked[..., 0], picked[..., 1:]
+    drawn = rng.random((n_rows, k)) < 0.2
+    weights[drawn] = rng.uniform(0.0, 1.0, size=drawn.sum())
+    ld_ref = rng.choice([0.0, tiny, -tiny, -1e308, 1e308, 1.5], size=(n_rows, 1))
+    # Rows of -0.0 terms only, which the running sum turns into +0.0.
+    weights[:20], denom[:20], ld_ref[:20] = 1.0, 1.0, tiny
+
+    terms = np.log(denom).sum(axis=-1)
+    terms -= ld_ref
+    terms *= 0.5
+    terms -= np.log(weights)
+    terms *= weights
+    # The cases above must all occur.
+    assert (np.signbit(terms) & (terms == 0)).any()
+    assert np.isposinf(terms).any() and np.isneginf(terms).any()
+    assert np.isnan(terms).any()
+    assert ((terms != 0) & (np.abs(terms) < 2.2250738585072014e-308)).any()
+
+    want = running_sums(terms)
+    # Rows whose sum overflows, is NaN, is +0.0 or is subnormal.
+    assert np.isinf(want[np.isfinite(terms).all(axis=1)]).any()
+    assert np.isnan(want).any() and (want == 0).any()
+    assert ((want != 0) & (np.abs(want) < 2.2250738585072014e-308)).any()
+    assert same_bits(_penalty(weights, denom, ld_ref), want)
+    for r in range(0, n_rows, 97):
+        solo = _penalty(weights[r], denom[r], ld_ref[r, 0])
+        assert type(solo) is float
+        assert same_bits(solo, want[r])
+
+
+def test_logsumexp_rows_keeps_scipys_bits_without_warnings(rng):
+    """Rows with +-inf, NaN or only -inf take the fallback; the result
+    keeps scipy's bits (NaN for NaN), stacked too, and no warning leaks."""
+    inf, nan = np.inf, np.nan
+    specials = np.array([inf, -inf, nan, 1e308, -1e308, 0.0, -0.0, 5e-324])
+    z = rng.standard_normal((3, 200, 3))
+    spots = rng.random(z.shape) < 0.3
+    z[spots] = rng.choice(specials, size=spots.sum())
+    z[0, :8] = -inf
+    z[1, :4] = [[inf, inf, 0.0], [nan, nan, nan], [-inf, inf, nan], [inf, -inf, 1.0]]
+    with np.errstate(all="ignore"):
+        want = logsumexp(z, axis=-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logsumexp_rows(z)
+        flat = logsumexp_rows(z[1])
+    assert same_bits(got, want)
+    assert same_bits(flat, want[1])
+    assert np.isnan(want).any() and np.isneginf(want).any() and np.isposinf(want).any()

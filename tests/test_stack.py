@@ -12,6 +12,7 @@ from cemlab import cli
 from cemlab import network as network_mod
 from cemlab import trainer as trainer_mod
 from cemlab.data import Dataset
+from cemlab.errors import LabelOutOfRange
 from cemlab.mixture import fit_init_many
 from cemlab.network import StackedNet, predict
 from cemlab.numerics import derived_seed, seeded_rng
@@ -90,6 +91,32 @@ def test_failed_runs_leave_the_stack(tmp_path):
     assert "fewer than k=9 distinct" in str(results[1])
     assert "training diverged" in str(results[2])
     for i in (0, 3):
+        cli.save_run(configs[i], results[i], tmp_path / f"stack_{i}")
+        cli.cmd_train(configs[i], tmp_path / f"solo_{i}")
+        assert_same_artifacts(tmp_path / f"stack_{i}", tmp_path / f"solo_{i}")
+
+
+def test_out_of_range_label_leaves_the_stack(tmp_path):
+    # The labels are checked once per stack, not per batch; a run whose
+    # training split holds a label outside [0, n_classes) must still fail
+    # with the error task_loss gives it alone.
+    configs = [dict(BASE, epochs=3), dict(BASE, epochs=3, seed=6),
+               dict(BASE, epochs=3, seed=8, lam=4.0)]
+    datasets = [cli.build_dataset(c) for c in configs]
+    ds = datasets[1]
+    labels = ds.labels.copy()
+    labels[ds.train_idx[-1]] = ds.n_classes
+    datasets[1] = Dataset(ds.inputs, labels, ds.n_classes, ds.train_idx, ds.test_idx)
+    cfgs = [cli.training_config(c) for c in configs]
+
+    results = train_many(cfgs, datasets)
+
+    assert isinstance(results[1], LabelOutOfRange)
+    assert solo_error(cfgs[1], datasets[1]) == (
+        f"LabelOutOfRange: labels must lie in [0, {ds.n_classes})"
+    )
+    assert f"{type(results[1]).__name__}: {results[1]}" == solo_error(cfgs[1], datasets[1])
+    for i in (0, 2):
         cli.save_run(configs[i], results[i], tmp_path / f"stack_{i}")
         cli.cmd_train(configs[i], tmp_path / f"solo_{i}")
         assert_same_artifacts(tmp_path / f"stack_{i}", tmp_path / f"solo_{i}")
