@@ -42,6 +42,8 @@ from .mixture import (
 from .numerics import LOG_2PI, Covariance, check_diagonal, logdet
 
 LOG_2PIE = LOG_2PI + 1.0
+# A noise std below this has a finite variance std**2.
+_STD_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass
@@ -52,8 +54,11 @@ class NoiseModel:
     dim: int
 
     def __post_init__(self):
-        if not 0 <= self.std < np.inf:
-            raise ValueError("noise std must be finite and nonnegative")
+        # Written so that NaN fails too.
+        if not 0 <= self.std < _STD_LIMIT:
+            raise ValueError(
+                "noise std must be finite and nonnegative, with a finite square"
+            )
 
     @property
     def cov(self) -> Covariance:

@@ -15,7 +15,7 @@ import io
 import json
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,35 +24,44 @@ from . import adversary, bounds, data, mixture, network, trainer
 from .errors import CemError, MissingArtifact, ParseError
 from .files import write_atomic
 
+# Each config key's default and kind. An "int" key takes an int or an
+# integral float such as 300.0, a "float" key any int or float; a kind
+# ending in "?" also takes null. A bool, a string or a fractional integer
+# is refused, never cast.
+#
 # Desk-scale calibration: at a few hundred training samples the entropy
 # penalty's per-sample pull (lambda / N) is orders of magnitude stronger
 # relative to the task gradient than at dataset sizes in the tens of
 # thousands, so the runnable defaults use a smaller step and batch than
 # the published large-scale recipe.
-DEFAULT_CONFIG = {
-    "lam": 16.0,
-    "noise_std": 0.025,
-    "k": None,
-    "epochs": 300,
-    "batch_size": 16,
-    "lr": 0.001,
-    "momentum": 0.0,
-    "seed": 0,
-    "d_z": 8,
-    "hidden": 32,
-    "feature_scale": 2.0,
-    "gmm_iters": 10,
-    "data_kind": "blobs",
-    "data_classes": 3,
-    "data_dim": 16,
-    "data_per_class": 200,
-    "data_spread": 0.05,
-    "data_csv": None,
-    "attack_epochs": 150,
-    "attack_lr": 0.01,
-    "attack_seed": 0,
-    "h_x_offset": 0.0,
+_SCHEMA = {
+    "lam": (16.0, "float"),
+    "noise_std": (0.025, "float"),
+    "k": (None, "int?"),
+    "epochs": (300, "int"),
+    "batch_size": (16, "int"),
+    "lr": (0.001, "float"),
+    "momentum": (0.0, "float"),
+    "seed": (0, "int"),
+    "d_z": (8, "int"),
+    "hidden": (32, "int"),
+    "feature_scale": (2.0, "float"),
+    "gmm_iters": (10, "int"),
+    "data_kind": ("blobs", "str"),
+    "data_classes": (3, "int"),
+    "data_dim": (16, "int"),
+    "data_per_class": (200, "int"),
+    "data_spread": (0.05, "float"),
+    "data_csv": (None, "str?"),
+    "attack_epochs": (150, "int"),
+    "attack_lr": (0.01, "float"),
+    "attack_seed": (0, "int"),
+    "h_x_offset": (0.0, "float"),
 }
+
+_KIND_NAMES = {"float": "a number", "int": "an integer", "str": "a string"}
+
+DEFAULT_CONFIG = {key: default for key, (default, _) in _SCHEMA.items()}
 
 DEFAULT_GRID = (0.01, 0.025, 0.05, 0.1, 0.2, 0.3)
 
@@ -102,16 +111,87 @@ def check_config_keys(values, source: str) -> dict:
     return values
 
 
-def config_int(config: dict, key: str) -> int:
-    """``config[key]`` as an int. A config file may give an integer key as
-    an int or an integral float such as 300.0; a bool, a string or a
-    fractional number raises ``ValueError`` rather than being truncated."""
-    value = config[key]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+def _read(key: str, value, kind: str):
+    """``value`` read as ``kind``, the key's kind in ``_SCHEMA``, or
+    ``ValueError`` naming ``key``."""
+    base = kind.rstrip("?")
+    if value is None and kind != base:
+        return None
+    if not isinstance(value, bool):
+        if base == "int" and (isinstance(value, numbers.Integral)
+                              or isinstance(value, float) and value.is_integer()):
+            return int(value)
+        if base == "float" and isinstance(value, numbers.Real):
+            try:
+                return float(value)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        if base == "str" and isinstance(value, str):
+            return value
+    or_null = " or null" if kind != base else ""
+    raise ValueError(
+        f"config key {key!r} must be {_KIND_NAMES[base]}{or_null}, got {value!r}"
+    )
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """A run config that passed :func:`validate`, read once into what the
+    commands use."""
+
+    training: trainer.TrainingConfig
+    attack: adversary.AttackConfig
+    noise: bounds.NoiseModel
+    data_dim: int
+    h_x_offset: float
+    dataset: object  # builds the config's data.Dataset when called
+
+
+def validate(config: dict) -> RunSpec:
+    """Check a complete run config and read it once. A key outside the
+    schema raises ``ParseError``; a missing key, a value of the wrong kind
+    or one out of range raises ``ValueError``. Each range is checked by the
+    dataclass or function that owns the value. ``config`` is not changed,
+    so manifests and run ids keep its bytes."""
+    check_config_keys(config, "the run config")
+    missing = _SCHEMA.keys() - config.keys()
+    if missing:
+        raise ValueError(f"the run config lacks keys {sorted(missing)}")
+    v = {key: _read(key, config[key], kind) for key, (_, kind) in _SCHEMA.items()}
+    # No other code owns these two. Written so that NaN fails too.
+    for key in ("h_x_offset", "data_spread"):
+        if not -np.inf < v[key] < np.inf:
+            raise ValueError(f"config key {key!r} must be finite, got {v[key]!r}")
+    if v["data_kind"] == "blobs":
+        def dataset():
+            return data.synth_blobs(
+                n_classes=v["data_classes"], d=v["data_dim"],
+                per_class=v["data_per_class"], spread=v["data_spread"], seed=v["seed"],
+            )
+    elif v["data_kind"] != "csv":
+        raise ValueError(f"unknown data_kind {v['data_kind']!r}")
+    elif not v["data_csv"]:
+        raise ValueError("data_kind 'csv' needs data_csv, the path of the CSV file")
+    else:
+        def dataset():
+            return data.load_csv(v["data_csv"], v["data_classes"], seed=v["seed"])
+    # The floor owns the data_dim range; a csv run reads data_dim nowhere
+    # else, so ask it now rather than after a sweep has written rows.
+    bounds.mse_floor(0.0, v["data_dim"])
+    training = {f.name: v[f.name] for f in fields(trainer.TrainingConfig)}
+    return RunSpec(
+        training=trainer.TrainingConfig(**training),
+        attack=adversary.AttackConfig(
+            epochs=v["attack_epochs"], lr=v["attack_lr"], seed=v["attack_seed"]
+        ),
+        noise=bounds.NoiseModel(std=v["noise_std"], dim=v["d_z"]),
+        data_dim=v["data_dim"], h_x_offset=v["h_x_offset"], dataset=dataset,
+    )
+
+
+def _with(config: dict, overrides: dict) -> dict:
+    """A copy of ``config`` with the overrides that are not None."""
+    return dict(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _fmt(x: float) -> str:
@@ -154,46 +234,12 @@ def load_config(path: str | None, overrides: dict) -> dict:
         except json.JSONDecodeError as exc:
             raise ParseError(f"config file {p} is not valid JSON: {exc}") from exc
         config.update(check_config_keys(file_values, f"config file {p}"))
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    return config
+    return _with(config, overrides)
 
 
 def build_dataset(config: dict) -> data.Dataset:
-    if config["data_kind"] == "blobs":
-        return data.synth_blobs(
-            n_classes=config_int(config, "data_classes"),
-            d=config_int(config, "data_dim"),
-            per_class=config_int(config, "data_per_class"),
-            spread=float(config["data_spread"]),
-            seed=config_int(config, "seed"),
-        )
-    if config["data_kind"] == "csv":
-        if not config["data_csv"]:
-            raise ValueError("data_kind=csv requires data_csv")
-        return data.load_csv(
-            config["data_csv"], config_int(config, "data_classes"),
-            seed=config_int(config, "seed"),
-        )
-    raise ValueError(f"unknown data_kind {config['data_kind']!r}")
-
-
-def training_config(config: dict) -> trainer.TrainingConfig:
-    return trainer.TrainingConfig(
-        lam=float(config["lam"]),
-        noise_std=float(config["noise_std"]),
-        k=None if config["k"] is None else config_int(config, "k"),
-        epochs=config_int(config, "epochs"),
-        batch_size=config_int(config, "batch_size"),
-        lr=float(config["lr"]),
-        momentum=float(config["momentum"]),
-        seed=config_int(config, "seed"),
-        d_z=config_int(config, "d_z"),
-        hidden=config_int(config, "hidden"),
-        feature_scale=float(config["feature_scale"]),
-        gmm_iters=config_int(config, "gmm_iters"),
-    )
+    """The dataset of a run config that :func:`validate` accepts."""
+    return validate(config).dataset()
 
 
 def write_history_csv(path: Path, run_id: str, history) -> None:
@@ -205,18 +251,9 @@ def write_history_csv(path: Path, run_id: str, history) -> None:
     write_atomic(path, f"# run_id={run_id}\n" + _csv_text(rows))
 
 
-def noise_model(config: dict) -> bounds.NoiseModel:
-    """The noise a run's config injects."""
-    return bounds.NoiseModel(
-        std=float(config["noise_std"]), dim=config_int(config, "d_z")
-    )
-
-
 def cmd_train(config: dict, out_dir: Path) -> RunManifest:
-    cfg = training_config(check_config_keys(config, "the run config"))
-    ds = build_dataset(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result = trainer.train(cfg, ds)
+    spec = validate(config)
+    result = trainer.train(spec.training, spec.dataset())
     return save_run(config, result, out_dir)
 
 
@@ -263,44 +300,32 @@ def _artifact_path(manifest: RunManifest, base: Path, name: str) -> Path:
     return path
 
 
-def run_floor(manifest: RunManifest, base: Path) -> float:
-    """MSE floor at the run's relative-entropy convention (stated offset)."""
+def run_floor(spec: RunSpec, manifest: RunManifest, base: Path) -> float | None:
+    """MSE floor at the run's relative-entropy convention (stated offset);
+    None for a noise-free run, which has no floor."""
+    if spec.noise.std <= 0:
+        return None
     mix = mixture.load_mixture(_artifact_path(manifest, base, "mixture"))
-    config = manifest.config
-    noise = noise_model(config)
     h_cond = bounds.cond_entropy_lower(
-        float(config["h_x_offset"]), bounds.mi_upper_bound(mix, noise)
+        spec.h_x_offset, bounds.mi_upper_bound(mix, spec.noise)
     )
-    return bounds.mse_floor(h_cond, config_int(config, "data_dim"))
-
-
-def attack_config(config: dict) -> adversary.AttackConfig:
-    return adversary.AttackConfig(
-        epochs=config_int(config, "attack_epochs"),
-        lr=float(config["attack_lr"]),
-        seed=config_int(config, "attack_seed"),
-    )
+    return bounds.mse_floor(h_cond, spec.data_dim)
 
 
 def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.AttackReport:
     manifest, base = _load_manifest(run)
-    config = dict(manifest.config)
-    if attack_overrides:
-        for key, value in attack_overrides.items():
-            if value is not None:
-                config[key] = value
+    spec = validate(_with(manifest.config, attack_overrides or {}))
     encoder = network.load_network(_artifact_path(manifest, base, "encoder"))
-    ds = build_dataset(manifest.config)
-    noise = noise_model(config)
-    atk_cfg = attack_config(config)
-    attacker = adversary.train_attacker(encoder, noise, ds, atk_cfg)
+    ds = spec.dataset()
+    attacker = adversary.train_attacker(encoder, spec.noise, ds, spec.attack)
     x_train, _ = ds.train_arrays()
     x_test, _ = ds.test_arrays()
-    floor = run_floor(manifest, base) if noise.std > 0 else None
+    floor = run_floor(spec, manifest, base)
     report = adversary.evaluate_attack(
-        attacker, encoder, noise, x_train, x_test, seed=atk_cfg.seed, floor=floor
+        attacker, encoder, spec.noise, x_train, x_test,
+        seed=spec.attack.seed, floor=floor,
     )
-    save_attack(base, manifest.run_id, atk_cfg.seed, report)
+    save_attack(base, manifest.run_id, spec.attack.seed, report)
     return report
 
 
@@ -333,43 +358,40 @@ def save_attack(base: Path, run_id: str, attack_seed: int,
 
 def cmd_bounds(run: str, h_x_offset: float | None = None) -> bounds.BoundsReport:
     manifest, base = _load_manifest(run)
-    config = manifest.config
-    noise = noise_model(config)
-    if noise.std <= 0:
+    spec = validate(_with(manifest.config, {"h_x_offset": h_x_offset}))
+    if spec.noise.std <= 0:
         raise ValueError(
             f"the leakage bound needs noise_std > 0; run {manifest.run_id} "
-            f"injects noise_std={noise.std}"
+            f"injects noise_std={spec.noise.std}"
         )
     mix = mixture.load_mixture(_artifact_path(manifest, base, "mixture"))
-    offset = float(config["h_x_offset"]) if h_x_offset is None else float(h_x_offset)
-    report = bounds.bounds_report(mix, noise, offset, config_int(config, "data_dim"))
+    report = bounds.bounds_report(mix, spec.noise, spec.h_x_offset, spec.data_dim)
     write_atomic(base / "bounds_report.json", _json_text(report.to_dict()))
     return report
 
 
 def _sweep_point(point: dict, variance: float, out_dir: Path, trained) -> dict:
     """Write one sweep point's run, evaluate its attacker and measure its
-    utility. ``trained`` is the point's (dataset, training result,
-    attacker), or the error its set-up or training raised, which is raised
-    here; the attacker may be the error its attack raised, raised once the
-    run is written."""
+    utility. ``trained`` is the point's (spec, dataset, training result,
+    attacker), or the error its training raised, which is raised here; the
+    attacker may be the error its attack raised, raised once the run is
+    written."""
     if isinstance(trained, Exception):
         raise trained
-    ds, result, attacker = trained
+    spec, ds, result, attacker = trained
     manifest = save_run(point, result, out_dir)
     if isinstance(attacker, Exception):
         raise attacker
-    noise = noise_model(point)
     x_train, _ = ds.train_arrays()
     x_test, _ = ds.test_arrays()
-    floor = run_floor(manifest, out_dir) if noise.std > 0 else None
-    seed = config_int(point, "attack_seed")
+    floor = run_floor(spec, manifest, out_dir)
     report = adversary.evaluate_attack(
-        attacker, result.encoder, noise, x_train, x_test, seed=seed, floor=floor
+        attacker, result.encoder, spec.noise, x_train, x_test,
+        seed=spec.attack.seed, floor=floor,
     )
-    save_attack(out_dir, manifest.run_id, seed, report)
+    save_attack(out_dir, manifest.run_id, spec.attack.seed, report)
     accuracy = trainer.evaluate_utility(
-        result.encoder, result.decoder, ds, noise, seed=config_int(point, "seed")
+        result.encoder, result.decoder, ds, spec.noise, seed=spec.training.seed
     )
     return {
         "variance": variance,
@@ -381,56 +403,33 @@ def _sweep_point(point: dict, variance: float, out_dir: Path, trained) -> dict:
     }
 
 
-def _train_points(points: list[dict]) -> list:
-    """Train the sweep points as one stack. Each entry is a point's
-    (dataset, training result), or the error its set-up or training
+def _train_points(specs: list[RunSpec], ds: data.Dataset) -> list:
+    """Train the sweep points on their shared dataset as one stack. Each
+    entry is a point's training result, or the error its training
     raised."""
-    outcomes: list = [None] * len(points)
-    stacked, cfgs, datasets = [], [], []
-    for i, point in enumerate(points):
-        try:
-            ds = build_dataset(point)
-            cfgs.append(training_config(point))
-        except (CemError, ValueError, OSError) as exc:
-            outcomes[i] = exc
-            continue
-        stacked.append(i)
-        datasets.append(ds)
-    if stacked:
-        try:
-            results = trainer.train_many(cfgs, datasets)
-        except (CemError, ValueError) as exc:
-            results = [exc] * len(stacked)
-        for i, ds, result in zip(stacked, datasets, results):
-            outcomes[i] = result if isinstance(result, Exception) else (ds, result)
-    return outcomes
+    try:
+        return trainer.train_many([spec.training for spec in specs], [ds] * len(specs))
+    except CemError as exc:
+        return [exc] * len(specs)
 
 
-def _attack_points(points: list[dict], trained: list) -> list:
+def _attack_points(specs: list[RunSpec], ds: data.Dataset, trained: list) -> list:
     """Train the trained sweep points' attackers as one stack, with the
-    encoders, datasets and noise in memory. Each (dataset, result) entry of
-    ``trained`` becomes (dataset, result, attacker), the attacker being the
-    error its attack raised if it failed; errors stay as they are."""
+    encoders and dataset in memory. Each training result of ``trained``
+    becomes (spec, dataset, result, attacker), the attacker being the error
+    its attack raised if it failed; errors stay as they are."""
     outcomes = list(trained)
-    stacked, runs = [], []
-    for i, (point, outcome) in enumerate(zip(points, trained)):
-        if isinstance(outcome, Exception):
-            continue
-        ds, result = outcome
+    live = [i for i, result in enumerate(trained) if not isinstance(result, Exception)]
+    if live:
         try:
-            cfg = attack_config(point)
-        except ValueError as exc:
-            outcomes[i] = (ds, result, exc)
-            continue
-        stacked.append(i)
-        runs.append((result.encoder, noise_model(point), ds, cfg))
-    if stacked:
-        try:
-            attackers = adversary.train_attacker_many(*(list(c) for c in zip(*runs)))
-        except (CemError, ValueError) as exc:
-            attackers = [exc] * len(stacked)
-        for i, attacker in zip(stacked, attackers):
-            outcomes[i] = (*trained[i], attacker)
+            attackers = adversary.train_attacker_many(
+                [trained[i].encoder for i in live], [specs[i].noise for i in live],
+                [ds] * len(live), [specs[i].attack for i in live],
+            )
+        except CemError as exc:
+            attackers = [exc] * len(live)
+        for i, attacker in zip(live, attackers):
+            outcomes[i] = (specs[i], ds, trained[i], attacker)
     return outcomes
 
 
@@ -439,38 +438,36 @@ _SWEEP_COLUMNS = ["variance", "rel_cond_entropy", "mse_train", "mse_infer", "acc
 
 def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
     """Train one fresh model per noise variance and record the robustness
-    curve. The points train together, as one stacked computation, and are
-    then attacked together, as another; then, in grid order, each point's
-    artifacts and attack report are written, its utility measured, and its
-    row appended to sweep.csv, so an interrupted sweep keeps the rows it
-    finished."""
+    curve. The config and every point are validated and the points'
+    shared dataset built first; the points train together, as one stacked
+    computation, and are then attacked together, as another. Only then is
+    anything written: in grid order, each point's artifacts and attack
+    report are written, its utility measured, and its row appended to
+    sweep.csv, so an interrupted sweep keeps the rows it finished."""
     if not grid:
         raise ValueError("sweep grid is empty")
     # Written so that NaN fails too.
     bad = [v for v in grid if not 0 <= v < np.inf]
     if bad:
         raise ValueError(f"grid variances must be finite and nonnegative, got {bad}")
-    check_config_keys(config, "the sweep config")
+    validate(config)
+    points = [dict(config, noise_std=float(np.sqrt(variance))) for variance in grid]
+    specs = [validate(point) for point in points]
+    # The points differ only in noise_std, so they share one dataset.
+    ds = specs[0].dataset()
+    attacked = _attack_points(specs, ds, _train_points(specs, ds))
+
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     header = _csv_text([[*_SWEEP_COLUMNS, "error"]])
     write_atomic(csv_path, f"# run_id={run_id_for(config)}\n" + header)
-
-    points = [dict(config, noise_std=float(np.sqrt(variance))) for variance in grid]
     rows = []
-    attacked = _attack_points(points, _train_points(points))
     for i, (variance, point, trained) in enumerate(zip(grid, points, attacked)):
         try:
             row = _sweep_point(point, variance, out_dir / f"point_{i:02d}", trained)
-        except (CemError, ValueError, OSError) as exc:
-            row = {
-                "variance": variance,
-                "rel_cond_entropy": None,
-                "mse_train": None,
-                "mse_infer": None,
-                "accuracy": None,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
+        except (CemError, OSError) as exc:
+            row = dict(dict.fromkeys(_SWEEP_COLUMNS), variance=variance,
+                       error=f"{type(exc).__name__}: {exc}")
         with open(csv_path, "a", encoding="utf-8", newline="") as fh:
             fh.write(_csv_text([[*(_cell(row[c]) for c in _SWEEP_COLUMNS), row["error"]]]))
         rows.append(row)
@@ -543,10 +540,9 @@ def cmd_report(out_dir: Path) -> list[dict]:
 
 def _parse_grid(text: str) -> list[float]:
     try:
-        grid = [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise ValueError(f"bad grid {text!r}: {exc}") from exc
-    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,11 +607,8 @@ def main(argv=None) -> int:
             manifest = cmd_train(merged_config(), Path(args.out))
             print(f"run {manifest.run_id} complete; artifacts in {args.out}")
         elif args.command == "attack":
-            overrides = {
-                k: getattr(args, k)
-                for k in ("attack_epochs", "attack_lr", "attack_seed")
-            }
-            report = cmd_attack(args.run, overrides)
+            keys = ("attack_epochs", "attack_lr", "attack_seed")
+            report = cmd_attack(args.run, {k: getattr(args, k) for k in keys})
             print(
                 f"attack mse_train={report.mse_train:.6g} "
                 f"mse_infer={report.mse_infer:.6g}"

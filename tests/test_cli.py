@@ -66,7 +66,7 @@ class TestTrainCommand:
         doc = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert set(doc) == {"run_id", "config", "output_dir", "artifacts"}
         manifest = cli.RunManifest.load(tmp_path / "run" / "manifest.json")
-        assert cli.noise_model(manifest.config).std == std
+        assert cli.validate(manifest.config).noise.std == std
 
     def test_exit_codes_via_main(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.json")
@@ -158,12 +158,27 @@ class TestTrainCommand:
         cmd_train(tiny_config(epochs=2.0), tmp_path / "run")
         assert len(read_history_csv(tmp_path / "run" / "history.csv")) == 2
 
-    def test_config_int(self):
-        config = {"a": 3, "b": 3.0, "c": np.int64(4), "d": -2.0}
-        assert [cli.config_int(config, key) for key in config] == [3, 3, 4, -2]
+    def test_validate_reads_kinds(self):
+        for value in (3, 3.0, np.int64(3)):
+            assert cli.validate(tiny_config(epochs=value)).training.epochs == 3
+        assert cli.validate(tiny_config(seed=-2.0)).training.seed == -2
         for value in (2.7, True, False, "3", None, float("nan"), float("inf"), [3]):
-            with pytest.raises(ValueError, match="'x' must be an integer"):
-                cli.config_int({"x": value}, "x")
+            with pytest.raises(ValueError, match="'epochs' must be an integer, got"):
+                cli.validate(tiny_config(epochs=value))
+        assert cli.validate(tiny_config(lam=2)).training.lam == 2.0
+        for value in (True, "0.1", None, [1.0], 10**400):
+            with pytest.raises(ValueError, match="'lam' must be a number, got"):
+                cli.validate(tiny_config(lam=value))
+        assert cli.validate(tiny_config(k=None)).training.k is None
+        with pytest.raises(ValueError, match="'k' must be an integer or null"):
+            cli.validate(tiny_config(k="9"))
+        with pytest.raises(ValueError, match="'data_kind' must be a string, got None"):
+            cli.validate(tiny_config(data_kind=None))
+        # The config itself is read, not rewritten: manifests keep its bytes.
+        config = tiny_config(epochs=2.0, lam=16)
+        cli.validate(config)
+        assert config == tiny_config(epochs=2.0, lam=16)
+        assert type(config["epochs"]) is float and type(config["lam"]) is int
 
     def test_zero_epochs_header_only_history(self, tmp_path):
         manifest = cmd_train(tiny_config(epochs=0), tmp_path / "run")
@@ -374,7 +389,7 @@ class TestBoundsCommand:
         encoder = load_network(run_dir / "encoder.json")
         ds = cli.build_dataset(config)
         noise = NoiseModel(std=0.0, dim=config["d_z"])
-        attacker = train_attacker(encoder, noise, ds, cli.attack_config(config))
+        attacker = train_attacker(encoder, noise, ds, cli.validate(config).attack)
         direct = evaluate_attack(
             attacker, encoder, noise, ds.train_arrays()[0], ds.test_arrays()[0],
             seed=config["attack_seed"],
@@ -453,11 +468,13 @@ class TestSweepAndReport:
 
     def test_sweep_error_row_quoted(self, tmp_path):
         # An error message with commas once split its row into 8 fields
-        # under the 6-column header.
+        # under the 6-column header. Two samples per class cannot fit the
+        # default nine components, a runtime failure of the point.
         out = tmp_path / "sweep"
-        rows = cmd_sweep(dict(DEFAULT_CONFIG, d_z=40, epochs=1), [0.01], out)
+        config = dict(DEFAULT_CONFIG, data_per_class=2, batch_size=2, epochs=1)
+        rows = cmd_sweep(config, [0.01], out)
         message = rows[0]["error"]
-        assert message.startswith("ValueError: ") and "," in message
+        assert message.startswith("DegenerateData: need at least k=9") and "," in message
         with open(out / "sweep.csv", newline="") as fh:
             records = list(csv.reader(fh))
         assert records[0][0].startswith("# run_id=")

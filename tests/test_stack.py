@@ -26,7 +26,7 @@ BASE = dict(cli.DEFAULT_CONFIG, epochs=12)
 def train_stack(configs, out):
     """Train ``configs`` as one stack and write each run as cmd_train does."""
     datasets = [cli.build_dataset(c) for c in configs]
-    results = train_many([cli.training_config(c) for c in configs], datasets)
+    results = train_many([cli.validate(c).training for c in configs], datasets)
     for i, (config, result) in enumerate(zip(configs, results)):
         cli.save_run(config, result, out / f"run_{i}")
 
@@ -80,7 +80,7 @@ def test_failed_runs_leave_the_stack(tmp_path):
     configs = [good[0], noise_free, diverging, good[1]]
     datasets = [cli.build_dataset(c) for c in configs]
     datasets[1] = indistinct(datasets[1])
-    cfgs = [cli.training_config(c) for c in configs]
+    cfgs = [cli.validate(c).training for c in configs]
 
     results = train_many(cfgs, datasets)
 
@@ -107,7 +107,7 @@ def test_out_of_range_label_leaves_the_stack(tmp_path):
     labels = ds.labels.copy()
     labels[ds.train_idx[-1]] = ds.n_classes
     datasets[1] = Dataset(ds.inputs, labels, ds.n_classes, ds.train_idx, ds.test_idx)
-    cfgs = [cli.training_config(c) for c in configs]
+    cfgs = [cli.validate(c).training for c in configs]
 
     results = train_many(cfgs, datasets)
 
@@ -126,7 +126,7 @@ def test_stack_rejects_mixed_shapes():
     configs = [dict(BASE, epochs=1), dict(BASE, epochs=1, hidden=16)]
     with pytest.raises(ValueError, match="share their shapes"):
         train_many(
-            [cli.training_config(c) for c in configs],
+            [cli.validate(c).training for c in configs],
             [cli.build_dataset(c) for c in configs],
         )
 
@@ -167,7 +167,7 @@ def test_noise_is_one_draw_per_run_and_epoch(monkeypatch):
     monkeypatch.setattr(StackedNet, "forward", recording_stacked_forward)
     monkeypatch.setattr(trainer_mod, "fit_init_many", recording_fit)
     monkeypatch.setattr(network_mod, "seeded_rng", recording_rng)
-    results = train_many([cli.training_config(c) for c in configs], datasets)
+    results = train_many([cli.validate(c).training for c in configs], datasets)
     assert not any(isinstance(r, Exception) for r in results)
 
     x = [ds.train_arrays()[0] for ds in datasets]
