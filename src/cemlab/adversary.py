@@ -3,6 +3,11 @@ mapping noisy features back to inputs, with white-box access to the frozen
 encoder and the training split, plus the closed-form posterior-mean
 adversary for jointly Gaussian worlds.
 
+:func:`train_attacker_many` trains same-shaped attackers as one stack, each
+with the bits it gets alone; :func:`train_attacker` is one run of it. A
+stack either finishes or raises; one that raises is trained again run by
+run, so that each run's entry is its solo attacker or error.
+
 Random streams: initial weights from ``derived_seed(seed, 10)``; per
 epoch, noise from ``seeded_rng(derived_seed(seed, 11, epoch), 0xE9)``
 (none for a noise-free run) and batch order from ``seeded_rng(seed, 12,
@@ -26,6 +31,7 @@ from .network import (
     init_network,
     noise_inject,
     predict,
+    stacked_or_alone,
 )
 from .numerics import derived_seed, seeded_rng
 
@@ -89,12 +95,9 @@ def train_attacker(
     sample per epoch, and minimizes the per-dimension reconstruction MSE.
     Deterministic per seed; the encoder is never modified.
 
-    This is :func:`train_attacker_many` on one run; its error is raised.
+    This is the stack of :func:`train_attacker_many` on one run.
     """
-    attacker = train_attacker_many([encoder], [noise], [data], [cfg])[0]
-    if isinstance(attacker, Exception):
-        raise attacker
-    return attacker
+    return _attack_stack([encoder], [noise], [data], [cfg])[0]
 
 
 def train_attacker_many(
@@ -110,29 +113,32 @@ def train_attacker_many(
     ``hidden_dims``, the input width and size of the training split,
     ``batch_size``, ``epochs`` and ``output_activation``. Seeds, noise, lr,
     momentum, encoders and data may differ. Every run gets the bits
-    :func:`train_attacker` gives it alone. A run whose update is not finite
-    leaves the stack: its entry is the error :func:`train_attacker` raises
-    for it, and the other runs go on.
+    :func:`train_attacker` gives it alone. If a run's update is not
+    finite, every run is trained alone
+    (:func:`~cemlab.network.stacked_or_alone`): a failed run's entry is the
+    error :func:`train_attacker` raises for it.
     """
+    return stacked_or_alone(_attack_stack, encoders, noises, datasets, cfgs)
+
+
+def _attack_stack(encoders, noises, datasets, cfgs) -> list[NeuralModule]:
+    """The runs of :func:`train_attacker_many` as one stack, which raises
+    if any run diverges."""
     stack = _AttackStack(encoders, noises, datasets, cfgs)
     starts = range(0, stack.n_train, stack.batch_size)
     for epoch in range(cfgs[0].epochs):
-        if not stack.ids:
-            break
         stack.start_epoch(epoch)
-        diverged = f"attack diverged at epoch {epoch}"
-        for start in starts:
-            stack.attempt(lambda: stack.step(start), NonFinite, NonFinite, diverged)
-    for r, i in enumerate(stack.ids):
-        stack.results[i] = stack.attacker.take(r)
-    return stack.results
+        try:
+            for start in starts:
+                stack.step(start)
+        except NonFinite as exc:
+            raise NonFinite(f"attack diverged at epoch {epoch}: {exc}") from exc
+    return [stack.attacker.take(r) for r in range(len(cfgs))]
 
 
 class _AttackStack(RunStack):
-    """The live runs of a :func:`train_attacker_many` call (see
+    """The runs of a :func:`train_attacker_many` call (see
     :class:`RunStack`)."""
-
-    _PER_RUN = ("feats_clean", "x", "feats", "targets")
 
     def __init__(self, encoders, noises, datasets, cfgs):
         if not cfgs or not len(encoders) == len(noises) == len(datasets) == len(cfgs):
@@ -162,10 +168,6 @@ class _AttackStack(RunStack):
         self.feats = self.targets = None   # per epoch, in epoch order
         self.set_rates([cfg.lr for cfg in cfgs], [cfg.momentum for cfg in cfgs])
 
-    def keep(self, live) -> None:
-        super().keep(live)
-        self.attacker.keep(live)
-
     def start_epoch(self, epoch: int) -> None:
         """Each run's fresh noise draw for ``epoch``, with the features and
         targets put in the run's batch order for the epoch."""
@@ -178,8 +180,7 @@ class _AttackStack(RunStack):
 
     def step(self, start: int) -> None:
         """One batch for every run, from ``start`` in each run's epoch
-        order. A step that fails stores nothing, so it can be retried
-        without the runs that failed it."""
+        order."""
         batch = slice(start, start + self.batch_size)
         target = self.targets[:, batch]
         pred = self.attacker.forward(self.feats[:, batch])
@@ -191,8 +192,7 @@ class _AttackStack(RunStack):
         grad *= 2.0
         grad /= n * d
         self.attacker.backward()
-        self.attacker.propose(self.step_lr, self.step_momentum)
-        self.attacker.commit()
+        self.attacker.step(self.step_lr, self.step_momentum)
 
 
 def reconstruction_mse(

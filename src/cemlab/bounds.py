@@ -175,6 +175,10 @@ def _penalty_grad(
 
 def _mixture_bound(mix: GaussianMixture, noise: NoiseModel, ld_ref: float) -> float:
     state = MixtureState.of(mix)
+    if state.var.shape[1] != noise.dim:
+        raise ShapeMismatch(
+            f"a mixture of width {state.var.shape[1]} beside noise of dim {noise.dim}"
+        )
     denom = _widened_ridged(state.var, state.ridge, noise.std**2)
     return _penalty(state.weights, denom, ld_ref)
 
@@ -295,8 +299,7 @@ def cem_step(
     are new arrays; neither ``state`` nor ``batch`` is written to.
 
     On a stack of runs, ``noise_var`` is (R, 1, 1), ``noise_logdet`` (R, 1)
-    and the penalty an (R,) array, each run with the bits it gets alone;
-    errors are raised per run (see :class:`~cemlab.errors.CemError`).
+    and the penalty an (R,) array, each run with the bits it gets alone.
     """
     blended, coef, dev = _blend(state, assign, batch)
     var, ridge = blended.var, blended.ridge
@@ -309,7 +312,7 @@ def cem_step(
     # var + noise_var is finite, and so is var <= var + noise_var; and
     # var + ridge > 0, so denom >= var + ridge > 0, as rounding is
     # monotone. On failure the two checks run in their old order, for
-    # their exception and per-run messages.
+    # their exception and message.
     if not (var.min() >= 0 and denom.max() < np.inf and (var + ridge).min() > 0):
         check_diagonal(var, ridge)
         check_diagonal(var + noise_var, ridge)

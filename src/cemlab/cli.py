@@ -174,9 +174,16 @@ def validate(config: dict) -> RunSpec:
         raise ValueError("data_kind 'csv' needs data_csv, the path of the CSV file")
     else:
         def dataset():
-            return data.load_csv(v["data_csv"], v["data_classes"], seed=v["seed"])
-    # The floor owns the data_dim range; a csv run reads data_dim nowhere
-    # else, so ask it now rather than after a sweep has written rows.
+            ds = data.load_csv(v["data_csv"], v["data_classes"], seed=v["seed"])
+            # The MSE floor is taken over data_dim input dimensions.
+            if ds.inputs.shape[1] != v["data_dim"]:
+                raise ValueError(
+                    f"{v['data_csv']} has {ds.inputs.shape[1]} input columns, "
+                    f"but data_dim is {v['data_dim']}"
+                )
+            return ds
+    # The floor owns the data_dim range; ask it now rather than after a
+    # sweep has written rows.
     bounds.mse_floor(0.0, v["data_dim"])
     training = {f.name: v[f.name] for f in fields(trainer.TrainingConfig)}
     return RunSpec(
@@ -403,16 +410,6 @@ def _sweep_point(point: dict, variance: float, out_dir: Path, trained) -> dict:
     }
 
 
-def _train_points(specs: list[RunSpec], ds: data.Dataset) -> list:
-    """Train the sweep points on their shared dataset as one stack. Each
-    entry is a point's training result, or the error its training
-    raised."""
-    try:
-        return trainer.train_many([spec.training for spec in specs], [ds] * len(specs))
-    except CemError as exc:
-        return [exc] * len(specs)
-
-
 def _attack_points(specs: list[RunSpec], ds: data.Dataset, trained: list) -> list:
     """Train the trained sweep points' attackers as one stack, with the
     encoders and dataset in memory. Each training result of ``trained``
@@ -421,13 +418,10 @@ def _attack_points(specs: list[RunSpec], ds: data.Dataset, trained: list) -> lis
     outcomes = list(trained)
     live = [i for i, result in enumerate(trained) if not isinstance(result, Exception)]
     if live:
-        try:
-            attackers = adversary.train_attacker_many(
-                [trained[i].encoder for i in live], [specs[i].noise for i in live],
-                [ds] * len(live), [specs[i].attack for i in live],
-            )
-        except CemError as exc:
-            attackers = [exc] * len(live)
+        attackers = adversary.train_attacker_many(
+            [trained[i].encoder for i in live], [specs[i].noise for i in live],
+            [ds] * len(live), [specs[i].attack for i in live],
+        )
         for i, attacker in zip(live, attackers):
             outcomes[i] = (specs[i], ds, trained[i], attacker)
     return outcomes
@@ -455,7 +449,9 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
     specs = [validate(point) for point in points]
     # The points differ only in noise_std, so they share one dataset.
     ds = specs[0].dataset()
-    attacked = _attack_points(specs, ds, _train_points(specs, ds))
+    # Each point's training result, or the error its training raised.
+    trained = trainer.train_many([spec.training for spec in specs], [ds] * len(specs))
+    attacked = _attack_points(specs, ds, trained)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"

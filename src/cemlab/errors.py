@@ -2,23 +2,7 @@
 
 
 class CemError(Exception):
-    """Base class for all cemlab errors.
-
-    A check over a stack of runs (arrays with a leading run axis) raises the
-    error of its first failing run; ``runs`` then maps every failing run's
-    index to the error that run raises on its own.
-    """
-
-    runs: "dict[int, CemError] | None" = None
-
-
-def raise_for_runs(errors: "dict[int, CemError]") -> None:
-    """Raise the lowest-indexed run's error from ``errors`` (run index ->
-    error), carrying all of them in its ``runs``; do nothing if empty."""
-    if errors:
-        first = errors[min(errors)]
-        first.runs = errors
-        raise first
+    """Base class for all cemlab errors."""
 
 
 class NonPositiveDefinite(CemError):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateData, ParseError, ShapeMismatch, raise_for_runs
+from .errors import DegenerateData, ParseError, ShapeMismatch
 from .files import write_atomic
 from .numerics import Covariance, _row_starts, check_diagonal, seeded_rng
 
@@ -111,12 +111,11 @@ class MixtureState:
     ridge: np.ndarray     # (k, 1)
     dataset_size: int
 
-    def take(self, runs) -> "MixtureState":
-        """Runs of a stacked state: one state for an index, a smaller stack
-        for an index array."""
+    def take(self, run: int) -> "MixtureState":
+        """One run of a stacked state."""
         return replace(
-            self, weights=self.weights[runs], means=self.means[runs],
-            var=self.var[runs], ridge=self.ridge[runs],
+            self, weights=self.weights[run], means=self.means[run],
+            var=self.var[run], ridge=self.ridge[run],
         )
 
     @staticmethod
@@ -157,8 +156,9 @@ def _floor_and_renormalize(weights: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _few_distinct(x: np.ndarray, k: int) -> list[int]:
-    """The runs of an (R, n, d) stack with fewer than ``k`` distinct rows.
+def _few_distinct(x: np.ndarray, k: int) -> bool:
+    """Whether any run of an (R, n, d) stack has fewer than ``k`` distinct
+    rows.
 
     A column with ``k`` distinct values settles a run; only the others pay
     for ``np.unique`` over whole rows. Columns holding a NaN settle nothing,
@@ -167,10 +167,9 @@ def _few_distinct(x: np.ndarray, k: int) -> list[int]:
     s = np.sort(x, axis=1)
     distinct = 1 + (s[:, 1:] != s[:, :-1]).sum(axis=1)
     settled = ((distinct >= k) & ~np.isnan(s[:, -1])).any(axis=1)
-    return [
-        int(r) for r in np.flatnonzero(~settled)
-        if np.unique(x[r], axis=0).shape[0] < k
-    ]
+    return any(
+        np.unique(x[r], axis=0).shape[0] < k for r in np.flatnonzero(~settled)
+    )
 
 
 def _kmeanspp_seeds(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -398,8 +397,9 @@ def fit_init_many(
 
     The Lloyd rounds run on all runs at once; a run leaves the stack when
     its assignment stops changing or its rounds are spent, so each run sees
-    exactly the rounds it would see alone. A run that cannot be fitted
-    raises per run (see :class:`~cemlab.errors.CemError`).
+    exactly the rounds it would see alone. Raises
+    :class:`~cemlab.errors.DegenerateData` if any run has fewer than ``k``
+    distinct rows.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 3:
@@ -408,14 +408,9 @@ def fit_init_many(
     iters = np.broadcast_to(np.asarray(iters, dtype=np.int64), (n_runs,))
     ridges = np.broadcast_to(np.asarray(ridges, dtype=np.float64), (n_runs,))
     if n < k:
-        raise_for_runs({
-            r: DegenerateData(f"need at least k={k} samples, got {n}")
-            for r in range(n_runs)
-        })
-    raise_for_runs({
-        r: DegenerateData(f"fewer than k={k} distinct feature vectors")
-        for r in _few_distinct(x, k)
-    })
+        raise DegenerateData(f"need at least k={k} samples, got {n}")
+    if _few_distinct(x, k):
+        raise DegenerateData(f"fewer than k={k} distinct feature vectors")
 
     if init_means is not None:
         means = np.array(init_means, dtype=np.float64)
@@ -558,7 +553,7 @@ def blend_batch(
     variances, the coefficients and the deviations are new arrays, and
     neither ``state`` nor ``batch`` is written to. Raises
     :class:`~cemlab.errors.NonPositiveDefinite` on variances
-    :meth:`Covariance.diagonal` would reject (per run, for a stack).
+    :meth:`Covariance.diagonal` would reject.
     """
     blended, coef, dev = _blend(state, assign, batch)
     check_diagonal(blended.var, blended.ridge)
@@ -640,25 +635,27 @@ def load_mixture(path, ridge: float = 1e-12) -> GaussianMixture:
 
     The checkpoint schema does not carry the ridge; reloaded covariances
     get a tiny factorization guard so bound values stay faithful to the
-    stored entries.
+    stored entries. A file without components, or whose means or
+    variances do not have ``dim`` entries, raises :class:`ParseError`.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        dim = int(doc["dim"])
         components = [
             GaussianComponent(
                 weight=float(c["weight"]),
-                mean=np.array(c["mean"], dtype=np.float64),
+                mean=np.array(c["mean"], dtype=np.float64).reshape(dim),
                 cov=Covariance.diagonal(
-                    np.array(c["cov_diag"], dtype=np.float64), ridge=ridge
+                    np.array(c["cov_diag"], dtype=np.float64).reshape(dim), ridge=ridge
                 ),
             )
             for c in doc["components"]
         ]
+        if not components:
+            raise ValueError("no components")
         return GaussianMixture(
-            components=components,
-            dim=int(doc["dim"]),
-            dataset_size=int(doc["dataset_size"]),
+            components=components, dim=dim, dataset_size=int(doc["dataset_size"]),
         )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(f"invalid mixture checkpoint {path}: {exc}") from exc

@@ -15,24 +15,24 @@ match bit for bit, called only by tests and the benchmark's tracer.
 
 :class:`StackedNet` trains such a stack in place, with the bits of
 :func:`forward`, :func:`backward` and :func:`sgd_step`. Its buffers are
-allocated once, and again when runs leave it:
+allocated once:
 
-- two (R, P) parameter buffers, current and proposed, and two velocity
-  buffers, with every layer's weights and bias as views into them;
+- one (R, P) parameter buffer and one velocity buffer, with every layer's
+  weights and bias as views into them;
 - one (R, P) gradient buffer;
 - per layer, (R, rows, width) buffers for the layer's output and for the
   gradient at it; a batch of fewer rows uses row-prefix views of them.
 
 A step is ``forward``, then ``backward`` from the gradient the caller
-writes into ``out_grad()``, then ``propose``, which fills only the
-proposed buffers and raises per run if a proposed parameter is not finite,
-then ``commit``, which swaps the current and proposed buffers. A step that
-is not committed changes nothing, so it can be retried without the runs
-that failed it. What ``forward``, ``out_grad`` and ``backward`` return are
-views into the buffers, which the next step overwrites.
+writes into ``out_grad()``, then ``step``, which updates the parameters
+in place and raises if one is not finite. What ``forward``, ``out_grad``
+and ``backward`` return are views into the buffers, which the next step
+overwrites.
 
 :class:`RunStack` is what the trainer's and the attacker's stacks share:
-live runs, the retry without failed runs, batch order, noise and rates.
+batch order, noise and rates. A stack either finishes or raises;
+:func:`stacked_or_alone` then trains each of its runs alone, so that a run
+that fails costs the others nothing but time.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ from itertools import compress
 import numpy as np
 
 from .errors import (
+    CemError,
     LabelOutOfRange,
     NonFinite,
     ParseError,
     ShapeMismatch,
     StaleTape,
-    raise_for_runs,
 )
 from .files import write_atomic
 from .numerics import _row_starts, logsumexp_rows, seeded_rng
@@ -303,14 +303,11 @@ def sgd_step(
     updated parameter is not finite.
 
     On a stacked module ``lr`` and ``momentum`` may be (R, 1, 1) arrays
-    with one value per run, and a non-finite update raises per run (see
-    :class:`~cemlab.errors.CemError`)."""
+    with one value per run."""
     if (lr < 0).any() if isinstance(lr, np.ndarray) else lr < 0:
         raise ValueError("learning rate must be nonnegative")
     still = not momentum.any() if isinstance(momentum, np.ndarray) else momentum == 0
-    stacked = m.layers[0].weights.ndim == 3
     layers, velocity = [], []
-    bad = None
     for layer, (vw, vb), (gw, gb) in zip(m.layers, m.velocity, grads):
         if still:
             new_vw, new_vb = gw, gb
@@ -324,16 +321,9 @@ def sgd_step(
         if not np.isfinite(w.sum() + b.sum()) and not (
             np.isfinite(w).all() and np.isfinite(b).all()
         ):
-            if not stacked:
-                raise NonFinite(_NON_FINITE_UPDATE)
-            finite = np.isfinite(w).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
-            bad = ~finite if bad is None else bad | ~finite
+            raise NonFinite(_NON_FINITE_UPDATE)
         layers.append(Layer(weights=w, bias=b, activation=layer.activation))
         velocity.append((new_vw, new_vb))
-    if bad is not None:
-        raise_for_runs(
-            {int(r): NonFinite(_NON_FINITE_UPDATE) for r in np.flatnonzero(bad)}
-        )
     return NeuralModule(layers=layers, velocity=velocity)
 
 
@@ -363,34 +353,24 @@ class StackedNet:
         stacked = NeuralModule.stack(modules)
         self.activations = [l.activation for l in stacked.layers]
         self.shapes = [l.weights.shape[1:] for l in stacked.layers]
-        self.rows = rows
+        n_runs = len(modules)
 
         def flat(pairs):
-            return np.concatenate(
-                [a.reshape(len(modules), -1) for pair in pairs for a in pair], axis=1
-            )
+            return _Flat(np.concatenate(
+                [a.reshape(n_runs, -1) for pair in pairs for a in pair], axis=1
+            ), self.shapes)
 
-        self._allocate(
-            flat((l.weights, l.bias) for l in stacked.layers), flat(stacked.velocity)
-        )
-
-    def _allocate(self, params: np.ndarray, velocity: np.ndarray) -> None:
-        """Every buffer for ``len(params)`` runs, holding ``params`` and
-        ``velocity``."""
-        n_runs = params.shape[0]
-        self._params = [_Flat(params, self.shapes), _Flat(np.empty_like(params), self.shapes)]
-        self._velocity = [
-            _Flat(velocity, self.shapes), _Flat(np.empty_like(params), self.shapes)
-        ]
-        self._grad = _Flat(np.empty_like(params), self.shapes)
+        self._params = flat((l.weights, l.bias) for l in stacked.layers)
+        self._velocity = flat(stacked.velocity)
+        self._grad = _Flat(np.empty_like(self._params.data), self.shapes)
         widths = [out for out, _ in self.shapes]
-        self._outs = [np.empty((n_runs, self.rows, w)) for w in widths]
-        self._out_grads = [np.empty((n_runs, self.rows, w)) for w in widths]
-        self._in_grad = np.empty((n_runs, self.rows, self.in_dim))
+        self._outs = [np.empty((n_runs, rows, w)) for w in widths]
+        self._out_grads = [np.empty((n_runs, rows, w)) for w in widths]
+        self._in_grad = np.empty((n_runs, rows, self.in_dim))
         # A relu layer's mask, a sigmoid layer's 1 - post.
         scratch_dtype = {"relu": bool, "sigmoid": np.float64}
         self._scratch = [
-            np.empty((n_runs, self.rows, w), dtype=scratch_dtype[act])
+            np.empty((n_runs, rows, w), dtype=scratch_dtype[act])
             if act in scratch_dtype else None
             for w, act in zip(widths, self.activations)
         ]
@@ -410,9 +390,9 @@ class StackedNet:
         return NeuralModule(
             layers=[
                 Layer(weights=w, bias=b, activation=act)
-                for (w, b), act in zip(self._params[0].views, self.activations)
+                for (w, b), act in zip(self._params.views, self.activations)
             ],
-            velocity=list(self._velocity[0].views),
+            velocity=list(self._velocity.views),
         )
 
     def take(self, run: int) -> NeuralModule:
@@ -420,15 +400,10 @@ class StackedNet:
         return NeuralModule(
             layers=[
                 Layer(weights=w[run].copy(), bias=b[run, 0].copy(), activation=act)
-                for (w, b), act in zip(self._params[0].views, self.activations)
+                for (w, b), act in zip(self._params.views, self.activations)
             ],
-            velocity=[(w[run].copy(), b[run, 0].copy()) for w, b in self._velocity[0].views],
+            velocity=[(w[run].copy(), b[run, 0].copy()) for w, b in self._velocity.views],
         )
-
-    def keep(self, live) -> None:
-        """Drop every run not listed in ``live``."""
-        live = np.asarray(live, dtype=np.intp)
-        self._allocate(self._params[0].data[live], self._velocity[0].data[live])
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """The output on an (R, n, in_dim) batch of n <= ``rows`` rows, with
@@ -436,7 +411,7 @@ class StackedNet:
         :meth:`backward`."""
         n = batch.shape[1]
         self._inputs = a = batch
-        for (w, b), act, buf in zip(self._params[0].views, self.activations, self._outs):
+        for (w, b), act, buf in zip(self._params.views, self.activations, self._outs):
             out = buf[:, :n]
             np.matmul(a, w.swapaxes(-1, -2), out=out)
             out += b
@@ -461,7 +436,7 @@ class StackedNet:
         bits of :func:`backward`; the gradient at the input if
         ``input_grad``, else None."""
         n = self._inputs.shape[1]
-        params, grads = self._params[0].views, self._grad.views
+        params, grads = self._params.views, self._grad.views
         for i in range(len(self.shapes) - 1, -1, -1):
             g, post = self._out_grads[i][:, :n], self._outs[i][:, :n]
             if self.activations[i] == "relu":
@@ -485,105 +460,52 @@ class StackedNet:
             return None
         return np.matmul(self._out_grads[0][:, :n], params[0][0], out=self._in_grad[:, :n])
 
-    def propose(self, lr, momentum) -> None:
+    def step(self, lr, momentum) -> None:
         """The step of :func:`sgd_step` from the last backward's gradient,
-        into the proposed buffers only; ``lr`` and ``momentum`` are floats or
-        (R, 1) arrays with one value per run. Raises per run if a proposed
-        parameter is not finite (see :class:`~cemlab.errors.CemError`)."""
+        in place; ``lr`` and ``momentum`` are floats or (R, 1) arrays with
+        one value per run. Raises if an updated parameter is not finite."""
         if (lr < 0).any() if isinstance(lr, np.ndarray) else lr < 0:
             raise ValueError("learning rate must be nonnegative")
         if not momentum.any() if isinstance(momentum, np.ndarray) else momentum == 0:
             # The velocity is the gradient itself.
-            self._velocity[1], self._grad = self._grad, self._velocity[1]
+            self._velocity, self._grad = self._grad, self._velocity
         else:
-            np.multiply(momentum, self._velocity[0].data, out=self._velocity[1].data)
-            self._velocity[1].data += self._grad.data
-        new = self._params[1].data
-        np.multiply(lr, self._velocity[1].data, out=new)
-        np.subtract(self._params[0].data, new, out=new)
+            np.multiply(momentum, self._velocity.data, out=self._velocity.data)
+            self._velocity.data += self._grad.data
+        # The gradient buffer is free again: it holds lr times the velocity.
+        delta, params = self._grad.data, self._params.data
+        np.multiply(lr, self._velocity.data, out=delta)
+        np.subtract(params, delta, out=params)
         # A finite sum means every entry is finite; finite entries whose sum
         # overflows get the entrywise test.
-        if not np.isfinite(np.add.reduce(new, axis=None)):
-            raise_for_runs({
-                int(r): NonFinite(_NON_FINITE_UPDATE)
-                for r in np.flatnonzero(~np.isfinite(new).all(axis=1))
-            })
-
-    def commit(self) -> None:
-        """Make the proposed parameters and velocity current."""
-        self._params.reverse()
-        self._velocity.reverse()
+        if not (np.isfinite(np.add.reduce(params, axis=None)) or np.isfinite(params).all()):
+            raise NonFinite(_NON_FINITE_UPDATE)
 
 
 class RunStack:
-    """The live runs of a stacked training call, along a leading run axis:
-    ``ids`` holds each one's position in the caller's lists and ``results``
-    each run's outcome by that position. The runs' ``shapes`` must be equal.
-    A subclass names its per-run arrays in ``_PER_RUN`` and drops its
-    networks' runs in its own ``keep``."""
-
-    _PER_RUN: tuple[str, ...] = ()
+    """The runs of a stacked training call, along a leading run axis. The
+    runs' ``shapes`` must be equal."""
 
     def __init__(self, cfgs: list, noises: list, shapes: list, n_train: int, width: int):
         if any(shape != shapes[0] for shape in shapes):
             raise ValueError("the runs of a stack must share their shapes")
-        self.ids = list(range(len(cfgs)))
         self.cfgs = list(cfgs)
         self.noises = list(noises)
         self.noisy = np.array([noise.std > 0 for noise in noises])
         self.all_noisy = bool(self.noisy.all())
         self.n_train, self.width = n_train, width
-        self.results: list = [None] * len(cfgs)
-        self.lr = self.momentum = None
-
-    def keep(self, live) -> None:
-        """Drop every run not listed in ``live``."""
-        live = np.asarray(live, dtype=np.intp)
-        self.ids, self.cfgs, self.noises = (
-            [runs[r] for r in live] for runs in (self.ids, self.cfgs, self.noises)
-        )
-        self.noisy = self.noisy[live]
-        self.all_noisy = bool(self.noisy.all())
-        for name in self._PER_RUN:
-            if getattr(self, name) is not None:
-                setattr(self, name, getattr(self, name)[live])
-        if self.lr is not None:
-            self.set_rates(self.lr[live, 0], self.momentum[live, 0])
-
-    def attempt(self, action, caught, wrapped, prefix: str):
-        """``action()``, which stores nothing when it fails, retried without
-        the runs it fails with a ``caught`` error; None if no run is left.
-        A failed run's result is its solo error, a ``wrapped`` kind wrapped
-        as ``NonFinite(f"{prefix}: {err}")``."""
-        while self.ids:
-            try:
-                return action()
-            except caught as exc:
-                errors = exc.runs or dict.fromkeys(range(len(self.ids)), exc)
-                for r, err in errors.items():
-                    err.runs = None
-                    if isinstance(err, wrapped):
-                        diverged = NonFinite(f"{prefix}: {err}")
-                        diverged.__cause__ = err
-                        err = diverged
-                    self.results[self.ids[r]] = err
-                self.keep([r for r in range(len(self.ids)) if r not in errors])
-        return None
 
     def set_rates(self, lr, momentum) -> None:
-        """Each live run's lr and momentum as (R, 1) arrays, and as
-        ``step_lr``/``step_momentum`` what a step passes to ``propose``: one
-        float where every run shares the value (same bits, less cost)."""
-        self.lr, self.momentum = (
-            np.asarray(v, dtype=np.float64).reshape(-1, 1) for v in (lr, momentum)
-        )
+        """Each run's lr and momentum as ``step_lr``/``step_momentum``, what
+        a step passes to :meth:`StackedNet.step`: one float where every run
+        shares the value (same bits, less cost), else an (R, 1) array."""
         self.step_lr, self.step_momentum = (
-            float(v[0, 0]) if len(v) and (v == v[0]).all() else v
-            for v in (self.lr, self.momentum)
+            float(v[0, 0]) if (v == v[0]).all() else v
+            for v in (np.asarray(x, dtype=np.float64).reshape(-1, 1) for x in (lr, momentum))
         )
 
     def rngs(self, tag: int, epoch: int, where=None) -> list:
-        """``seeded_rng(seed, tag, epoch)`` for each live run, or for each one
+        """``seeded_rng(seed, tag, epoch)`` for each run, or for each one
         that the boolean array ``where`` selects."""
         cfgs = self.cfgs if where is None else compress(self.cfgs, where)
         return [seeded_rng(cfg.seed, tag, epoch) for cfg in cfgs]
@@ -592,14 +514,14 @@ class RunStack:
         """``arrays`` with each run's rows in its order for ``epoch``,
         ``seeded_rng(seed, tag, epoch).permutation``: a batch is a slice."""
         order = np.stack([rng.permutation(self.n_train) for rng in self.rngs(tag, epoch)])
-        pick = (np.arange(len(self.ids))[:, None], order)
+        pick = (np.arange(len(self.cfgs))[:, None], order)
         return [a[pick] for a in arrays]
 
     def draw_noise(self, rngs) -> np.ndarray:
-        """Each live run's std times (n_train, width) standard normals, from
+        """Each run's std times (n_train, width) standard normals, from
         ``rngs``: one generator per noisy run, in stack order. A noise-free
         run draws nothing and gets zeros."""
-        out = np.zeros((len(self.ids), self.n_train, self.width))
+        out = np.zeros((len(self.cfgs), self.n_train, self.width))
         for r, rng in zip(np.flatnonzero(self.noisy), rngs):
             np.multiply(self.noises[r].std, rng.standard_normal(out.shape[1:]), out=out[r])
         return out
@@ -613,12 +535,31 @@ class RunStack:
         return out
 
 
+def stacked_or_alone(train_stack, *runs) -> list:
+    """``train_stack(*runs)``, the outcome of each run of a stack, where
+    ``runs`` are parallel per-run lists. If the stack raises a
+    :class:`~cemlab.errors.CemError`, each run is trained alone, and a run
+    that fails alone gets its own error as its entry. A stack gives each
+    run the bits it gets alone, so every entry is that run's solo outcome.
+    """
+    try:
+        return train_stack(*runs)
+    except CemError:
+        pass
+    outcomes = []
+    for run in zip(*runs):
+        try:
+            outcomes += train_stack(*([arg] for arg in run))
+        except CemError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def task_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy in nats plus its gradient w.r.t. logits.
 
     For a stack of runs (logits (R, N, C), labels (R, N)) the loss is an
-    (R,) array, and labels out of range raise per run (see
-    :class:`~cemlab.errors.CemError`)."""
+    (R,) array."""
     # C order, so that flat indices address the rows' entries.
     z = np.atleast_2d(np.ascontiguousarray(logits, dtype=np.float64))
     stacked = z.ndim == 3
@@ -632,11 +573,7 @@ def task_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray
         if y.size != n:
             raise ShapeMismatch(f"{y.size} labels for {n} rows of logits")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
-        message = f"labels must lie in [0, {n_classes})"
-        if not stacked:
-            raise LabelOutOfRange(message)
-        bad = ((y < 0) | (y >= n_classes)).any(axis=1)
-        raise_for_runs({int(r): LabelOutOfRange(message) for r in np.flatnonzero(bad)})
+        raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
     loss, probs = _softmax_xent(z, _row_starts(z.shape) + y)
     return (loss if stacked else float(loss)), probs
 
@@ -679,26 +616,24 @@ def save_network(m: NeuralModule, path) -> None:
 
 
 def load_network(path) -> NeuralModule:
-    """Read a checkpoint written by :func:`save_network`."""
+    """Read a checkpoint written by :func:`save_network`. A file that does
+    not hold one velocity entry per layer, or whose arrays do not have
+    their layer's shape, raises :class:`ParseError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         layers, velocity = [], []
-        for spec_l, spec_v in zip(doc["layers"], doc["velocity"]):
-            shape = tuple(spec_l["shape"])
-            layers.append(
-                Layer(
-                    weights=np.array(spec_l["weights"], dtype=np.float64).reshape(shape),
-                    bias=np.array(spec_l["bias"], dtype=np.float64),
-                    activation=spec_l["activation"],
-                )
+        for spec_l, spec_v in zip(doc["layers"], doc["velocity"], strict=True):
+            out, fan_in = spec_l["shape"]
+            w, b, vw, vb = (
+                np.array(spec[key], dtype=np.float64).reshape(shape)
+                for spec in (spec_l, spec_v)
+                for key, shape in (("weights", (out, fan_in)), ("bias", (out,)))
             )
-            velocity.append(
-                (
-                    np.array(spec_v["weights"], dtype=np.float64).reshape(shape),
-                    np.array(spec_v["bias"], dtype=np.float64),
-                )
-            )
+            layers.append(Layer(weights=w, bias=b, activation=spec_l["activation"]))
+            velocity.append((vw, vb))
+        if not layers:
+            raise ValueError("no layers")
         return NeuralModule(layers=layers, velocity=velocity)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, ShapeMismatch, json.JSONDecodeError) as exc:
         raise ParseError(f"invalid network checkpoint {path}: {exc}") from exc

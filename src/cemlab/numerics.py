@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPositiveDefinite, ShapeMismatch, raise_for_runs
+from .errors import NonPositiveDefinite, ShapeMismatch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -36,26 +36,14 @@ def derived_seed(seed: int, *tags: int) -> int:
     return int(seeded_rng(seed, *tags).integers(2**62))
 
 
-def _diagonal_fault(entries: np.ndarray, ridge) -> str | None:
-    """What :func:`check_diagonal` rejects in ``entries``, or None."""
-    if not np.isfinite(entries).all():
-        return "diagonal entries must be finite"
-    if (entries < 0).any():
-        return "diagonal entries must be nonnegative"
-    if (entries + ridge <= 0).any():
-        return "zero diagonal entries require a positive ridge"
-    return None
-
-
 def check_diagonal(entries: np.ndarray, ridge) -> None:
     """Raise :class:`NonPositiveDefinite` unless every diagonal entry is
     finite, nonnegative, and positive once ridged.
 
     ``entries`` may hold one diagonal, a (k, d) stack of them, or an
-    (R, k, d) stack of runs, which raises per run (see
-    :class:`~cemlab.errors.CemError`); ``ridge`` broadcasts against it.
-    These are the checks behind :meth:`Covariance.diagonal`, shared with
-    the array-form mixture step.
+    (R, k, d) stack of runs; ``ridge`` broadcasts against it. These are the
+    checks behind :meth:`Covariance.diagonal`, shared with the array-form
+    mixture step.
     """
     # Accepts only what the three checks accept, in three reductions: a NaN
     # fails the first comparison and an infinite entry the last.
@@ -64,16 +52,12 @@ def check_diagonal(entries: np.ndarray, ridge) -> None:
     ridged = entries + ridge
     if ridged.min() > 0 and entries.min() >= 0 and ridged.max() < np.inf:
         return
-    if entries.ndim < 3:
-        fault = _diagonal_fault(entries, ridge)
-        if fault is not None:
-            raise NonPositiveDefinite(fault)
-        return
-    ridge = np.broadcast_to(ridge, entries.shape)
-    faults = {r: _diagonal_fault(entries[r], ridge[r]) for r in range(entries.shape[0])}
-    raise_for_runs(
-        {r: NonPositiveDefinite(f) for r, f in faults.items() if f is not None}
-    )
+    if not np.isfinite(entries).all():
+        raise NonPositiveDefinite("diagonal entries must be finite")
+    if (entries < 0).any():
+        raise NonPositiveDefinite("diagonal entries must be nonnegative")
+    if (ridged <= 0).any():
+        raise NonPositiveDefinite("zero diagonal entries require a positive ridge")
 
 
 @dataclass

@@ -14,7 +14,9 @@ and its gradient.
 :func:`train_many` runs several same-shaped runs as one computation, a
 :class:`~cemlab.network.RunStack` with every array carrying a leading run
 axis; :func:`train` is one run of it. Each run keeps its own random streams
-and gets the bits it gets alone. The refit encodes with
+and gets the bits it gets alone. A stack either finishes or raises; one
+that raises is trained again run by run, so that each run's entry is its
+solo result or error. The refit encodes with
 :func:`~cemlab.network.predict`, a batch with the stack's ``StackedNet``.
 
 Random streams: each run draws its noise and batch order from generators
@@ -39,13 +41,7 @@ import numpy as np
 
 from .bounds import NoiseModel, cem_step
 from .data import Dataset
-from .errors import (
-    CemError,
-    LabelOutOfRange,
-    NonFinite,
-    NonPositiveDefinite,
-    raise_for_runs,
-)
+from .errors import CemError, LabelOutOfRange, NonFinite, NonPositiveDefinite
 from .mixture import (
     GaussianMixture,
     assign_nearest,
@@ -61,6 +57,7 @@ from .network import (
     init_network,
     noise_inject,
     predict,
+    stacked_or_alone,
 )
 from .numerics import _row_starts, derived_seed
 
@@ -157,12 +154,9 @@ def train(cfg: TrainingConfig, data: Dataset) -> TrainResult:
     one SGD step on both halves of the network. The returned mixture is the
     state after the last batch.
 
-    This is :func:`train_many` on one run; its error is raised.
+    This is the stack of :func:`train_many` on one run.
     """
-    result = train_many([cfg], [data])[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return _train_stack([cfg], [data])[0]
 
 
 def train_many(
@@ -174,29 +168,35 @@ def train_many(
     the class count and ``k``, ``batch_size``, ``epochs`` and the size of
     the training split. Seeds, ``lam``, noise, learning rate, momentum and
     data may differ. Every run gets the bits :func:`train` gives it alone.
-    A run that fails (it diverges, or its features cannot be fitted) leaves
-    the stack: its entry is the error :func:`train` raises for it, and the
-    other runs go on.
+    If a run fails (it diverges, or its features cannot be fitted), every
+    run is trained alone (:func:`~cemlab.network.stacked_or_alone`): a
+    failed run's entry is the error :func:`train` raises for it.
     """
+    return stacked_or_alone(_train_stack, cfgs, datasets)
+
+
+def _train_stack(cfgs: list[TrainingConfig], datasets: list[Dataset]) -> list[TrainResult]:
+    """The runs of :func:`train_many` as one stack, which raises if any run
+    fails."""
     stack = _Stack(cfgs, datasets)
     histories = [[] for _ in cfgs]
     epochs = cfgs[0].epochs
     starts = range(0, stack.n_train, stack.batch_size)
     for epoch in range(max(epochs, 1)):
-        diverged = f"training diverged at epoch {epoch}"
         # Features whose squares overflow the covariance are a divergence,
         # not a data defect.
-        stack.state = stack.attempt(lambda: stack.refit(epoch), CemError,
-                                    NonPositiveDefinite, diverged)
-        if epochs == 0 or not stack.ids:
-            break
-        stack.start_epoch(epoch)
-        for start in starts:
-            stack.attempt(lambda: stack.step(start), CemError,
-                          (NonFinite, NonPositiveDefinite), diverged)
-        for i, cfg, run_sums in zip(stack.ids, stack.cfgs, stack.sums):
+        try:
+            stack.refit(epoch)
+            if epochs == 0:
+                break
+            stack.start_epoch(epoch)
+            for start in starts:
+                stack.step(start)
+        except (NonFinite, NonPositiveDefinite) as exc:
+            raise NonFinite(f"training diverged at epoch {epoch}: {exc}") from exc
+        for history, cfg, run_sums in zip(histories, cfgs, stack.sums):
             l_d_mean, l_c_mean, acc_mean = run_sums / len(starts)
-            histories[i].append(
+            history.append(
                 LossBreakdown(
                     epoch=epoch,
                     l_d=float(l_d_mean),
@@ -205,22 +205,19 @@ def train_many(
                     accuracy=float(acc_mean),
                 )
             )
-
-    for r, i in enumerate(stack.ids):
-        stack.results[i] = TrainResult(
+    return [
+        TrainResult(
             stack.encoder.take(r), stack.decoder.take(r),
-            stack.state.take(r).to_mixture(), histories[i],
+            stack.state.take(r).to_mixture(), history,
         )
-    return stack.results
+        for r, history in enumerate(histories)
+    ]
 
 
 class _Stack(RunStack):
-    """The live runs of a :func:`train_many` call (see :class:`RunStack`).
-    What depends only on the live set, the label check and which parts of
-    a step run, is settled when that changes, not in every step."""
-
-    _PER_RUN = ("x", "y", "bad_labels", "lam", "lam_on", "noise_var",
-                "noise_logdet", "ridge", "x_epoch", "y_epoch", "noise_epoch", "sums")
+    """The runs of a :func:`train_many` call (see :class:`RunStack`). What
+    depends only on the runs, the label check and which parts of a step
+    run, is settled once, not in every step."""
 
     def __init__(self, cfgs: list[TrainingConfig], datasets: list[Dataset]):
         if not cfgs or len(cfgs) != len(datasets):
@@ -251,7 +248,7 @@ class _Stack(RunStack):
 
         self.x = np.stack([x for x, _ in splits])
         self.y = np.stack([y for _, y in splits])
-        self.bad_labels = ((self.y < 0) | (self.y >= n_classes)).any(axis=1)
+        self.labels_ok = not ((self.y < 0) | (self.y >= n_classes)).any()
         lam = np.array([cfg.lam for cfg in cfgs])
         self.lam = lam[:, None, None]
         self.lam_on = lam > 0
@@ -269,36 +266,21 @@ class _Stack(RunStack):
         self.ridge = np.maximum(1e-6, std**2)
         # per epoch
         self.x_epoch = self.y_epoch = self.noise_epoch = self.sums = None
-        self._settle_flags()
-
-    def keep(self, live) -> None:
-        super().keep(live)
-        self.encoder.keep(live)
-        self.decoder.keep(live)
-        if self.state is not None:
-            self.state = self.state.take(live)
-        self._settle_flags()
-
-    def _settle_flags(self) -> None:
-        self.labels_ok = not self.bad_labels.any()
         self.any_noisy = bool(self.noisy.any())
         self.any_lam, self.all_lam = bool(self.lam_on.any()), bool(self.lam_on.all())
 
-    def refit(self, epoch: int):
+    def refit(self, epoch: int) -> None:
         """Re-encode the training split with fresh noise and refit every
         run's mixture, warm-started from its current means."""
         feats = predict(self.encoder.module(), self.x)
-        finite = np.isfinite(feats).all(axis=(1, 2))
-        raise_for_runs({
-            int(r): NonFinite(f"training diverged at epoch {epoch}: non-finite features")
-            for r in np.flatnonzero(~finite)
-        })
+        if not np.isfinite(feats).all():
+            raise NonFinite("non-finite features")
         noisy = self.add_noise(feats, self.draw_noise(self.rngs(3, epoch, self.noisy)))
         # Seeds are drawn only for the first fit; later fits warm-start.
         seeds = None if self.state is not None else [
             derived_seed(cfg.seed, 4, epoch) for cfg in self.cfgs
         ]
-        return fit_init_many(
+        self.state = fit_init_many(
             noisy, self.k, seeds, [cfg.gmm_iters for cfg in self.cfgs],
             init_means=None if self.state is None else self.state.means,
             ridges=self.ridge,
@@ -313,15 +295,11 @@ class _Stack(RunStack):
         )
         self.x_epoch, self.y_epoch = self.in_epoch_order(5, epoch, self.x, self.y)
         self.noise_epoch = self.draw_noise(self.rngs(6, epoch, self.noisy))
-        self.sums = np.zeros((len(self.ids), 3))  # l_d, l_c, accuracy
+        self.sums = np.zeros((len(self.cfgs), 3))  # l_d, l_c, accuracy
 
     def step(self, start: int) -> None:
-        """One batch for every run, from ``start`` in each run's epoch order.
-
-        Everything is computed before anything is stored, so a step that
-        fails leaves the stack as it was, to be retried without the runs
-        that failed it.
-        """
+        """One batch for every run, from ``start`` in each run's epoch
+        order."""
         batch_rows = slice(start, start + self.batch_size)
         xb, yb = self.x_epoch[:, batch_rows], self.y_epoch[:, batch_rows]
         z_hat = self.encoder.forward(xb)
@@ -330,21 +308,18 @@ class _Stack(RunStack):
 
         assign = assign_nearest(zb, self.state.means)
         if self.any_noisy:
-            state, l_c, penalty_grad = cem_step(
+            self.state, l_c, penalty_grad = cem_step(
                 self.state, assign, zb, self.noise_var, self.noise_logdet
             )
             if not self.all_noisy:
                 l_c = np.where(self.noisy, l_c, 0.0)
         else:
-            state, l_c = blend_batch(self.state, assign, zb)[0], np.zeros(len(self.ids))
+            self.state, l_c = blend_batch(self.state, assign, zb)[0], np.zeros(len(self.cfgs))
 
         # task_loss, its label check settled (a stack's short last batch is
         # a strided view; the kernel needs C order).
         if not self.labels_ok:
-            message = f"labels must lie in [0, {self.decoder.out_dim})"
-            raise_for_runs({
-                int(r): LabelOutOfRange(message) for r in np.flatnonzero(self.bad_labels)
-            })
+            raise LabelOutOfRange(f"labels must lie in [0, {self.decoder.out_dim})")
         z = np.ascontiguousarray(logits)
         l_d, grad_logits = _softmax_xent(z, _row_starts(z.shape) + yb)
         np.copyto(self.decoder.out_grad(), grad_logits)
@@ -358,13 +333,10 @@ class _Stack(RunStack):
             if self.any_lam:
                 np.add(g, self.lam * penalty_grad, out=g, where=self.lam_on[:, None, None])
         self.encoder.backward()
-        self.encoder.propose(self.step_lr, self.step_momentum)
-        self.decoder.propose(self.step_lr, self.step_momentum)
+        self.encoder.step(self.step_lr, self.step_momentum)
+        self.decoder.step(self.step_lr, self.step_momentum)
 
         acc = np.add.reduce(z.argmax(axis=-1) == yb, axis=-1) / yb.shape[1]
-        self.encoder.commit()
-        self.decoder.commit()
-        self.state = state
         self.sums[:, 0] += l_d
         self.sums[:, 1] += l_c
         self.sums[:, 2] += acc

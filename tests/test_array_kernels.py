@@ -369,14 +369,19 @@ def test_stacked_refit_equals_runs_alone(n_runs, k, d, n, warm, seed):
 
 
 def test_stacked_refit_fails_per_run():
+    # The stack raises the error of its one failing run, which raises it
+    # alone too; the other runs fit, alone and as a stack.
     rng = np.random.default_rng(0)
     x = rng.standard_normal((3, 30, 2))
     x[1] = x[1, :1]   # one distinct row
     x[2, :, 0] = 0.0  # distinct only through the second column
     with pytest.raises(DegenerateData) as info:
         fit_init_many(x, 4, [0, 1, 2], 10, ridges=1e-6)
-    assert set(info.value.runs) == {1}
-    assert "fewer than k=4 distinct" in str(info.value.runs[1])
+    with pytest.raises(DegenerateData) as alone:
+        fit_init_many(x[1:2], 4, [1], 10, ridges=1e-6)
+    assert str(info.value) == str(alone.value) == "fewer than k=4 distinct feature vectors"
+    for r in (0, 2):
+        fit_init_many(x[r:r + 1], 4, [r], 10, ridges=1e-6)
     state = fit_init_many(x[[0, 2]], 4, [0, 2], 10, ridges=1e-6)
     assert state.weights.shape == (2, 4)
 
@@ -392,7 +397,15 @@ def test_stacked_step_fails_per_run(bad):
         assign = assign_nearest(batch, stacked.means)
         with pytest.raises(NonPositiveDefinite, match="finite") as info:
             cem_step(stacked, assign, batch, np.full((3, 1, 1), 0.01), np.zeros((3, 1)))
-    assert set(info.value.runs) == {1}
+        # Run 1 raises the same error alone; the others step.
+        alone = [
+            (state, assign_nearest(b, state.means), b) for state, b in zip(states, batch)
+        ]
+        for r in (0, 2):
+            cem_step(*alone[r], 0.01, 0.0)
+        with pytest.raises(NonPositiveDefinite) as solo:
+            cem_step(*alone[1], 0.01, 0.0)
+    assert str(solo.value) == str(info.value)
 
 
 @pytest.mark.parametrize("bad", [None, np.inf, np.nan, 1e200])
@@ -441,7 +454,7 @@ def overflowing_case(seed):
 def test_widened_overflow_raises_as_public_chain():
     """`cem_step` checks the blended and widened variances in one fast pass;
     where that pass fails it must raise what the public chain raises, solo
-    and per run in a stack where only one run overflows."""
+    and in a stack where only one run overflows."""
     mix, batch, noise = overflowing_case(7)
     assign = assign_nearest(batch, mix)
     updated = update_covariance(update_weights(mix, assign), assign, batch)
@@ -450,7 +463,6 @@ def test_widened_overflow_raises_as_public_chain():
     with pytest.raises(NonPositiveDefinite) as fused:
         cem_step(MixtureState.of(mix), assign, batch, noise.std**2, noise.logdet())
     assert str(fused.value) == str(chain.value)
-    assert fused.value.runs is None
 
     cases = [random_case(s, 4, 3, 8, 0) for s in (1, 2)]
     cases.insert(1, (mix, batch, noise))
@@ -464,8 +476,7 @@ def test_widened_overflow_raises_as_public_chain():
             np.array([n.std**2 for n in noises])[:, None, None],
             np.array([[n.logdet()] for n in noises]),
         )
-    assert set(info.value.runs) == {1}
-    assert str(info.value.runs[1]) == str(chain.value)
+    assert str(info.value) == str(chain.value)
 
 
 def running_sums(terms: np.ndarray) -> np.ndarray:

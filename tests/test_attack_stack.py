@@ -6,7 +6,7 @@ arrays: one module, one noise draw and one permutation per epoch, the
 per-dimension MSE gradient, and a momentum step. Every run of a stack must
 end with its weights, biases and velocity, byte for byte; a run that
 diverges must fail with the text `train_attacker` raises for it alone
-while the rest of the stack finishes."""
+while the other runs finish, retrained alone."""
 
 import numpy as np
 import pytest
@@ -138,10 +138,9 @@ def test_diverging_run_leaves_the_stack():
 
     err = results[1]
     assert isinstance(err, NonFinite)
-    assert "attack diverged at epoch" in str(err)
     assert f"{type(err).__name__}: {err}" == solo_error(
         encoders[1], noises[1], datasets[1], cfgs[1]
-    )
+    ) == "NonFinite: attack diverged at epoch 3: parameter update produced a non-finite value"
     for i in (0, 2):
         alone = reference_attacker(encoders[i], noises[i], datasets[i], cfgs[i])
         assert module_bytes(results[i]) == module_bytes(alone)

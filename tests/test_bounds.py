@@ -17,7 +17,7 @@ from cemlab.bounds import (
     posterior_covariance,
     wiener_gain,
 )
-from cemlab.errors import NonPositiveDefinite, StaleState
+from cemlab.errors import NonPositiveDefinite, ShapeMismatch, StaleState
 from cemlab.mixture import (
     GaussianComponent,
     GaussianMixture,
@@ -138,6 +138,13 @@ class TestMiUpperBound:
         grid = np.sqrt(np.linspace(0.01, 2.0, 40))
         values = [mi_upper_bound(mix, NoiseModel(std=s, dim=1)) for s in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("bound", [mi_upper_bound, mixture_entropy_upper])
+    def test_noise_of_another_width_refused(self, bound):
+        # Noise of dim 2 beside a mixture of width 3 once gave a bound.
+        mix = make_mixture([0.5, 0.5], [[0.0] * 3, [2.0] * 3], [[0.7] * 3, [0.2] * 3])
+        with pytest.raises(ShapeMismatch, match="width 3"):
+            bound(mix, NoiseModel(std=0.5, dim=2))
 
 
 class TestCondEntropyAndFloor:

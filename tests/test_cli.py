@@ -208,6 +208,32 @@ class TestTrainCommand:
         assert code != 0
 
 
+    def test_csv_width_other_than_data_dim_exit_2_before_writing(self, tmp_path, capsys):
+        # The MSE floor is taken over data_dim dimensions; two runs on one
+        # 4-column CSV with data_dim 16 and 4 once gave the same bound and
+        # different floors.
+        csv_path = tmp_path / "data.csv"
+        cli.data.save_csv(cli.data.synth_blobs(3, 4, 20, 0.05, seed=1), csv_path)
+        for argv in (["train"], ["sweep", "--grid", "0.01"]):
+            cfg = write_config(tmp_path / "cfg.json", data_kind="csv",
+                               data_csv=str(csv_path), data_dim=16)
+            out = tmp_path / argv[0]
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+            assert "4 input columns, but data_dim is 16" in capsys.readouterr().err
+            assert not out.exists()
+        # A run's manifest whose data_dim no longer matches its CSV.
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(epochs=1, data_kind="csv", data_csv=str(csv_path),
+                              data_dim=4), run_dir)
+        path = run_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["data_dim"] = 16
+        path.write_text(json.dumps(doc))
+        before = sorted(run_dir.iterdir())
+        assert main(["attack", str(run_dir)]) == 2
+        assert sorted(run_dir.iterdir()) == before
+
+
 class TestAttackCommand:
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
     def test_bad_attack_lr_exit_2_before_training(self, tmp_path, capsys,

@@ -248,6 +248,23 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_mixture(path)
 
+    @pytest.mark.parametrize("key", ["mean", "cov_diag", "components"])
+    def test_truncated_checkpoint_refused(self, tmp_path, key):
+        # A short cov_diag once loaded and changed the bound; a short mean,
+        # or no component at all, failed outside the parser, as a bare
+        # ValueError.
+        mix = make_mixture([0.5, 0.5], np.zeros((2, 8)), np.ones((2, 8)), n=10)
+        path = tmp_path / "m.json"
+        save_mixture(mix, path)
+        doc = json.loads(path.read_text())
+        if key == "components":
+            doc["components"] = []
+        else:
+            doc["components"][1][key] = doc["components"][1][key][:3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_mixture(path)
+
     def test_full_covariance_rejected(self, tmp_path):
         comp = GaussianComponent(
             weight=1.0,

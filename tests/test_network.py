@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -309,11 +311,11 @@ def reference_step(m, x, target, lr, momentum):
 
 
 def stacked_step(net, x, target, lr, momentum):
-    """The same step on a StackedNet, proposed but not committed."""
+    """The same step on a StackedNet."""
     pred = net.forward(x)
     np.subtract(pred, target, out=net.out_grad())
     net.backward()
-    net.propose(lr, momentum)
+    net.step(lr, momentum)
 
 
 class TestStackedNet:
@@ -335,8 +337,7 @@ class TestStackedNet:
             assert pred.tobytes() == np.stack([out for out, _ in tapes]).tobytes()
             np.subtract(pred, target, out=net.out_grad())
             in_grad = net.backward(input_grad=True)
-            net.propose(lr, momentum)
-            net.commit()
+            net.step(lr, momentum)
             for r, (m, (out, tape)) in enumerate(zip(refs, tapes)):
                 grads, ref_in_grad = backward(m, tape, out - target[r])
                 assert in_grad[r].tobytes() == ref_in_grad.tobytes()
@@ -345,53 +346,44 @@ class TestStackedNet:
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("rows", [8, 5], ids=["full-batch", "short-batch"])
-    def test_failed_step_stores_nothing(self, rng, momentum, rows):
-        # Run 1's learning rate makes it diverge; the step that fails must
-        # leave every run as it was, and the retry without run 1 must give
-        # the reference chain's bytes.
+    def test_failed_step_raises_as_the_reference(self, rng, momentum, rows):
+        # Run 1's learning rate makes it diverge; the stacked step must
+        # match the reference chain until run 1's reference step raises,
+        # and then raise with its text.
         refs = [init_network([4, 6, 3], ["relu", "identity"], seed=s) for s in range(3)]
         net = StackedNet(refs, rows=8)
         lr = np.array([0.05, 1e6, 0.02])
         x = rng.standard_normal((3, rows, 4))
         target = rng.standard_normal((3, rows, 3))
-        failure = None
         for _ in range(20):
-            before = [module_bytes(net.take(r)) for r in range(3)]
             try:
-                stacked_step(net, x, target, lr[:, None], momentum)
+                refs = [
+                    reference_step(m, x[r], target[r], lr[r], momentum)
+                    for r, m in enumerate(refs)
+                ]
             except NonFinite as exc:
-                failure = exc
+                expected = str(exc)
                 break
-            net.commit()
-            refs = [
-                reference_step(m, x[r], target[r], lr[r], momentum)
-                for r, m in enumerate(refs)
-            ]
-        assert failure is not None, "run 1 never diverged"
-        assert set(failure.runs) == {1}
-        assert str(failure.runs[1]) == "parameter update produced a non-finite value"
-        assert [module_bytes(net.take(r)) for r in range(3)] == before
+            stacked_step(net, x, target, lr[:, None], momentum)
+            assert [module_bytes(net.take(r)) for r in range(3)] == list(
+                map(module_bytes, refs)
+            )
+        else:
+            pytest.fail("run 1 never diverged")
+        with pytest.raises(NonFinite) as failure:
+            stacked_step(net, x, target, lr[:, None], momentum)
+        assert str(failure.value) == expected
+        assert expected == "parameter update produced a non-finite value"
 
-        live = [0, 2]
-        net.keep(live)
-        stacked_step(net, x[live], target[live], lr[live, None], momentum)
-        net.commit()
-        for r, i in enumerate(live):
-            expected = reference_step(refs[i], x[i], target[i], lr[i], momentum)
-            assert module_bytes(net.take(r)) == module_bytes(expected)
-
-    def test_steps_reuse_two_parameter_buffers(self, rng):
+    def test_steps_reuse_one_parameter_buffer(self, rng):
         net = StackedNet([init_network([4, 6, 3], ["relu", "identity"], seed=0)], rows=8)
         x = rng.standard_normal((1, 8, 4))
         target = rng.standard_normal((1, 8, 3))
         weights = []
-        for _ in range(4):
+        for _ in range(3):
             stacked_step(net, x, target, 0.01, 0.9)
-            net.commit()
             weights.append(net.module().layers[0].weights)
-        assert np.shares_memory(weights[0], weights[2])
-        assert np.shares_memory(weights[1], weights[3])
-        assert not np.shares_memory(weights[0], weights[1])
+        assert all(np.shares_memory(weights[0], w) for w in weights[1:])
 
     def test_negative_lr_rejected(self, rng):
         net = StackedNet([init_network([2, 2], ["identity"], seed=0)], rows=1)
@@ -399,7 +391,7 @@ class TestStackedNet:
         net.out_grad()[...] = pred
         net.backward()
         with pytest.raises(ValueError):
-            net.propose(-0.1, 0.0)
+            net.step(-0.1, 0.0)
 
 
 class TestTaskLoss:
@@ -565,5 +557,23 @@ class TestCheckpoint:
     def test_corrupt_checkpoint(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"layers": "nope"}')
+        with pytest.raises(ParseError):
+            load_network(path)
+
+    @pytest.mark.parametrize("cut", ["velocity", "bias", "layers"])
+    def test_truncated_arrays_refused(self, tmp_path, cut):
+        # A velocity list one layer short once loaded as a one-layer
+        # network, a one-entry bias broadcast over its layer, and a file
+        # without layers loaded as a network without layers.
+        path = tmp_path / "net.json"
+        save_network(init_network([4, 5, 2], ["relu", "identity"], seed=0), path)
+        doc = json.loads(path.read_text())
+        if cut == "velocity":
+            doc["velocity"] = doc["velocity"][:1]
+        elif cut == "bias":
+            doc["layers"][1]["bias"] = doc["layers"][1]["bias"][:1]
+        else:
+            doc["layers"] = doc["velocity"] = []
+        path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             load_network(path)

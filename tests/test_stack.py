@@ -1,9 +1,9 @@
 """Stacked training (`train_many`) against solo runs, byte for byte.
 
 Every run of a stack must write the checkpoints and history its solo run
-writes; a run that fails must fail with its solo error text while the rest
-of the stack finishes. Equality is exact: a stacked product that rounded
-differently from the solo one would show here first."""
+writes; a run that fails must fail with its solo error text while the
+other runs finish, retrained alone. Equality is exact: a stacked product
+that rounded differently from the solo one would show here first."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from cemlab import cli
 from cemlab import network as network_mod
 from cemlab import trainer as trainer_mod
 from cemlab.data import Dataset
-from cemlab.errors import LabelOutOfRange
+from cemlab.errors import LabelOutOfRange, NonFinite
 from cemlab.mixture import fit_init_many
 from cemlab.network import StackedNet, predict
 from cemlab.numerics import derived_seed, seeded_rng
@@ -84,12 +84,15 @@ def test_failed_runs_leave_the_stack(tmp_path):
 
     results = train_many(cfgs, datasets)
 
-    for i in (1, 2):
+    texts = {
+        1: "DegenerateData: fewer than k=9 distinct feature vectors",
+        2: "NonFinite: training diverged at epoch 0: "
+           "parameter update produced a non-finite value",
+    }
+    for i, text in texts.items():
         err = results[i]
         assert isinstance(err, Exception)
-        assert f"{type(err).__name__}: {err}" == solo_error(cfgs[i], datasets[i])
-    assert "fewer than k=9 distinct" in str(results[1])
-    assert "training diverged" in str(results[2])
+        assert f"{type(err).__name__}: {err}" == solo_error(cfgs[i], datasets[i]) == text
     for i in (0, 3):
         cli.save_run(configs[i], results[i], tmp_path / f"stack_{i}")
         cli.cmd_train(configs[i], tmp_path / f"solo_{i}")
@@ -120,6 +123,30 @@ def test_out_of_range_label_leaves_the_stack(tmp_path):
         cli.save_run(configs[i], results[i], tmp_path / f"stack_{i}")
         cli.cmd_train(configs[i], tmp_path / f"solo_{i}")
         assert_same_artifacts(tmp_path / f"stack_{i}", tmp_path / f"solo_{i}")
+
+
+def test_stack_is_retrained_alone_only_after_a_failure(monkeypatch):
+    # A stack that finishes is built once; one whose run fails is built
+    # again for each of its runs alone.
+    built = []
+    stack_init = trainer_mod._Stack.__init__
+
+    def counting_init(stack, cfgs, datasets):
+        built.append(len(cfgs))
+        stack_init(stack, cfgs, datasets)
+
+    monkeypatch.setattr(trainer_mod._Stack, "__init__", counting_init)
+    configs = [dict(BASE, epochs=2, seed=s) for s in range(3)]
+    datasets = [cli.build_dataset(c) for c in configs]
+    results = train_many([cli.validate(c).training for c in configs], datasets)
+    assert built == [3]
+    assert not any(isinstance(r, Exception) for r in results)
+
+    built.clear()
+    configs[1] = dict(configs[1], lr=1e6)
+    results = train_many([cli.validate(c).training for c in configs], datasets)
+    assert built == [3, 1, 1, 1]
+    assert [isinstance(r, NonFinite) for r in results] == [False, True, False]
 
 
 def test_stack_rejects_mixed_shapes():
