@@ -126,13 +126,16 @@ def _attack_stack(encoders, noises, datasets, cfgs) -> list[NeuralModule]:
     if any run diverges."""
     stack = _AttackStack(encoders, noises, datasets, cfgs)
     starts = range(0, stack.n_train, stack.batch_size)
-    for epoch in range(cfgs[0].epochs):
-        stack.start_epoch(epoch)
-        try:
-            for start in starts:
-                stack.step(start)
-        except NonFinite as exc:
-            raise NonFinite(f"attack diverged at epoch {epoch}: {exc}") from exc
+    # As in training, the finite check reports a divergence; NumPy's
+    # overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfgs[0].epochs):
+            stack.start_epoch(epoch)
+            try:
+                for start in starts:
+                    stack.step(start)
+            except NonFinite as exc:
+                raise NonFinite(f"attack diverged at epoch {epoch}: {exc}") from exc
     return [stack.attacker.take(r) for r in range(len(cfgs))]
 
 

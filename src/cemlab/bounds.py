@@ -39,7 +39,7 @@ from .mixture import (
     batch_tag,
     blend_coefficients,
 )
-from .numerics import LOG_2PI, Covariance, check_diagonal, logdet
+from .numerics import LOG_2PI, Covariance, check_diagonal, check_width, logdet
 
 LOG_2PIE = LOG_2PI + 1.0
 # A noise std below this has a finite variance std**2.
@@ -175,10 +175,7 @@ def _penalty_grad(
 
 def _mixture_bound(mix: GaussianMixture, noise: NoiseModel, ld_ref: float) -> float:
     state = MixtureState.of(mix)
-    if state.var.shape[1] != noise.dim:
-        raise ShapeMismatch(
-            f"a mixture of width {state.var.shape[1]} beside noise of dim {noise.dim}"
-        )
+    check_width(state.var.shape[1], noise.dim)
     denom = _widened_ridged(state.var, state.ridge, noise.std**2)
     return _penalty(state.weights, denom, ld_ref)
 

@@ -45,7 +45,13 @@ import numpy as np
 
 from .errors import DegenerateData, ParseError, ShapeMismatch
 from .files import write_atomic
-from .numerics import Covariance, _row_starts, check_diagonal, seeded_rng
+from .numerics import (
+    Covariance,
+    _row_starts,
+    check_diagonal,
+    diagonal_variances,
+    seeded_rng,
+)
 
 WEIGHT_FLOOR = 1e-8
 
@@ -122,12 +128,11 @@ class MixtureState:
     def of(mix: GaussianMixture) -> "MixtureState":
         """The array form of a mixture; raises :class:`ShapeMismatch` if any
         component holds a full covariance."""
-        if not all(c.cov.is_diagonal for c in mix.components):
-            raise ShapeMismatch("mixtures support diagonal covariances only")
+        var = diagonal_variances(mix.components)
         return MixtureState(
             weights=mix.weights(),
             means=mix.means(),
-            var=np.stack([c.cov.entries for c in mix.components]),
+            var=var,
             ridge=np.array([[c.cov.ridge] for c in mix.components]),
             dataset_size=mix.dataset_size,
         )

@@ -182,29 +182,32 @@ def _train_stack(cfgs: list[TrainingConfig], datasets: list[Dataset]) -> list[Tr
     histories = [[] for _ in cfgs]
     epochs = cfgs[0].epochs
     starts = range(0, stack.n_train, stack.batch_size)
-    for epoch in range(max(epochs, 1)):
-        # Features whose squares overflow the covariance are a divergence,
-        # not a data defect.
-        try:
-            stack.refit(epoch)
-            if epochs == 0:
-                break
-            stack.start_epoch(epoch)
-            for start in starts:
-                stack.step(start)
-        except (NonFinite, NonPositiveDefinite) as exc:
-            raise NonFinite(f"training diverged at epoch {epoch}: {exc}") from exc
-        for history, cfg, run_sums in zip(histories, cfgs, stack.sums):
-            l_d_mean, l_c_mean, acc_mean = run_sums / len(starts)
-            history.append(
-                LossBreakdown(
-                    epoch=epoch,
-                    l_d=float(l_d_mean),
-                    l_c=float(l_c_mean),
-                    total=float(l_d_mean + cfg.lam * l_c_mean),
-                    accuracy=float(acc_mean),
+    # A diverging run overflows on its way to the finite checks, which
+    # report it; NumPy's warnings would only repeat them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(max(epochs, 1)):
+            # Features whose squares overflow the covariance are a
+            # divergence, not a data defect.
+            try:
+                stack.refit(epoch)
+                if epochs == 0:
+                    break
+                stack.start_epoch(epoch)
+                for start in starts:
+                    stack.step(start)
+            except (NonFinite, NonPositiveDefinite) as exc:
+                raise NonFinite(f"training diverged at epoch {epoch}: {exc}") from exc
+            for history, cfg, run_sums in zip(histories, cfgs, stack.sums):
+                l_d_mean, l_c_mean, acc_mean = run_sums / len(starts)
+                history.append(
+                    LossBreakdown(
+                        epoch=epoch,
+                        l_d=float(l_d_mean),
+                        l_c=float(l_c_mean),
+                        total=float(l_d_mean + cfg.lam * l_c_mean),
+                        accuracy=float(acc_mean),
+                    )
                 )
-            )
     return [
         TrainResult(
             stack.encoder.take(r), stack.decoder.take(r),

@@ -8,6 +8,8 @@ end with its weights, biases and velocity, byte for byte; a run that
 diverges must fail with the text `train_attacker` raises for it alone
 while the other runs finish, retrained alone."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,21 @@ def test_diverging_run_leaves_the_stack():
     for i in (0, 2):
         alone = reference_attacker(encoders[i], noises[i], datasets[i], cfgs[i])
         assert module_bytes(results[i]) == module_bytes(alone)
+
+
+def test_diverging_run_raises_without_warnings():
+    # The attacker's product and the step's finite check overflow first;
+    # the NonFinite error is the only report, with no RuntimeWarning.
+    encoder, data = world(5)
+    cfg = AttackConfig(seed=2, lr=1e6, epochs=10, hidden_dims=[64, 64],
+                       output_activation="identity")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite) as info:
+            train_attacker(encoder, NoiseModel(std=0.05, dim=D_Z), data, cfg)
+    assert str(info.value) == (
+        "attack diverged at epoch 3: parameter update produced a non-finite value"
+    )
 
 
 def test_stack_rejects_mixed_shapes():

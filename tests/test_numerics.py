@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemlab.bounds import NoiseModel
-from cemlab.errors import NonPositiveDefinite
+from cemlab import numerics
+from cemlab.errors import NonPositiveDefinite, ShapeMismatch
 from cemlab.mixture import GaussianComponent, GaussianMixture
 from cemlab.numerics import _MC_BLOCK, Covariance, logdet, mc_entropy, trace
 
@@ -152,6 +155,155 @@ class TestMcEntropy:
         assert peak <= 64 * 2**20
 
 
+class TestMcEntropyRefusals:
+    """A mixture the oracle cannot read is refused before any draw, with
+    the closed-form bounds' texts."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def seeded_rng(*args):
+            raise AssertionError("drew before refusing")
+        monkeypatch.setattr(numerics, "seeded_rng", seeded_rng)
+
+    def test_noise_of_another_width_refused(self):
+        mix = random_mixture(np.random.default_rng(0), 2, 3)
+        with pytest.raises(ShapeMismatch, match="^a mixture of width 3 beside noise of dim 5$"):
+            mc_entropy(mix, NoiseModel(std=0.5, dim=5), n_samples=10**4, seed=0)
+
+    def test_full_covariance_refused(self):
+        mix = random_mixture(np.random.default_rng(0), 2, 3)
+        mix.components[1].cov = Covariance.full(np.eye(3))
+        with pytest.raises(ShapeMismatch, match="^mixtures support diagonal covariances only$"):
+            mc_entropy(mix, NoiseModel(std=0.5, dim=3), n_samples=10**4, seed=0)
+
+
+def bounded(call, seconds=120):
+    """``call()`` in its own thread, joined with a timeout: a pipeline that
+    hangs fails the test instead of stalling the suite. Returns the result
+    or raises the error."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "the call did not end"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+# Five blocks: both buffer sets are reused and the last block is short.
+PIPELINE_SAMPLES = 4 * _MC_BLOCK + 5
+
+
+class TestMcEntropyPipeline:
+    """The oracle's two stages (draws and log-sum-exp on the calling
+    thread, scoring on one helper) end together: no thread outlives a call,
+    whether it returns or raises, and an error in either stage reaches the
+    caller."""
+
+    def test_no_thread_outlives_a_call(self):
+        mix = random_mixture(np.random.default_rng(1), 4, 3)
+        noise = NoiseModel(std=0.3, dim=3)
+        before = threading.active_count()
+        est = bounded(lambda: mc_entropy(mix, noise, PIPELINE_SAMPLES, seed=9))
+        assert np.isfinite(est.value)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0, 1, 4])
+    def test_helper_error_reaches_the_caller(self, monkeypatch, failing):
+        calls = []
+        real = numerics._score_block
+
+        def score_block(*args):
+            calls.append(None)
+            if len(calls) > failing:
+                raise RuntimeError(f"block {failing} failed")
+            return real(*args)
+
+        monkeypatch.setattr(numerics, "_score_block", score_block)
+        mix = random_mixture(np.random.default_rng(2), 3, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^block {failing} failed$"):
+            bounded(lambda: mc_entropy(
+                mix, NoiseModel(std=0.3, dim=2), PIPELINE_SAMPLES, seed=1
+            ))
+        assert threading.active_count() == before
+        assert len(calls) == failing + 1
+
+    def test_caller_stage_error_ends_the_helper(self, monkeypatch):
+        def logsumexp_rows(terms):
+            raise RuntimeError("log-sum-exp failed")
+
+        monkeypatch.setattr(numerics, "logsumexp_rows", logsumexp_rows)
+        mix = random_mixture(np.random.default_rng(3), 3, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="^log-sum-exp failed$"):
+            bounded(lambda: mc_entropy(
+                mix, NoiseModel(std=0.3, dim=2), PIPELINE_SAMPLES, seed=1
+            ))
+        assert threading.active_count() == before
+
+    def test_helper_runs_in_a_copy_of_the_callers_context(self, monkeypatch):
+        """The helper runs in ``contextvars.copy_context()`` of the caller:
+        ``np.errstate`` is per context (NumPy 2), so a helper started in a
+        fresh context would warn, or raise, where its caller chose
+        otherwise."""
+        seen = []
+        real = numerics._score_block
+
+        def score_block(*args):
+            seen.append(np.geterr())
+            return real(*args)
+
+        monkeypatch.setattr(numerics, "_score_block", score_block)
+        mix = random_mixture(np.random.default_rng(4), 3, 2)
+
+        def call():
+            with np.errstate(all="ignore", over="raise"):
+                mc_entropy(mix, NoiseModel(std=0.3, dim=2), PIPELINE_SAMPLES, seed=2)
+                return np.geterr()
+
+        chosen = bounded(call)
+        assert chosen["over"] == "raise" and chosen["invalid"] == "ignore"
+        assert seen == [chosen] * 5
+
+    def test_concurrent_calls_keep_their_bits(self):
+        # More pipelines than cores, switching threads as often as the
+        # interpreter allows: a block scored into the wrong buffer set or
+        # scattered to the wrong rows would change a result's bits.
+        cases = [(random_mixture(np.random.default_rng(s), k, d), d, s)
+                 for s, (k, d) in enumerate([(9, 8), (3, 2), (6, 4)])]
+        want = [
+            repr(mc_entropy(mix, NoiseModel(std=0.2, dim=d), PIPELINE_SAMPLES, seed=s))
+            for mix, d, s in cases
+        ]
+        got = [None] * len(cases)
+
+        def run(i):
+            mix, d, s = cases[i]
+            got[i] = repr(mc_entropy(mix, NoiseModel(std=0.2, dim=d), PIPELINE_SAMPLES, seed=s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert got == want
+
+
 def degenerate_mixture(k, d, seed, n_zero_weights, zero_variances, mean_scale=1.0):
     """A random k-component mixture in d dimensions, with up to k-1
     zero-weight components and, optionally, about half its variances 0."""
@@ -169,7 +321,13 @@ def degenerate_mixture(k, d, seed, n_zero_weights, zero_variances, mean_scale=1.
     )
 
 
-ORACLE_SIZES = [2, 777, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 3 * _MC_BLOCK + 7]
+# Both sides of the first block boundary and a short fourth block, then the
+# sizes these cases had at a block of 2**15 rows (the seed-1920 example below
+# was found at 98311), on both sides of a later boundary.
+ORACLE_SIZES = [
+    2, 777, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1, 3 * _MC_BLOCK + 7,
+    2**15 - 1, 2**15, 2**15 + 1, 3 * 2**15 + 7,
+]
 
 
 class TestMcEntropyBlocks:

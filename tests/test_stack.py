@@ -5,6 +5,8 @@ writes; a run that fails must fail with its solo error text while the
 other runs finish, retrained alone. Equality is exact: a stacked product
 that rounded differently from the solo one would show here first."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,21 @@ def test_failed_runs_leave_the_stack(tmp_path):
         cli.save_run(configs[i], results[i], tmp_path / f"stack_{i}")
         cli.cmd_train(configs[i], tmp_path / f"solo_{i}")
         assert_same_artifacts(tmp_path / f"stack_{i}", tmp_path / f"solo_{i}")
+
+
+def test_diverging_run_raises_without_warnings():
+    # The run overflows on its way to the finite checks (in the encoder's
+    # product, the nearest-mean distances and the blended variances); its
+    # NonFinite error is the only report, with no RuntimeWarning first.
+    config = dict(cli.DEFAULT_CONFIG, lr=1e6, data_per_class=20, epochs=2)
+    cfg, data = cli.validate(config).training, cli.build_dataset(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite) as info:
+            train(cfg, data)
+    assert str(info.value) == (
+        "training diverged at epoch 1: diagonal entries must be finite"
+    )
 
 
 def test_out_of_range_label_leaves_the_stack(tmp_path):
