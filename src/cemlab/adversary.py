@@ -9,15 +9,17 @@ stack either finishes or raises; one that raises is trained again run by
 run, so that each run's entry is its solo attacker or error.
 
 Random streams: initial weights from ``derived_seed(seed, 10)``; per
-epoch, noise from ``seeded_rng(derived_seed(seed, 11, epoch), 0xE9)``
-(none for a noise-free run) and batch order from ``seeded_rng(seed, 12,
-epoch)``; evaluation noise from :func:`~cemlab.network.noise_inject`.
+epoch, batch order from ``seeded_rng(seed, 12, epoch)`` and noise from
+``seeded_rng(seed, 11, epoch)`` (:meth:`~cemlab.network.RunStack.rngs`, as
+the trainer draws its own), std times (n_train, width) standard normals,
+row ``i`` belonging to the epoch's ``i``-th row in batch order; a
+noise-free run draws nothing. Evaluation noise comes from
+:func:`~cemlab.network.noise_inject`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .network import (
     predict,
     stacked_or_alone,
 )
-from .numerics import derived_seed, seeded_rng
+from .numerics import derived_seed
 
 
 @dataclass
@@ -172,14 +174,10 @@ class _AttackStack(RunStack):
         self.set_rates([cfg.lr for cfg in cfgs], [cfg.momentum for cfg in cfgs])
 
     def start_epoch(self, epoch: int) -> None:
-        """Each run's fresh noise draw for ``epoch``, with the features and
-        targets put in the run's batch order for the epoch."""
-        rngs = [
-            seeded_rng(derived_seed(cfg.seed, 11, epoch), 0xE9)
-            for cfg in compress(self.cfgs, self.noisy)
-        ]
-        feats = self.add_noise(self.feats_clean, self.draw_noise(rngs))
-        self.feats, self.targets = self.in_epoch_order(12, epoch, feats, self.x)
+        """Each run's features and targets in its batch order for
+        ``epoch``, the features with the epoch's fresh noise draw."""
+        feats, self.targets = self.in_epoch_order(12, epoch, self.feats_clean, self.x)
+        self.feats = self.add_noise(feats, self.draw_noise(self.rngs(11, epoch, self.noisy)))
 
     def step(self, start: int) -> None:
         """One batch for every run, from ``start`` in each run's epoch

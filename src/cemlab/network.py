@@ -2,6 +2,11 @@
 gradients: forward tape, backward pass, momentum SGD, softmax
 cross-entropy, and the additive noise layer with identity pass-through.
 
+A module is its layers and nothing else: the momentum velocity is
+training state, held by :class:`StackedNet` for the life of a training
+call, or passed in and out of :func:`sgd_step` explicitly. Checkpoints
+hold the layers only.
+
 Everything is float64; batches are (N, d) row matrices. A stack of R
 same-shaped modules (:meth:`NeuralModule.stack`) holds (R, out, in)
 weights and (R, 1, out) biases and runs on (R, N, d) batches: every
@@ -17,8 +22,8 @@ match bit for bit, called only by tests and the benchmark's tracer.
 :func:`forward`, :func:`backward` and :func:`sgd_step`. Its buffers are
 allocated once:
 
-- one (R, P) parameter buffer and one velocity buffer, with every layer's
-  weights and bias as views into them;
+- one (R, P) parameter buffer, with every layer's weights and bias as
+  views into it, and one velocity buffer, which starts at zero;
 - one (R, P) gradient buffer;
 - per layer, (R, rows, width) buffers for the layer's output and for the
   gradient at it; a batch of fewer rows uses row-prefix views of them.
@@ -30,7 +35,9 @@ and ``backward`` return are views into the buffers, which the next step
 overwrites.
 
 :class:`RunStack` is what the trainer's and the attacker's stacks share:
-batch order, noise and rates. A stack either finishes or raises;
+batch order, noise and rates. Both draw a run's noise and batch order for
+an epoch from ``seeded_rng(seed, tag, epoch)`` (:meth:`RunStack.rngs`),
+one generator per (run, tag, epoch). A stack either finishes or raises;
 :func:`stacked_or_alone` then trains each of its runs alone, so that a run
 that fails costs the others nothing but time.
 """
@@ -38,7 +45,7 @@ that fails costs the others nothing but time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -71,15 +78,8 @@ class Layer:
 @dataclass
 class NeuralModule:
     layers: list[Layer]
-    # Momentum state, parallel to layers: [(vel_w, vel_b), ...].
-    velocity: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.velocity:
-            self.velocity = [
-                (np.zeros_like(l.weights), np.zeros_like(l.bias))
-                for l in self.layers
-            ]
         for a, b in zip(self.layers[:-1], self.layers[1:]):
             if b.weights.shape[-1] != a.weights.shape[-2]:
                 raise ShapeMismatch(
@@ -89,23 +89,15 @@ class NeuralModule:
     @staticmethod
     def stack(modules: list["NeuralModule"]) -> "NeuralModule":
         """One module holding same-shaped ``modules`` along a leading run
-        axis, velocity included."""
-        layers = [
+        axis."""
+        return NeuralModule(layers=[
             Layer(
                 weights=np.stack([m.layers[i].weights for m in modules]),
                 bias=np.stack([m.layers[i].bias for m in modules])[:, None, :],
                 activation=layer.activation,
             )
             for i, layer in enumerate(modules[0].layers)
-        ]
-        velocity = [
-            (
-                np.stack([m.velocity[i][0] for m in modules]),
-                np.stack([m.velocity[i][1] for m in modules])[:, None, :],
-            )
-            for i in range(len(layers))
-        ]
-        return NeuralModule(layers=layers, velocity=velocity)
+        ])
 
     @property
     def in_dim(self) -> int:
@@ -297,8 +289,10 @@ def sgd_step(
     grads: list[tuple[np.ndarray, np.ndarray]],
     lr: float,
     momentum: float = 0.0,
-) -> NeuralModule:
-    """Classic momentum update; returns a new module carrying the updated
+    velocity: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> tuple[NeuralModule, list[tuple[np.ndarray, np.ndarray]]]:
+    """Classic momentum update from ``velocity``, one (vel_w, vel_b) pair
+    per layer (None: zeros); returns the new module and the updated
     velocity, which at zero momentum is the gradient itself. Raises if any
     updated parameter is not finite.
 
@@ -306,9 +300,11 @@ def sgd_step(
     with one value per run."""
     if (lr < 0).any() if isinstance(lr, np.ndarray) else lr < 0:
         raise ValueError("learning rate must be nonnegative")
+    if velocity is None:
+        velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in m.layers]
     still = not momentum.any() if isinstance(momentum, np.ndarray) else momentum == 0
-    layers, velocity = [], []
-    for layer, (vw, vb), (gw, gb) in zip(m.layers, m.velocity, grads):
+    layers, new_velocity = [], []
+    for layer, (vw, vb), (gw, gb) in zip(m.layers, velocity, grads):
         if still:
             new_vw, new_vb = gw, gb
         else:
@@ -323,8 +319,8 @@ def sgd_step(
         ):
             raise NonFinite(_NON_FINITE_UPDATE)
         layers.append(Layer(weights=w, bias=b, activation=layer.activation))
-        velocity.append((new_vw, new_vb))
-    return NeuralModule(layers=layers, velocity=velocity)
+        new_velocity.append((new_vw, new_vb))
+    return NeuralModule(layers=layers), new_velocity
 
 
 _NON_FINITE_UPDATE = "parameter update produced a non-finite value"
@@ -347,21 +343,17 @@ class _Flat:
 
 class StackedNet:
     """A stack of same-shaped modules, trained in place on batches of at
-    most ``rows`` rows (see the module docstring)."""
+    most ``rows`` rows from zero velocity (see the module docstring)."""
 
     def __init__(self, modules: list[NeuralModule], rows: int):
         stacked = NeuralModule.stack(modules)
         self.activations = [l.activation for l in stacked.layers]
         self.shapes = [l.weights.shape[1:] for l in stacked.layers]
         n_runs = len(modules)
-
-        def flat(pairs):
-            return _Flat(np.concatenate(
-                [a.reshape(n_runs, -1) for pair in pairs for a in pair], axis=1
-            ), self.shapes)
-
-        self._params = flat((l.weights, l.bias) for l in stacked.layers)
-        self._velocity = flat(stacked.velocity)
+        self._params = _Flat(np.concatenate([
+            a.reshape(n_runs, -1) for l in stacked.layers for a in (l.weights, l.bias)
+        ], axis=1), self.shapes)
+        self._velocity = _Flat(np.zeros_like(self._params.data), self.shapes)
         self._grad = _Flat(np.empty_like(self._params.data), self.shapes)
         widths = [out for out, _ in self.shapes]
         self._outs = [np.empty((n_runs, rows, w)) for w in widths]
@@ -385,25 +377,19 @@ class StackedNet:
         return self.shapes[-1][0]
 
     def module(self) -> NeuralModule:
-        """The current parameters and velocity as a stacked module of views
-        into the buffers, which the next step overwrites."""
-        return NeuralModule(
-            layers=[
-                Layer(weights=w, bias=b, activation=act)
-                for (w, b), act in zip(self._params.views, self.activations)
-            ],
-            velocity=list(self._velocity.views),
-        )
+        """The current parameters as a stacked module of views into the
+        parameter buffer, which the next step overwrites."""
+        return NeuralModule(layers=[
+            Layer(weights=w, bias=b, activation=act)
+            for (w, b), act in zip(self._params.views, self.activations)
+        ])
 
     def take(self, run: int) -> NeuralModule:
-        """A copy of one run's module, velocity included."""
-        return NeuralModule(
-            layers=[
-                Layer(weights=w[run].copy(), bias=b[run, 0].copy(), activation=act)
-                for (w, b), act in zip(self._params.views, self.activations)
-            ],
-            velocity=[(w[run].copy(), b[run, 0].copy()) for w, b in self._velocity.views],
-        )
+        """A copy of one run's module."""
+        return NeuralModule(layers=[
+            Layer(weights=w[run].copy(), bias=b[run, 0].copy(), activation=act)
+            for (w, b), act in zip(self._params.views, self.activations)
+        ])
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """The output on an (R, n, in_dim) batch of n <= ``rows`` rows, with
@@ -594,8 +580,8 @@ def _softmax_xent(z: np.ndarray, picks: np.ndarray):
 
 
 def save_network(m: NeuralModule, path) -> None:
-    """Write the checkpoint: shapes, flattened parameters, and momentum
-    state, as decimal text that round-trips float64 exactly."""
+    """Write the checkpoint: shapes and flattened parameters, as decimal
+    text that round-trips float64 exactly."""
     doc = {
         "layers": [
             {
@@ -606,34 +592,28 @@ def save_network(m: NeuralModule, path) -> None:
             }
             for l in m.layers
         ],
-        "velocity": [
-            {"weights": vw.ravel().tolist(), "bias": vb.tolist()}
-            for vw, vb in m.velocity
-        ],
     }
     # json.dumps runs the C encoder; json.dump would run the pure-Python one.
     write_atomic(path, json.dumps(doc) + "\n")
 
 
 def load_network(path) -> NeuralModule:
-    """Read a checkpoint written by :func:`save_network`. A file that does
-    not hold one velocity entry per layer, or whose arrays do not have
-    their layer's shape, raises :class:`ParseError`."""
+    """Read a checkpoint written by :func:`save_network`; an older file's
+    ``"velocity"`` entry is ignored. A file whose arrays do not have their
+    layer's shape raises :class:`ParseError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        layers, velocity = [], []
-        for spec_l, spec_v in zip(doc["layers"], doc["velocity"], strict=True):
-            out, fan_in = spec_l["shape"]
-            w, b, vw, vb = (
+        layers = []
+        for spec in doc["layers"]:
+            out, fan_in = spec["shape"]
+            w, b = (
                 np.array(spec[key], dtype=np.float64).reshape(shape)
-                for spec in (spec_l, spec_v)
                 for key, shape in (("weights", (out, fan_in)), ("bias", (out,)))
             )
-            layers.append(Layer(weights=w, bias=b, activation=spec_l["activation"]))
-            velocity.append((vw, vb))
+            layers.append(Layer(weights=w, bias=b, activation=spec["activation"]))
         if not layers:
             raise ValueError("no layers")
-        return NeuralModule(layers=layers, velocity=velocity)
+        return NeuralModule(layers=layers)
     except (KeyError, TypeError, ValueError, ShapeMismatch, json.JSONDecodeError) as exc:
         raise ParseError(f"invalid network checkpoint {path}: {exc}") from exc

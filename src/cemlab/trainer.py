@@ -45,7 +45,6 @@ from .errors import CemError, LabelOutOfRange, NonFinite, NonPositiveDefinite
 from .mixture import (
     GaussianMixture,
     assign_nearest,
-    blend_batch,
     fit_init_many,
 )
 from .network import (
@@ -269,7 +268,6 @@ class _Stack(RunStack):
         self.ridge = np.maximum(1e-6, std**2)
         # per epoch
         self.x_epoch = self.y_epoch = self.noise_epoch = self.sums = None
-        self.any_noisy = bool(self.noisy.any())
         self.any_lam, self.all_lam = bool(self.lam_on.any()), bool(self.lam_on.all())
 
     def refit(self, epoch: int) -> None:
@@ -310,14 +308,11 @@ class _Stack(RunStack):
         logits = self.decoder.forward(zb)
 
         assign = assign_nearest(zb, self.state.means)
-        if self.any_noisy:
-            self.state, l_c, penalty_grad = cem_step(
-                self.state, assign, zb, self.noise_var, self.noise_logdet
-            )
-            if not self.all_noisy:
-                l_c = np.where(self.noisy, l_c, 0.0)
-        else:
-            self.state, l_c = blend_batch(self.state, assign, zb)[0], np.zeros(len(self.cfgs))
+        self.state, l_c, penalty_grad = cem_step(
+            self.state, assign, zb, self.noise_var, self.noise_logdet
+        )
+        if not self.all_noisy:
+            l_c = np.where(self.noisy, l_c, 0.0)
 
         # task_loss, its label check settled (a stack's short last batch is
         # a strided view; the kernel needs C order).

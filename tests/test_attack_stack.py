@@ -2,9 +2,9 @@
 one-run loop, bit for bit.
 
 The reference below is the attacker loop written on unstacked (N, d)
-arrays: one module, one noise draw and one permutation per epoch, the
-per-dimension MSE gradient, and a momentum step. Every run of a stack must
-end with its weights, biases and velocity, byte for byte; a run that
+arrays: one module, one permutation and one noise draw in its order per
+epoch, the per-dimension MSE gradient, and a momentum step. Every run of a
+stack must end with its weights and biases, byte for byte; a run that
 diverges must fail with the text `train_attacker` raises for it alone
 while the other runs finish, retrained alone."""
 
@@ -28,7 +28,6 @@ from cemlab.network import (
     backward,
     forward,
     init_network,
-    noise_inject,
     sgd_step,
 )
 from cemlab.numerics import derived_seed, seeded_rng
@@ -44,27 +43,31 @@ def reference_attacker(encoder, noise, data, cfg):
     attacker = init_network(dims, activations, derived_seed(cfg.seed, 10))
     feats_clean, _ = forward(encoder, x_train)
     n, d = x_train.shape
+    velocity = None
     for epoch in range(cfg.epochs):
-        feats = noise_inject(feats_clean, noise, derived_seed(cfg.seed, 11, epoch))
         order = seeded_rng(cfg.seed, 12, epoch).permutation(n)
+        feats, targets = feats_clean[order], x_train[order]
+        if noise.std > 0:
+            normals = seeded_rng(cfg.seed, 11, epoch).standard_normal(feats.shape)
+            feats = feats + noise.std * normals
         for start in range(0, n, cfg.batch_size):
-            rows = order[start:start + cfg.batch_size]
+            rows = slice(start, start + cfg.batch_size)
             pred, tape = forward(attacker, feats[rows])
-            grad = 2.0 * (pred - x_train[rows]) / (len(rows) * d)
+            grad = 2.0 * (pred - targets[rows]) / (len(pred) * d)
             grads, _ = backward(attacker, tape, grad)
             try:
-                attacker = sgd_step(attacker, grads, cfg.lr, cfg.momentum)
+                attacker, velocity = sgd_step(
+                    attacker, grads, cfg.lr, cfg.momentum, velocity
+                )
             except NonFinite as exc:
                 raise NonFinite(f"attack diverged at epoch {epoch}: {exc}") from exc
     return attacker
 
 
 def module_bytes(m):
-    """Every parameter and velocity array of a module, as bytes (so signed
-    zeros count)."""
-    arrays = [a for l in m.layers for a in (l.weights, l.bias)]
-    arrays += [a for pair in m.velocity for a in pair]
-    return [(a.shape, a.tobytes()) for a in arrays]
+    """Every parameter array of a module, as bytes (so signed zeros
+    count)."""
+    return [(a.shape, a.tobytes()) for l in m.layers for a in (l.weights, l.bias)]
 
 
 def world(seed):

@@ -244,13 +244,13 @@ class TestSgdStep:
     def test_zero_lr_keeps_parameters(self, rng):
         m = init_network([3, 2], ["identity"], seed=0)
         grads = [(rng.standard_normal((2, 3)), rng.standard_normal(2))]
-        out = sgd_step(m, grads, lr=0.0, momentum=0.9)
+        out, _ = sgd_step(m, grads, lr=0.0, momentum=0.9)
         assert np.array_equal(out.layers[0].weights, m.layers[0].weights)
 
     def test_vanilla_step(self, rng):
         m = init_network([3, 2], ["identity"], seed=0)
         gw, gb = rng.standard_normal((2, 3)), rng.standard_normal(2)
-        out = sgd_step(m, [(gw, gb)], lr=0.1, momentum=0.0)
+        out, _ = sgd_step(m, [(gw, gb)], lr=0.1, momentum=0.0)
         assert np.allclose(out.layers[0].weights, m.layers[0].weights - 0.1 * gw)
         assert np.allclose(out.layers[0].bias, m.layers[0].bias - 0.1 * gb)
 
@@ -267,7 +267,7 @@ class TestSgdStep:
             diff = out - target
             losses.append(float(np.mean(diff * diff)))
             grads, _ = backward(m, tape, 2.0 * diff / diff.size)
-            m = sgd_step(m, grads, lr=0.1, momentum=0.0)
+            m, _ = sgd_step(m, grads, lr=0.1, momentum=0.0)
         assert all(a >= b for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 1e-6
 
@@ -287,27 +287,26 @@ class TestSgdStep:
         ])
         zero = [(np.zeros((2, 2)), np.zeros(2))]
         assert np.isinf(m.layers[0].weights.sum())
-        out = sgd_step(m, zero, lr=0.1)
+        out, _ = sgd_step(m, zero, lr=0.1)
         assert np.array_equal(out.layers[0].weights, m.layers[0].weights)
         stacked = NeuralModule.stack([m, m])
-        out = sgd_step(stacked, [(np.zeros((2, 2, 2)), np.zeros((2, 1, 2)))], lr=0.1)
+        out, _ = sgd_step(stacked, [(np.zeros((2, 2, 2)), np.zeros((2, 1, 2)))], lr=0.1)
         assert np.array_equal(out.layers[0].weights, stacked.layers[0].weights)
 
 
 def module_bytes(m):
-    """Every parameter and velocity array of a module, as bytes (so signed
-    zeros count)."""
-    arrays = [a for l in m.layers for a in (l.weights, l.bias)]
-    arrays += [a for pair in m.velocity for a in pair]
-    return [(a.shape, a.tobytes()) for a in arrays]
+    """Every parameter array of a module, as bytes (so signed zeros
+    count)."""
+    return [(a.shape, a.tobytes()) for l in m.layers for a in (l.weights, l.bias)]
 
 
-def reference_step(m, x, target, lr, momentum):
+def reference_step(m, velocity, x, target, lr, momentum):
     """One step of the forward / backward / sgd_step chain on the loss
-    whose output gradient is ``pred - target``."""
+    whose output gradient is ``pred - target``: the new module and
+    velocity."""
     pred, tape = forward(m, x)
     grads, _ = backward(m, tape, pred - target, input_grad=False)
-    return sgd_step(m, grads, lr, momentum)
+    return sgd_step(m, grads, lr, momentum, velocity)
 
 
 def stacked_step(net, x, target, lr, momentum):
@@ -328,6 +327,7 @@ class TestStackedNet:
             for s in range(2)
         ]
         net = StackedNet(refs, rows=7)
+        velocities = [None, None]
         lr = np.array([[0.5], [0.1]])
         for rows in (7, 7, 3, 7, 1):
             x = rng.standard_normal((2, rows, 4))
@@ -341,7 +341,9 @@ class TestStackedNet:
             for r, (m, (out, tape)) in enumerate(zip(refs, tapes)):
                 grads, ref_in_grad = backward(m, tape, out - target[r])
                 assert in_grad[r].tobytes() == ref_in_grad.tobytes()
-                refs[r] = sgd_step(m, grads, float(lr[r, 0]), momentum)
+                refs[r], velocities[r] = sgd_step(
+                    m, grads, float(lr[r, 0]), momentum, velocities[r]
+                )
                 assert module_bytes(net.take(r)) == module_bytes(refs[r])
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -352,15 +354,16 @@ class TestStackedNet:
         # and then raise with its text.
         refs = [init_network([4, 6, 3], ["relu", "identity"], seed=s) for s in range(3)]
         net = StackedNet(refs, rows=8)
+        velocities = [None] * 3
         lr = np.array([0.05, 1e6, 0.02])
         x = rng.standard_normal((3, rows, 4))
         target = rng.standard_normal((3, rows, 3))
         for _ in range(20):
             try:
-                refs = [
-                    reference_step(m, x[r], target[r], lr[r], momentum)
-                    for r, m in enumerate(refs)
-                ]
+                refs, velocities = zip(*(
+                    reference_step(m, v, x[r], target[r], lr[r], momentum)
+                    for r, (m, v) in enumerate(zip(refs, velocities))
+                ))
             except NonFinite as exc:
                 expected = str(exc)
                 break
@@ -536,23 +539,27 @@ class TestLogsumexpRows:
 
 
 class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path, rng):
+    def test_round_trip_exact(self, tmp_path):
         m = init_network([4, 5, 2], ["relu", "identity"], seed=31)
-        # Give the velocity a nontrivial value.
-        grads = [
-            (rng.standard_normal(l.weights.shape), rng.standard_normal(l.bias.shape))
-            for l in m.layers
-        ]
-        m = sgd_step(m, grads, lr=0.05, momentum=0.9)
         path = tmp_path / "net.json"
         save_network(m, path)
+        assert list(json.loads(path.read_text())) == ["layers"]
         back = load_network(path)
-        for a, b in zip(m.layers, back.layers):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.bias, b.bias)
-            assert a.activation == b.activation
-        for (vw, vb), (ww, wb) in zip(m.velocity, back.velocity):
-            assert np.array_equal(vw, ww) and np.array_equal(vb, wb)
+        assert module_bytes(back) == module_bytes(m)
+        assert [l.activation for l in back.layers] == ["relu", "identity"]
+
+    def test_legacy_velocity_entry_ignored(self, tmp_path):
+        # Checkpoints once carried the momentum state next to the layers.
+        m = init_network([4, 5, 2], ["relu", "identity"], seed=31)
+        path = tmp_path / "net.json"
+        save_network(m, path)
+        doc = json.loads(path.read_text())
+        doc["velocity"] = [
+            {"weights": [0.5] * l.weights.size, "bias": [0.5] * l.bias.size}
+            for l in m.layers
+        ]
+        path.write_text(json.dumps(doc))
+        assert module_bytes(load_network(path)) == module_bytes(m)
 
     def test_corrupt_checkpoint(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -560,20 +567,17 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             load_network(path)
 
-    @pytest.mark.parametrize("cut", ["velocity", "bias", "layers"])
+    @pytest.mark.parametrize("cut", ["bias", "layers"])
     def test_truncated_arrays_refused(self, tmp_path, cut):
-        # A velocity list one layer short once loaded as a one-layer
-        # network, a one-entry bias broadcast over its layer, and a file
-        # without layers loaded as a network without layers.
+        # A one-entry bias once broadcast over its layer, and a file
+        # without layers once loaded as a network without layers.
         path = tmp_path / "net.json"
         save_network(init_network([4, 5, 2], ["relu", "identity"], seed=0), path)
         doc = json.loads(path.read_text())
-        if cut == "velocity":
-            doc["velocity"] = doc["velocity"][:1]
-        elif cut == "bias":
+        if cut == "bias":
             doc["layers"][1]["bias"] = doc["layers"][1]["bias"][:1]
         else:
-            doc["layers"] = doc["velocity"] = []
+            doc["layers"] = []
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             load_network(path)
