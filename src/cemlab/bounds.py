@@ -12,7 +12,9 @@ as determinant quotients.
 
 Mixtures are diagonal. The bound and its gradient are array kernels over
 all components at once: :func:`mi_upper_bound` and
-:func:`mixture_entropy_upper` run them on a mixture, and :func:`cem_step`
+:func:`mixture_entropy_upper` run them on a
+:class:`~cemlab.mixture.MixtureState` (or what
+:meth:`~cemlab.mixture.MixtureState.of` reads), and :func:`cem_step`
 fuses them with the mixture's per-batch update
 (:func:`~cemlab.mixture.blend_batch`) into the training loop's single step,
 for one run or a stack of them. At the training shapes every array holds a
@@ -29,15 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDefinite, ShapeMismatch, StaleState
+from .errors import NonPositiveDefinite, ShapeMismatch
 from .mixture import (
     BatchAssignment,
-    GaussianMixture,
     MixtureState,
     _blend,
     _per_row,
-    batch_tag,
     blend_coefficients,
+    update_covariance,
 )
 from .numerics import LOG_2PI, Covariance, check_diagonal, check_width, logdet
 
@@ -173,28 +174,28 @@ def _penalty_grad(
     return grad
 
 
-def _mixture_bound(mix: GaussianMixture, noise: NoiseModel, ld_ref: float) -> float:
+def _mixture_bound(mix, noise: NoiseModel, ld_ref: float) -> float:
     state = MixtureState.of(mix)
     check_width(state.var.shape[1], noise.dim)
     denom = _widened_ridged(state.var, state.ridge, noise.std**2)
     return _penalty(state.weights, denom, ld_ref)
 
 
-def mi_upper_bound(mix: GaussianMixture, noise: NoiseModel) -> float:
+def mi_upper_bound(mix: MixtureState, noise: NoiseModel) -> float:
     """Upper bound on the information the noisy feature carries about the
     clean feature; equals :func:`mixture_entropy_upper` minus the noise
     entropy. Nonnegative for PSD component covariances."""
     return _mixture_bound(mix, noise, noise.logdet())
 
 
-def mixture_entropy_upper(mix: GaussianMixture, noise: NoiseModel) -> float:
+def mixture_entropy_upper(mix: MixtureState, noise: NoiseModel) -> float:
     """Closed-form upper bound on the entropy of the noisy mixture:
     sum_i pi_i * (-log pi_i + entropy of the widened component).
 
     A widened component's entropy 0.5 * (d * log(2*pi*e) + logdet) is the
     MI bound's term with -d * log(2*pi*e) in place of the noise
     log-determinant."""
-    return _mixture_bound(mix, noise, -mix.dim * LOG_2PIE)
+    return _mixture_bound(mix, noise, -noise.dim * LOG_2PIE)
 
 
 def cond_entropy_lower(h_x: float, mi: float) -> float:
@@ -242,7 +243,7 @@ def wiener_gain(spec: JointGaussianSpec) -> np.ndarray:
         raise NonPositiveDefinite("channel gram matrix is singular") from exc
 
 
-def cem_loss(mix: GaussianMixture, noise: NoiseModel) -> float:
+def cem_loss(mix: MixtureState, noise: NoiseModel) -> float:
     """The conditional-entropy training penalty; by construction identical
     to :func:`mi_upper_bound`, kept as a named alias so the trainer's loss
     ledger refers to the penalty by its role."""
@@ -252,25 +253,24 @@ def cem_loss(mix: GaussianMixture, noise: NoiseModel) -> float:
 def cem_loss_grad(
     batch: np.ndarray,
     assign: BatchAssignment,
-    mix: GaussianMixture,
+    mid: MixtureState,
     noise: NoiseModel,
 ) -> np.ndarray:
-    """Gradient of :func:`cem_loss` with respect to each feature vector in
-    the batch, through the covariance blend only.
+    """Gradient of ``cem_loss(update_covariance(mid, assign, z), noise)``
+    with respect to each feature vector ``z`` of the batch, at ``batch``.
+    ``mid`` is the mixture :func:`~cemlab.mixture.update_weights` returns
+    for this batch, before its covariance update, which runs here.
 
     Assignments, weights, and means are held constant (straight-through);
     the chain runs batch covariance -> blended covariance -> log-determinant
-    term. ``mix`` must be the mixture returned by the covariance update for
-    exactly this (assignment, batch) pair.
+    term.
     """
     z = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if mix.update_tag is None or mix.update_tag != batch_tag(assign, z):
-        raise StaleState("mixture covariances were not updated for this batch")
-    state = MixtureState.of(mix)
-    coef = blend_coefficients(state.weights, assign.counts, mix.dataset_size)
+    state = update_covariance(mid, assign, z)
+    coef = blend_coefficients(state.weights, assign.counts, state.dataset_size)
     denom = _widened_ridged(state.var, state.ridge, noise.std**2)
-    dev = z - state.means[assign.indices]
-    return _penalty_grad(state.weights, coef, dev, assign.counts, denom, assign.indices)
+    dev = z - _per_row(state.means, assign.bins)
+    return _penalty_grad(state.weights, coef, dev, assign.counts, denom, assign.bins)
 
 
 def cem_step(
@@ -286,10 +286,9 @@ def cem_step(
     ``noise_var`` and ``noise_logdet`` are the noise model's ``std**2`` and
     ``logdet()``.
 
-    Gives the same bits as :func:`~cemlab.mixture.update_weights`,
-    :func:`~cemlab.mixture.update_covariance`, :func:`cem_loss` and
-    :func:`cem_loss_grad` in turn. The gradient belongs to the state it
-    returns, so no staleness check is needed. Raises
+    Gives the same bits as :func:`~cemlab.mixture.update_weights`, then
+    :func:`~cemlab.mixture.update_covariance` and :func:`cem_loss`, and
+    :func:`cem_loss_grad` on the weight-updated mixture. Raises
     :class:`~cemlab.errors.NonPositiveDefinite` where those would, with the
     same message: first for the blended variances, then for the widened
     ones. The returned state's weights and variances, and the gradient,
@@ -319,7 +318,7 @@ def cem_step(
 
 
 def bounds_report(
-    mix: GaussianMixture,
+    mix: MixtureState,
     noise: NoiseModel,
     h_x_offset: float,
     input_dim: int,

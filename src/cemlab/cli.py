@@ -90,11 +90,20 @@ class RunManifest:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             config = check_config_keys(doc["config"], f"the config of manifest {path}")
+            artifacts = doc["artifacts"]
+            if not isinstance(artifacts, dict) or not all(
+                isinstance(rel, str) and rel and not Path(rel).is_absolute()
+                and ".." not in Path(rel).parts for rel in artifacts.values()
+            ):
+                raise ParseError(
+                    f"invalid manifest {path}: artifacts must be a JSON object of "
+                    "relative paths inside the run directory"
+                )
             return RunManifest(
                 run_id=doc["run_id"],
                 config=config,
                 output_dir=doc["output_dir"],
-                artifacts=doc["artifacts"],
+                artifacts=artifacts,
             )
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ParseError(f"invalid manifest {path}: {exc}") from exc
@@ -323,11 +332,12 @@ def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.Atta
     manifest, base = _load_manifest(run)
     spec = validate(_with(manifest.config, attack_overrides or {}))
     encoder = network.load_network(_artifact_path(manifest, base, "encoder"))
+    # Read before the attacker trains, so that a bad mixture costs nothing.
+    floor = run_floor(spec, manifest, base)
     ds = spec.dataset()
     attacker = adversary.train_attacker(encoder, spec.noise, ds, spec.attack)
     x_train, _ = ds.train_arrays()
     x_test, _ = ds.test_arrays()
-    floor = run_floor(spec, manifest, base)
     report = adversary.evaluate_attack(
         attacker, encoder, spec.noise, x_train, x_test,
         seed=spec.attack.seed, floor=floor,

@@ -23,11 +23,6 @@ class StaleTape(CemError):
     or does not belong to the module."""
 
 
-class StaleState(CemError):
-    """A gradient was requested against mixture state that was not updated
-    for the batch in question."""
-
-
 class NonFinite(CemError):
     """A parameter or loss became NaN/Inf."""
 

@@ -11,14 +11,18 @@ with c_j clamped to [0, 1] and dS_j the diagonal covariance of the newly
 assigned samples about the stored mean. Means are refreshed only by the
 full refit, never inside the batch loop.
 
+A mixture is a :class:`MixtureState` of plain arrays: the refit returns
+one, the training step updates one, and checkpoints hold one. A
+:class:`GaussianMixture` is only a way to write a mixture by hand,
+component by component; :meth:`MixtureState.of` reads it into arrays.
+
 The arithmetic lives in array kernels over the whole mixture
 (:func:`blend_weights`, :func:`blend_coefficients`, and the variance
-blend). :func:`blend_batch` runs them on a :class:`MixtureState` for the
-training loop; :func:`update_weights` and :func:`update_covariance` are
-adapters that run the same kernels on a :class:`GaussianMixture`.
-Per-component sums repeat NumPy's own order of addition, so both forms
-give the same bits as a ``np.mean`` per component. The kernels compute in
-place on arrays they create and never write to their inputs.
+blend). :func:`blend_batch` runs them in one go for the training loop;
+:func:`update_weights` and :func:`update_covariance` run them one update
+at a time. Per-component sums repeat NumPy's own order of addition, so
+both give the same bits as a ``np.mean`` per component. The kernels
+compute in place on arrays they create and never write to their inputs.
 
 The kernels, :func:`assign_nearest` and the refit (:func:`fit_init_many`)
 also run on a stack of R same-shaped runs: a :class:`MixtureState` whose
@@ -37,21 +41,14 @@ rounding bound (see :func:`_nearest`).
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateData, ParseError, ShapeMismatch
 from .files import write_atomic
-from .numerics import (
-    Covariance,
-    _row_starts,
-    check_diagonal,
-    diagonal_variances,
-    seeded_rng,
-)
+from .numerics import Covariance, _row_starts, check_diagonal, seeded_rng
 
 WEIGHT_FLOOR = 1e-8
 
@@ -70,22 +67,12 @@ class GaussianComponent:
 
 @dataclass
 class GaussianMixture:
+    """A mixture written by hand, component by component;
+    :meth:`MixtureState.of` reads it into arrays."""
+
     components: list[GaussianComponent]
     dim: int
     dataset_size: int
-    # Fingerprint of the (assignment, batch) the covariances were last
-    # updated for; consumed by the loss gradient's staleness check.
-    update_tag: str | None = field(default=None, repr=False)
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
-    def weights(self) -> np.ndarray:
-        return np.array([c.weight for c in self.components])
-
-    def means(self) -> np.ndarray:
-        return np.stack([c.mean for c in self.components])
 
 
 @dataclass
@@ -125,32 +112,21 @@ class MixtureState:
         )
 
     @staticmethod
-    def of(mix: GaussianMixture) -> "MixtureState":
-        """The array form of a mixture; raises :class:`ShapeMismatch` if any
-        component holds a full covariance."""
-        var = diagonal_variances(mix.components)
+    def of(mix: "MixtureState | GaussianMixture") -> "MixtureState":
+        """``mix`` itself if it is a state, else the arrays of a hand-written
+        mixture; raises :class:`ShapeMismatch` if any component holds a full
+        covariance."""
+        if isinstance(mix, MixtureState):
+            return mix
+        comps = mix.components
+        if not all(c.cov.is_diagonal for c in comps):
+            raise ShapeMismatch("mixtures support diagonal covariances only")
         return MixtureState(
-            weights=mix.weights(),
-            means=mix.means(),
-            var=var,
-            ridge=np.array([[c.cov.ridge] for c in mix.components]),
+            weights=np.array([c.weight for c in comps]),
+            means=np.stack([c.mean for c in comps]),
+            var=np.stack([c.cov.entries for c in comps]),
+            ridge=np.array([[c.cov.ridge] for c in comps]),
             dataset_size=mix.dataset_size,
-        )
-
-    def to_mixture(self) -> GaussianMixture:
-        """The component-list form. Variances must already have passed
-        :func:`~cemlab.numerics.check_diagonal`."""
-        components = [
-            GaussianComponent(
-                weight=float(w),
-                mean=mean.copy(),
-                cov=Covariance(dim=var.size, entries=var.copy(), ridge=float(r[0])),
-            )
-            for w, mean, var, r in zip(self.weights, self.means, self.var, self.ridge)
-        ]
-        return GaussianMixture(
-            components=components, dim=self.means.shape[1],
-            dataset_size=self.dataset_size,
         )
 
 
@@ -362,7 +338,7 @@ def fit_init(
     *,
     init_means: np.ndarray | None = None,
     ridge: float = 1e-6,
-) -> GaussianMixture:
+) -> MixtureState:
     """Fit a k-component diagonal mixture by k-means++ plus hard Lloyd rounds.
 
     Weights are cluster frequencies (floored and renormalized), covariances
@@ -383,7 +359,7 @@ def fit_init(
     state = fit_init_many(
         x[None], k, [seed], [iters], init_means=init_means, ridges=[ridge]
     )
-    return state.take(0).to_mixture()
+    return state.take(0)
 
 
 def fit_init_many(
@@ -460,13 +436,11 @@ def fit_init_many(
     )
 
 
-def assign_nearest(batch: np.ndarray, mix) -> BatchAssignment:
-    """Map each sample to the component with the nearest mean (Euclidean,
-    ties to the lowest index). ``mix`` is a :class:`GaussianMixture` or
-    the (k, d) array of its means; for a stack of runs, ``batch`` is
-    (R, N, d) and ``mix`` the (R, k, d) means. The assignment carries the
-    rows' :func:`_bins`, which the batch's update and penalty reuse."""
-    means = mix.means() if isinstance(mix, GaussianMixture) else mix
+def assign_nearest(batch: np.ndarray, means: np.ndarray) -> BatchAssignment:
+    """Map each sample to the component with the nearest of the (k, d)
+    ``means`` (Euclidean, ties to the lowest index); for a stack of runs,
+    ``batch`` is (R, N, d) and ``means`` (R, k, d). The assignment carries
+    the rows' :func:`_bins`, which the batch's update and penalty reuse."""
     z = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if z.shape[-1] != means.shape[-1]:
         raise ShapeMismatch(
@@ -565,64 +539,39 @@ def blend_batch(
     return blended, coef, dev
 
 
-# -- adapters over the kernels for the component-list form ----------------
+# -- one update at a time ------------------------------------------------
 
-def update_weights(mix: GaussianMixture, assign: BatchAssignment) -> GaussianMixture:
+def update_weights(state: MixtureState, assign: BatchAssignment) -> MixtureState:
     """Blend batch cluster frequencies into the mixture weights."""
-    weights = blend_weights(
-        mix.weights(), assign.counts, assign.batch_size, mix.dataset_size
-    )
-    components = [
-        replace(comp, weight=float(w)) for comp, w in zip(mix.components, weights)
-    ]
-    return GaussianMixture(
-        components=components, dim=mix.dim, dataset_size=mix.dataset_size
-    )
-
-
-def batch_tag(assign: BatchAssignment, batch: np.ndarray) -> str:
-    """Fingerprint tying a covariance update to its (assignment, batch)."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(assign.indices, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(batch, dtype=np.float64).tobytes())
-    return h.hexdigest()
+    return replace(state, weights=blend_weights(
+        state.weights, assign.counts, assign.batch_size, state.dataset_size
+    ))
 
 
 def update_covariance(
-    mix: GaussianMixture, assign: BatchAssignment, batch: np.ndarray
-) -> GaussianMixture:
+    state: MixtureState, assign: BatchAssignment, batch: np.ndarray
+) -> MixtureState:
     """Blend the batch's within-cluster diagonal covariances into the mixture.
 
     Must run after :func:`update_weights` for the same batch; the blend
     coefficient uses the post-update weights. Components that received no
-    samples are untouched.
+    samples keep their variances.
     """
     z = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if z.shape[0] != assign.batch_size:
+    if z.shape[-2] != assign.batch_size:
         raise ShapeMismatch("batch does not match assignment")
-    state = MixtureState.of(mix)
-    coef = blend_coefficients(state.weights, assign.counts, mix.dataset_size)
-    dev = z - state.means[assign.indices]
-    var = _blend_variances(state.var, dev, assign.indices, assign.counts, coef)
-    components = [
-        replace(comp, cov=Covariance.diagonal(v, ridge=comp.cov.ridge)) if n_j > 0
-        else comp
-        for comp, v, n_j in zip(mix.components, var, assign.counts)
-    ]
-    return GaussianMixture(
-        components=components,
-        dim=mix.dim,
-        dataset_size=mix.dataset_size,
-        update_tag=batch_tag(assign, z),
-    )
+    coef = blend_coefficients(state.weights, assign.counts, state.dataset_size)
+    dev = z - _per_row(state.means, assign.bins)
+    var = _blend_variances(state.var, dev, assign.bins, assign.counts, coef)
+    check_diagonal(var, state.ridge)
+    return replace(state, var=var)
 
 
-def save_mixture(mix: GaussianMixture, path) -> None:
+def save_mixture(state: MixtureState, path) -> None:
     """Write the mixture checkpoint (JSON)."""
-    state = MixtureState.of(mix)
     doc = {
-        "dim": mix.dim,
-        "dataset_size": mix.dataset_size,
+        "dim": state.means.shape[1],
+        "dataset_size": state.dataset_size,
         "components": [
             {
                 "weight": float(w),
@@ -635,32 +584,40 @@ def save_mixture(mix: GaussianMixture, path) -> None:
     write_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
-def load_mixture(path, ridge: float = 1e-12) -> GaussianMixture:
+def load_mixture(path, ridge: float = 1e-12) -> MixtureState:
     """Read a mixture checkpoint written by :func:`save_mixture`.
 
-    The checkpoint schema does not carry the ridge; reloaded covariances
-    get a tiny factorization guard so bound values stay faithful to the
-    stored entries. A file without components, or whose means or
-    variances do not have ``dim`` entries, raises :class:`ParseError`.
+    The checkpoint schema does not carry the ridge; reloaded variances get
+    a tiny factorization guard so bound values stay faithful to the stored
+    entries, and are checked by :func:`~cemlab.numerics.check_diagonal`.
+    What training cannot write raises :class:`ParseError`: no components,
+    a mean or variances without exactly ``dim`` entries, a weight that is
+    not finite and positive, weights whose sum is off 1 by more than
+    ``k * 2**-52`` (renormalized weights stay within half that), a mean
+    that is not finite, or a ``dataset_size`` below ``k``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        dim = int(doc["dim"])
-        components = [
-            GaussianComponent(
-                weight=float(c["weight"]),
-                mean=np.array(c["mean"], dtype=np.float64).reshape(dim),
-                cov=Covariance.diagonal(
-                    np.array(c["cov_diag"], dtype=np.float64).reshape(dim), ridge=ridge
-                ),
-            )
-            for c in doc["components"]
-        ]
-        if not components:
-            raise ValueError("no components")
-        return GaussianMixture(
-            components=components, dim=dim, dataset_size=int(doc["dataset_size"]),
+        dim, comps = int(doc["dim"]), doc["components"]
+        state = MixtureState(
+            weights=np.array([float(c["weight"]) for c in comps]),
+            means=np.array([c["mean"] for c in comps], dtype=np.float64),
+            var=np.array([c["cov_diag"] for c in comps], dtype=np.float64),
+            ridge=np.full((len(comps), 1), ridge),
+            dataset_size=int(doc["dataset_size"]),
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        k = len(comps)
+        if k == 0 or not state.means.shape == state.var.shape == (k, dim):
+            raise ValueError(f"need components whose means and variances have {dim} entries")
+        # A NaN weight fails the comparison, an infinite one the sum's.
+        if not (np.all(state.weights > 0) and abs(state.weights.sum() - 1.0) <= k * 2.0**-52):
+            raise ValueError("weights must be positive and sum to 1")
+        if not np.isfinite(state.means).all():
+            raise ValueError("means must be finite")
+        if state.dataset_size < k:
+            raise ValueError(f"dataset_size {state.dataset_size} below k={k}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid mixture checkpoint {path}: {exc}") from exc
+    check_diagonal(state.var, state.ridge)
+    return state

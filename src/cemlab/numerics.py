@@ -1,6 +1,10 @@
 """Positive-definite covariance handling, seed derivation, a row-wise
 log-sum-exp, and the Monte-Carlo entropy oracle.
 
+The oracle samples a diagonal mixture: a
+:class:`~cemlab.mixture.MixtureState`, or what
+:meth:`~cemlab.mixture.MixtureState.of` reads.
+
 All entropies are in nats. Every routine takes an explicit seed where
 randomness is involved; nothing touches numpy's global generator.
 """
@@ -61,14 +65,6 @@ def check_diagonal(entries: np.ndarray, ridge) -> None:
         raise NonPositiveDefinite("diagonal entries must be nonnegative")
     if (ridged <= 0).any():
         raise NonPositiveDefinite("zero diagonal entries require a positive ridge")
-
-
-def diagonal_variances(components) -> np.ndarray:
-    """The (k, d) raw diagonal entries of a mixture's components; raises
-    :class:`ShapeMismatch` if any component holds a full covariance."""
-    if not all(c.cov.is_diagonal for c in components):
-        raise ShapeMismatch("mixtures support diagonal covariances only")
-    return np.stack([c.cov.entries for c in components])
 
 
 def check_width(width: int, noise_dim: int) -> None:
@@ -282,13 +278,15 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     """
     if n_samples < 2:
         raise ValueError(f"mc_entropy needs n_samples >= 2, got {n_samples}")
-    # Raw (unridged) per-component variances: the oracle stays pure math.
-    raw = diagonal_variances(mix.components)
-    check_width(raw.shape[1], noise.dim)
+    # Imported here: the mixture module imports this one.
+    from .mixture import MixtureState
+
+    state = MixtureState.of(mix)
+    check_width(state.var.shape[1], noise.dim)
     rng = seeded_rng(seed)
-    weights = np.array([comp.weight for comp in mix.components])
-    means = np.stack([comp.mean for comp in mix.components])
-    variances = raw + noise.std**2
+    weights, means = state.weights, state.means
+    # Raw (unridged) per-component variances: the oracle stays pure math.
+    variances = state.var + noise.std**2
     k, d = means.shape
 
     # gap[c, i] = m_c - m_i; coef[c] stacks the (d, k) quadratic and linear

@@ -42,11 +42,7 @@ import numpy as np
 from .bounds import NoiseModel, cem_step
 from .data import Dataset
 from .errors import CemError, LabelOutOfRange, NonFinite, NonPositiveDefinite
-from .mixture import (
-    GaussianMixture,
-    assign_nearest,
-    fit_init_many,
-)
+from .mixture import MixtureState, assign_nearest, fit_init_many
 from .network import (
     NeuralModule,
     RunStack,
@@ -127,7 +123,7 @@ class LossBreakdown:
 class TrainResult:
     encoder: NeuralModule
     decoder: NeuralModule
-    mixture: GaussianMixture
+    mixture: MixtureState
     history: list[LossBreakdown] = field(default_factory=list)
 
 
@@ -210,7 +206,7 @@ def _train_stack(cfgs: list[TrainingConfig], datasets: list[Dataset]) -> list[Tr
     return [
         TrainResult(
             stack.encoder.take(r), stack.decoder.take(r),
-            stack.state.take(r).to_mixture(), history,
+            stack.state.take(r), history,
         )
         for r, history in enumerate(histories)
     ]

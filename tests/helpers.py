@@ -4,11 +4,13 @@ import numpy as np
 from scipy.special import logsumexp
 
 from cemlab.bounds import JointGaussianSpec, NoiseModel
-from cemlab.mixture import GaussianComponent, GaussianMixture
+from cemlab.mixture import GaussianComponent, GaussianMixture, MixtureState
 from cemlab.numerics import LOG_2PI, Covariance, McEstimate, seeded_rng
 
 
-def make_mixture(weights, means, variances, n=100, ridge=0.0):
+def write_mixture(weights, means, variances, n=100, ridge=0.0):
+    """A mixture written by hand, component by component, each covariance
+    checked by ``Covariance.diagonal``."""
     means = np.atleast_2d(np.asarray(means, dtype=np.float64))
     comps = [
         GaussianComponent(
@@ -19,6 +21,37 @@ def make_mixture(weights, means, variances, n=100, ridge=0.0):
         for w, m, v in zip(weights, means, np.atleast_2d(variances))
     ]
     return GaussianMixture(components=comps, dim=means.shape[1], dataset_size=n)
+
+
+def make_mixture(weights, means, variances, n=100, ridge=0.0):
+    """The :class:`MixtureState` of :func:`write_mixture`."""
+    return MixtureState.of(write_mixture(weights, means, variances, n, ridge))
+
+
+def _set_weights(doc, weights):
+    for comp, w in zip(doc["components"], weights):
+        comp["weight"] = w
+
+
+# Edits of a saved mixture checkpoint of three or more components into
+# what training cannot write. Most once loaded, and `cemlab bounds` wrote
+# NaN, or the bound of weights that sum to 3; an infinite dataset_size
+# raised an uncaught OverflowError.
+UNWRITABLE = {
+    "negative weight": lambda doc: _set_weights(doc, [-0.1]),
+    "zero weight": lambda doc: _set_weights(doc, [0.0]),
+    "nan weight": lambda doc: _set_weights(doc, [float("nan")]),
+    "infinite weight": lambda doc: _set_weights(doc, [float("inf")]),
+    "weights sum to 3": lambda doc: _set_weights(doc, [1.0, 1.0, 1.0]),
+    # At k = 3, 1 + 2**-50 is 4 units of 2**-52 from 1, over the tolerance.
+    "weights sum 4 ulp high": lambda doc: _set_weights(doc, [0.25, 0.25, 0.5 + 2.0**-50]),
+    "infinite mean": lambda doc: doc["components"][1]["mean"].__setitem__(0, float("inf")),
+    "nan mean": lambda doc: doc["components"][2]["mean"].__setitem__(1, float("nan")),
+    "dataset_size below k": lambda doc: doc.update(dataset_size=2),
+    "negative dataset_size": lambda doc: doc.update(dataset_size=-3),
+    "infinite dataset_size": lambda doc: doc.update(dataset_size=float("inf")),
+    "nested mean": lambda doc: doc["components"][0].update(mean=[doc["components"][0]["mean"]]),
+}
 
 
 def random_mixture(rng, k, d, n=200):
@@ -69,12 +102,10 @@ def _oracle_draws(mix, noise, n_samples, seed):
     weights, means and variances, the component choices, and the standard
     normals as one (n_samples, d) draw."""
     rng = seeded_rng(seed)
-    weights = np.array([comp.weight for comp in mix.components])
-    means = np.stack([comp.mean for comp in mix.components])
+    state = MixtureState.of(mix)
+    weights, means = state.weights, state.means
     k, d = means.shape
-    variances = np.stack(
-        [np.asarray(comp.cov.entries, dtype=np.float64) for comp in mix.components]
-    ) + noise.std**2
+    variances = state.var + noise.std**2
     choices = rng.choice(k, size=n_samples, p=weights / weights.sum())
     z = rng.standard_normal((n_samples, d))
     return weights, means, variances, choices, z

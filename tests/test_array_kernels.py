@@ -122,24 +122,25 @@ def reference_step(mix, batch, noise):
     """One batch, component by component, with NumPy reductions per
     component and a running sum over components."""
     z = np.asarray(batch, dtype=np.float64)
-    idx = nearest(z, np.stack([c.mean for c in mix.components]))
-    counts = np.bincount(idx, minlength=mix.k)
+    k, d = mix.means.shape
+    idx = nearest(z, mix.means)
+    counts = np.bincount(idx, minlength=k)
     n_total, b = mix.dataset_size, z.shape[0]
-    raw = np.array([c.weight for c in mix.components]) * (n_total - b) + counts
+    raw = mix.weights * (n_total - b) + counts
     w = np.maximum(raw / n_total, 1e-8)
     w = w / w.sum()
     v = noise.std**2
-    ld_noise = float(np.sum(np.log(np.full(mix.dim, v))))
+    ld_noise = float(np.sum(np.log(np.full(d, v))))
     var, penalty = [], 0.0
     grad = np.zeros_like(z)
-    for j, comp in enumerate(mix.components):
+    for j in range(k):
         n_j = int(counts[j])
-        entries = comp.cov.entries
+        entries = mix.var[j]
         if n_j > 0:
-            dev = z[idx == j] - comp.mean
+            dev = z[idx == j] - mix.means[j]
             c = min(1.0, n_j / (float(w[j]) * n_total))
             entries = (1.0 - c) * entries + c * np.mean(dev * dev, axis=0)
-        denom = entries + v + comp.cov.ridge
+        denom = entries + v + float(mix.ridge[j, 0])
         penalty += float(w[j]) * (
             -np.log(float(w[j])) + 0.5 * (float(np.sum(np.log(denom))) - ld_noise)
         )
@@ -172,7 +173,8 @@ def reference_fit(x, k, iters, init_means):
 
 
 def random_case(seed, k, d, n_batch, rare):
-    """A diagonal mixture, a batch and a noise model. Some components get
+    """A diagonal mixture, written by hand and read as a state, a batch and
+    a noise model. Some components get
     tiny weights (blend coefficients that clamp to 1); batches smaller than
     k leave components without samples."""
     rng = np.random.default_rng(seed)
@@ -188,7 +190,7 @@ def random_case(seed, k, d, n_batch, rare):
         for w, r in zip(raw / raw.sum(), ridges)
     ]
     n_total = int(n_batch * rng.integers(1, 5))
-    mix = GaussianMixture(components=comps, dim=d, dataset_size=n_total)
+    mix = MixtureState.of(GaussianMixture(components=comps, dim=d, dataset_size=n_total))
     batch = rng.uniform(-4.0, 4.0, size=(n_batch, d))
     return mix, batch, NoiseModel(std=float(rng.uniform(0.01, 1.0)), dim=d)
 
@@ -203,17 +205,17 @@ def random_case(seed, k, d, n_batch, rare):
 @settings(max_examples=150, deadline=None)
 def test_fused_step_equals_public_chain(k, d, n_batch, rare, seed):
     mix, batch, noise = random_case(seed, k, d, n_batch, rare)
-    assign = assign_nearest(batch, mix)
+    assign = assign_nearest(batch, mix.means)
     mid = update_weights(mix, assign)
     updated = update_covariance(mid, assign, batch)
     penalty = cem_loss(updated, noise)
-    grad = cem_loss_grad(batch, assign, updated, noise)
+    grad = cem_loss_grad(batch, assign, mid, noise)
 
     state, fused_penalty, fused_grad = cem_step(
-        MixtureState.of(mix), assign, batch, noise.std**2, noise.logdet()
+        mix, assign, batch, noise.std**2, noise.logdet()
     )
-    assert np.array_equal(state.weights, updated.weights())
-    assert np.array_equal(state.var, np.stack([c.cov.entries for c in updated.components]))
+    assert np.array_equal(state.weights, updated.weights)
+    assert np.array_equal(state.var, updated.var)
     assert fused_penalty == penalty
     assert np.array_equal(fused_grad, grad)
 
@@ -238,9 +240,9 @@ def test_refit_equals_per_component_lloyd(k, d, n, iters, seed):
     init = rng.uniform(-2.0, 10.0, size=(k, d))
     mix = fit_init(x, k, seed=0, iters=iters, init_means=init, ridge=1e-6)
     ref_w, ref_means, ref_var = reference_fit(x, k, iters, init)
-    assert np.array_equal(mix.weights(), ref_w)
-    assert np.array_equal(mix.means(), ref_means)
-    assert np.array_equal(np.stack([c.cov.entries for c in mix.components]), ref_var)
+    assert np.array_equal(mix.weights, ref_w)
+    assert np.array_equal(mix.means, ref_means)
+    assert np.array_equal(mix.var, ref_var)
 
 
 def test_cases_reach_empty_and_clamped_components():
@@ -248,21 +250,29 @@ def test_cases_reach_empty_and_clamped_components():
     empty = clamped = False
     for seed in range(200):
         mix, batch, noise = random_case(seed, 9, 3, 4, 3)
-        assign = assign_nearest(batch, mix)
+        assign = assign_nearest(batch, mix.means)
         mid = update_weights(mix, assign)
         empty |= bool(np.any(assign.counts == 0))
-        raw = assign.counts / (mid.weights() * mix.dataset_size)
+        raw = assign.counts / (mid.weights * mix.dataset_size)
         clamped |= bool(np.any(raw[assign.counts > 0] > 1.0))
     assert empty and clamped
 
 
 def test_state_round_trip(rng):
-    mix = fit_init(rng.standard_normal((40, 3)), k=4, seed=1, ridge=0.5)
-    back = MixtureState.of(mix).to_mixture()
-    for a, b in zip(mix.components, back.components):
-        assert a.weight == b.weight and a.cov.ridge == b.cov.ridge
-        assert np.array_equal(a.mean, b.mean)
-        assert np.array_equal(a.cov.entries, b.cov.entries)
+    """A state written out by hand, component by component, reads back as
+    its own arrays; a state reads as itself."""
+    state = fit_init(rng.standard_normal((40, 3)), k=4, seed=1, ridge=0.5)
+    comps = [
+        GaussianComponent(float(w), mean, Covariance.diagonal(var, ridge=float(r[0])))
+        for w, mean, var, r in zip(state.weights, state.means, state.var, state.ridge)
+    ]
+    back = MixtureState.of(
+        GaussianMixture(components=comps, dim=3, dataset_size=state.dataset_size)
+    )
+    for name in ("weights", "means", "var", "ridge"):
+        assert np.array_equal(getattr(back, name), getattr(state, name))
+    assert back.dataset_size == state.dataset_size
+    assert MixtureState.of(state) is state
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
@@ -270,9 +280,9 @@ def test_non_finite_batch_raises(bad):
     mix, batch, noise = random_case(3, 3, 2, 6, 0)
     batch[2, 1] = bad
     with np.errstate(over="ignore", invalid="ignore"):
-        assign = assign_nearest(batch, mix)
+        assign = assign_nearest(batch, mix.means)
         with pytest.raises(NonPositiveDefinite, match="finite"):
-            cem_step(MixtureState.of(mix), assign, batch, noise.std**2, noise.logdet())
+            cem_step(mix, assign, batch, noise.std**2, noise.logdet())
         with pytest.raises(NonPositiveDefinite, match="finite"):
             update_covariance(update_weights(mix, assign), assign, batch)
 
@@ -301,10 +311,7 @@ def stack_states(states):
 @settings(max_examples=150, deadline=None)
 def test_stacked_step_equals_runs_alone(n_runs, k, d, n_batch, mult, rare, seed):
     cases = [random_case(seed + r, k, d, n_batch, rare) for r in range(n_runs)]
-    states = [
-        replace(MixtureState.of(mix), dataset_size=n_batch * mult)
-        for mix, _, _ in cases
-    ]
+    states = [replace(mix, dataset_size=n_batch * mult) for mix, _, _ in cases]
     batch = np.stack([b for _, b, _ in cases])
     noises = [noise for _, _, noise in cases]
     stacked = stack_states(states)
@@ -361,11 +368,10 @@ def test_stacked_refit_equals_runs_alone(n_runs, k, d, n, warm, seed):
             x[r], k, seeds[r], int(iters[r]),
             init_means=None if init is None else init[r], ridge=float(ridges[r]),
         )
-        assert np.array_equal(state.weights[r], alone.weights())
-        assert np.array_equal(state.means[r], alone.means())
-        comps = alone.components
-        assert np.array_equal(state.var[r], np.stack([c.cov.entries for c in comps]))
-        assert np.array_equal(state.ridge[r, :, 0], [c.cov.ridge for c in comps])
+        assert np.array_equal(state.weights[r], alone.weights)
+        assert np.array_equal(state.means[r], alone.means)
+        assert np.array_equal(state.var[r], alone.var)
+        assert np.array_equal(state.ridge[r], alone.ridge)
 
 
 def test_stacked_refit_fails_per_run():
@@ -389,7 +395,7 @@ def test_stacked_refit_fails_per_run():
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
 def test_stacked_step_fails_per_run(bad):
     cases = [random_case(s, 3, 2, 6, 0) for s in (3, 4, 5)]
-    states = [replace(MixtureState.of(mix), dataset_size=12) for mix, _, _ in cases]
+    states = [replace(mix, dataset_size=12) for mix, _, _ in cases]
     batch = np.stack([b for _, b, _ in cases])
     batch[1, 2, 1] = bad
     stacked = stack_states(states)
@@ -415,7 +421,7 @@ def test_kernels_never_write_to_inputs(stacked, bad):
     the input state, batch and assignment keep their bytes whether the step
     succeeds or raises, and no array returned shares memory with them."""
     cases = [random_case(s, 9, 2, 6, 3) for s in (3, 4, 5)]
-    states = [replace(MixtureState.of(mix), dataset_size=12) for mix, _, _ in cases]
+    states = [replace(mix, dataset_size=12) for mix, _, _ in cases]
     batch = np.stack([b for _, b, _ in cases])
     if bad is not None:
         batch[1, 2, 1] = bad
@@ -445,9 +451,7 @@ def overflowing_case(seed):
     """A mixture whose variances of 1.7e308 stay finite when blended but
     overflow once widened by a noise variance of 1.69e308."""
     mix, batch, _ = random_case(seed, 4, 3, 8, 0)
-    for comp in mix.components:
-        comp.cov = Covariance.diagonal(np.full(3, 1.7e308), ridge=comp.cov.ridge)
-    return mix, batch, NoiseModel(std=1.3e154, dim=3)
+    return replace(mix, var=np.full((4, 3), 1.7e308)), batch, NoiseModel(std=1.3e154, dim=3)
 
 
 @np.errstate(over="ignore")
@@ -456,17 +460,17 @@ def test_widened_overflow_raises_as_public_chain():
     where that pass fails it must raise what the public chain raises, solo
     and in a stack where only one run overflows."""
     mix, batch, noise = overflowing_case(7)
-    assign = assign_nearest(batch, mix)
+    assign = assign_nearest(batch, mix.means)
     updated = update_covariance(update_weights(mix, assign), assign, batch)
     with pytest.raises(NonPositiveDefinite) as chain:
         cem_loss(updated, noise)
     with pytest.raises(NonPositiveDefinite) as fused:
-        cem_step(MixtureState.of(mix), assign, batch, noise.std**2, noise.logdet())
+        cem_step(mix, assign, batch, noise.std**2, noise.logdet())
     assert str(fused.value) == str(chain.value)
 
     cases = [random_case(s, 4, 3, 8, 0) for s in (1, 2)]
     cases.insert(1, (mix, batch, noise))
-    states = [replace(MixtureState.of(m), dataset_size=mix.dataset_size) for m, _, _ in cases]
+    states = [replace(m, dataset_size=mix.dataset_size) for m, _, _ in cases]
     stacked = stack_states(states)
     batches = np.stack([b for _, b, _ in cases])
     noises = [n for _, _, n in cases]

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import isotropic_spec, make_mixture, random_mixture, random_spec
+from helpers import (
+    isotropic_spec,
+    make_mixture,
+    random_mixture,
+    random_spec,
+    write_mixture,
+)
 
 from cemlab.bounds import (
     JointGaussianSpec,
@@ -17,10 +23,11 @@ from cemlab.bounds import (
     posterior_covariance,
     wiener_gain,
 )
-from cemlab.errors import NonPositiveDefinite, ShapeMismatch, StaleState
+from cemlab.errors import NonPositiveDefinite, ShapeMismatch
 from cemlab.mixture import (
     GaussianComponent,
     GaussianMixture,
+    MixtureState,
     assign_nearest,
     update_covariance,
     update_weights,
@@ -99,6 +106,25 @@ class TestMixtureEntropyUpper:
             assert mixture_entropy_upper(mix, noise) >= est.value - 3 * est.std_error
 
 
+@pytest.mark.parametrize("k, d", [(1, 1), (3, 2), (9, 8), (17, 3)])
+def test_hand_written_mixture_gives_its_state_bits(k, d):
+    """The benchmark's path: a component list, read by `MixtureState.of`,
+    gives its state's bits in the oracle and both closed-form bounds."""
+    rng = np.random.default_rng(100 * k + d)
+    raw = rng.uniform(0.1, 1.0, size=k)
+    hand = write_mixture(
+        raw / raw.sum(), rng.uniform(-3.0, 3.0, (k, d)),
+        rng.uniform(0.05, 0.5, (k, d)), n=1000, ridge=1e-6,
+    )
+    state = MixtureState.of(hand)
+    assert MixtureState.of(state) is state
+    noise = NoiseModel(std=0.3, dim=d)
+    for bound in (mixture_entropy_upper, mi_upper_bound):
+        assert repr(bound(hand, noise)) == repr(bound(state, noise))
+    got, want = (mc_entropy(m, noise, n_samples=20_000, seed=k) for m in (hand, state))
+    assert (repr(got.value), repr(got.std_error)) == (repr(want.value), repr(want.std_error))
+
+
 class TestMiUpperBound:
     def test_pointlike_single_component(self):
         mix = make_mixture([1.0], [[0.0]], [[0.0]], ridge=1e-12)
@@ -130,7 +156,7 @@ class TestMiUpperBound:
     def test_nonnegative(self, rng):
         for _ in range(30):
             mix = random_mixture(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
-            noise = NoiseModel(std=float(rng.uniform(0.05, 2.0)), dim=mix.dim)
+            noise = NoiseModel(std=float(rng.uniform(0.05, 2.0)), dim=mix.means.shape[1])
             assert mi_upper_bound(mix, noise) >= 0.0
 
     def test_strictly_decreasing_in_noise_variance(self):
@@ -241,11 +267,10 @@ class TestMinimalMseOracle:
 
 
 def updated_for_batch(mix, batch):
-    """Run the weight and covariance updates for one batch; returns the
-    weight-updated state (for finite differencing) and the final state."""
-    assign = assign_nearest(batch, mix)
-    mid = update_weights(mix, assign)
-    return assign, mid, update_covariance(mid, assign, batch)
+    """Run the weight update for one batch; returns the assignment and the
+    weight-updated state, which the gradient takes."""
+    assign = assign_nearest(batch, mix.means)
+    return assign, update_weights(mix, assign)
 
 
 class TestCemLoss:
@@ -275,17 +300,17 @@ class TestCemLossGrad:
     def test_zero_at_cluster_means(self):
         mix = make_mixture([0.5, 0.5], [[0.0, 0.0], [5.0, 5.0]], np.ones((2, 2)))
         batch = np.array([[0.0, 0.0], [5.0, 5.0], [0.0, 0.0]])
-        assign, _, updated = updated_for_batch(mix, batch)
+        assign, mid = updated_for_batch(mix, batch)
         noise = NoiseModel(std=0.5, dim=2)
-        grad = cem_loss_grad(batch, assign, updated, noise)
+        grad = cem_loss_grad(batch, assign, mid, noise)
         assert np.allclose(grad, 0.0, atol=1e-15)
 
     def test_sign_matches_residual(self):
         for z in (0.7, -0.4):
             mix = make_mixture([1.0], [[0.0]], [[1.0]], n=50)
             batch = np.array([[z]])
-            assign, _, updated = updated_for_batch(mix, batch)
-            grad = cem_loss_grad(batch, assign, updated, NoiseModel(std=0.5, dim=1))
+            assign, mid = updated_for_batch(mix, batch)
+            grad = cem_loss_grad(batch, assign, mid, NoiseModel(std=0.5, dim=1))
             assert np.sign(grad[0, 0]) == np.sign(z)
 
     def test_matches_finite_differences(self, rng):
@@ -294,10 +319,8 @@ class TestCemLossGrad:
         for _ in range(100):
             mix = random_mixture(rng, 2, 3, n=60)
             batch = rng.uniform(-3.0, 3.0, size=(8, 3))
-            assign = assign_nearest(batch, mix)
-            mid = update_weights(mix, assign)
-            updated = update_covariance(mid, assign, batch)
-            grad = cem_loss_grad(batch, assign, updated, noise)
+            assign, mid = updated_for_batch(mix, batch)
+            grad = cem_loss_grad(batch, assign, mid, noise)
 
             def loss_of(z):
                 return cem_loss(update_covariance(mid, assign, z), noise)
@@ -305,19 +328,6 @@ class TestCemLossGrad:
             fd = central_diff(loss_of, batch, step=1e-5)
             worst = max(worst, rel_error(grad, fd))
         assert worst <= 1e-5
-
-    def test_stale_state_rejected(self, rng):
-        mix = random_mixture(rng, 2, 2, n=60)
-        batch = rng.standard_normal((5, 2))
-        assign = assign_nearest(batch, mix)
-        mid = update_weights(mix, assign)
-        noise = NoiseModel(std=0.5, dim=2)
-        with pytest.raises(StaleState):
-            cem_loss_grad(batch, assign, mid, noise)  # covariances not updated
-        updated = update_covariance(mid, assign, batch)
-        other = rng.standard_normal((5, 2))
-        with pytest.raises(StaleState):
-            cem_loss_grad(other, assign, updated, noise)
 
 
 class TestBoundsReport:

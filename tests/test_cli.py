@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers import UNWRITABLE
 
 from cemlab.cli import (
     DEFAULT_CONFIG,
@@ -316,6 +317,47 @@ class TestAttackCommand:
 
 
 class TestBoundsCommand:
+    @pytest.mark.parametrize("case", [
+        "negative weight", "zero weight", "nan weight", "weights sum to 3",
+        "infinite mean", "negative dataset_size",
+    ])
+    def test_unwritable_mixture_exit_1(self, tmp_path, capsys, monkeypatch, case):
+        # Each once passed: bounds_report.json got NaN, which is not JSON,
+        # or the bound of weights that sum to more than 3.
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(epochs=1), run_dir)
+        path = run_dir / "mixture.json"
+        doc = json.loads(path.read_text())
+        UNWRITABLE[case](doc)
+        path.write_text(json.dumps(doc))
+        trained = []
+        monkeypatch.setattr(cli.adversary, "train_attacker",
+                            lambda *args: trained.append(args))
+        before = sorted(run_dir.iterdir())
+        for command in ("bounds", "attack"):
+            assert main([command, str(run_dir)]) == 1
+            assert "ParseError" in capsys.readouterr().err
+        assert trained == []
+        assert sorted(run_dir.iterdir()) == before
+
+    @pytest.mark.parametrize("artifacts", [
+        ["mixture.json"], {"mixture": "/etc/mixture.json"},
+        {"mixture": "../run/mixture.json"}, {"mixture": 3}, {"mixture": ""},
+    ], ids=["list", "absolute", "parent", "number", "empty"])
+    def test_manifest_artifacts_must_be_relative_paths(self, tmp_path, capsys, artifacts):
+        # A list here once made `bounds` raise an uncaught TypeError.
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(epochs=1), run_dir)
+        path = run_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["artifacts"] = artifacts
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="artifacts"):
+            cli.RunManifest.load(path)
+        assert main(["bounds", str(run_dir)]) == 1
+        assert "ParseError" in capsys.readouterr().err
+        assert not (run_dir / "bounds_report.json").exists()
+
     def test_alias_identity_and_file(self, tmp_path):
         run_dir = tmp_path / "run"
         cmd_train(tiny_config(), run_dir)
@@ -341,7 +383,7 @@ class TestBoundsCommand:
             dim=DEFAULT_CONFIG["d_z"],
             dataset_size=10,
         )
-        save_mixture(mix, run_dir / "mixture.json")
+        save_mixture(mixture_mod.MixtureState.of(mix), run_dir / "mixture.json")
         report = cmd_bounds(str(run_dir))
         assert report.mi_bound == pytest.approx(0.0, abs=1e-6)
 
@@ -379,7 +421,7 @@ class TestBoundsCommand:
             dim=d,
             dataset_size=100,
         )
-        save_mixture(mix, run_dir / "mixture.json")
+        save_mixture(mixture_mod.MixtureState.of(mix), run_dir / "mixture.json")
         RunManifest(
             run_id=run_id_for(config),
             config=config,

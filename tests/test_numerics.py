@@ -171,8 +171,14 @@ class TestMcEntropyRefusals:
             mc_entropy(mix, NoiseModel(std=0.5, dim=5), n_samples=10**4, seed=0)
 
     def test_full_covariance_refused(self):
-        mix = random_mixture(np.random.default_rng(0), 2, 3)
-        mix.components[1].cov = Covariance.full(np.eye(3))
+        mix = GaussianMixture(
+            components=[
+                GaussianComponent(0.5, np.zeros(3), Covariance.diagonal(np.ones(3))),
+                GaussianComponent(0.5, np.ones(3), Covariance.full(np.eye(3))),
+            ],
+            dim=3,
+            dataset_size=200,
+        )
         with pytest.raises(ShapeMismatch, match="^mixtures support diagonal covariances only$"):
             mc_entropy(mix, NoiseModel(std=0.5, dim=3), n_samples=10**4, seed=0)
 

@@ -42,7 +42,7 @@ class TestTrain:
         cfg = TrainingConfig(lam=0.0, noise_std=0.0, epochs=0, seed=0)
         result = train(cfg, blobs)
         assert result.history == []
-        assert result.mixture.k == 9
+        assert result.mixture.weights.shape == (9,)
         assert result.encoder.param_count > 0
 
     def test_loss_ledger_identity(self, small_blobs):
