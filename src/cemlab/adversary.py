@@ -1,7 +1,6 @@
 """The evaluation-side inversion adversary: a trainable decoder network
 mapping noisy features back to inputs, with white-box access to the frozen
-encoder and the training split, plus the closed-form posterior-mean
-adversary for jointly Gaussian worlds.
+encoder and the training split.
 
 :func:`train_attacker_many` trains same-shaped attackers as one stack, each
 with the bits it gets alone; :func:`train_attacker` is one run of it. A
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import JointGaussianSpec, NoiseModel, wiener_gain
+from .bounds import NoiseModel
 from .data import Dataset
 from .errors import CemError, NonFinite
 from .network import (
@@ -196,22 +195,25 @@ class _AttackStack(RunStack):
         self.attacker.step(self.step_lr, self.step_momentum)
 
 
+# Fresh noise draws per reconstruction_mse.
+_EVAL_DRAWS = 8
+
+
 def reconstruction_mse(
     attacker: NeuralModule,
     encoder: NeuralModule,
     noise: NoiseModel,
     inputs: np.ndarray,
     seed: int,
-    n_draws: int = 8,
 ) -> float:
     """Per-dimension MSE of the attacker, averaged over fresh noise draws."""
     feats_clean = predict(encoder, inputs)
     total = 0.0
-    for draw in range(n_draws):
+    for draw in range(_EVAL_DRAWS):
         feats = noise_inject(feats_clean, noise, derived_seed(seed, 30, draw))
         diff = predict(attacker, feats) - inputs
         total += float(np.mean(diff * diff))
-    return total / n_draws
+    return total / _EVAL_DRAWS
 
 
 def evaluate_attack(
@@ -239,14 +241,3 @@ def evaluate_attack(
         floor=floor,
     )
 
-
-def gaussian_posterior_attacker(spec: JointGaussianSpec):
-    """The exact worst-case adversary for a jointly Gaussian world: the
-    linear posterior-mean map. Its expected per-dimension MSE equals the
-    analytic minimum."""
-    gain = wiener_gain(spec)
-
-    def posterior_mean(z: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(z, dtype=np.float64)) @ gain.T
-
-    return posterior_mean

@@ -1,6 +1,7 @@
 """Closed-form information quantities: Gaussian entropy, the mixture-entropy
 upper bound, the mutual-information bound used as the training loss, the
-reconstruction-MSE floor, and the jointly-Gaussian analytic oracle.
+reconstruction-MSE floor, and the jointly-Gaussian analytic oracle
+(:func:`minimal_mse_oracle`).
 
 The MI bound for a noisy mixture z with components (pi_i, mu_i, S_i) and
 isotropic corruption of variance v is
@@ -15,14 +16,13 @@ all components at once: :func:`mi_upper_bound` and
 :func:`mixture_entropy_upper` run them on a
 :class:`~cemlab.mixture.MixtureState` (or what
 :meth:`~cemlab.mixture.MixtureState.of` reads), and :func:`cem_step`
-fuses them with the mixture's per-batch update
-(:func:`~cemlab.mixture.blend_batch`) into the training loop's single step,
-for one run or a stack of them. At the training shapes every array holds a
-few dozen numbers, so the step's cost is the number of NumPy calls: it
-gathers per-component values by each row's flat bin, computes in place on
-arrays of its own, and checks the blended and widened variances in one
-pass of three reductions, with the same bits and errors as the public
-chain.
+fuses them with the mixture's per-batch weight and variance blend into the
+training loop's single step, for one run or a stack of them. At the
+training shapes every array holds a few dozen numbers, so the step's cost
+is the number of NumPy calls: it gathers per-component values by each
+row's flat bin, computes in place on arrays of its own, and checks the
+blended and widened variances in one pass of three reductions, with the
+same bits and errors as the public chain.
 """
 
 from __future__ import annotations
@@ -61,17 +61,9 @@ class NoiseModel:
                 "noise std must be finite and nonnegative, with a finite square"
             )
 
-    @property
-    def cov(self) -> Covariance:
-        """The corruption covariance; requires std > 0 to be PD."""
-        if self.std <= 0:
-            raise NonPositiveDefinite("noise covariance is PD only for std > 0")
-        return Covariance.diagonal(
-            np.full(self.dim, self.std**2, dtype=np.float64), ridge=0.0
-        )
-
     def logdet(self) -> float:
-        """Log-determinant of :attr:`cov`, without building it."""
+        """Log-determinant of the corruption covariance std^2 * I, which is
+        positive definite only for std > 0."""
         if self.std <= 0:
             raise NonPositiveDefinite("noise covariance is PD only for std > 0")
         entries = np.full(self.dim, self.std**2)
@@ -232,17 +224,6 @@ def minimal_mse_oracle(spec: JointGaussianSpec) -> float:
     return float(np.trace(post.matrix) / spec.x_cov.dim)
 
 
-def wiener_gain(spec: JointGaussianSpec) -> np.ndarray:
-    """The linear posterior-mean map z -> E[x|z] for zero prior mean."""
-    sx = spec.x_cov_matrix()
-    w = spec.channel
-    gram = w @ sx @ w.T + spec.noise.std**2 * np.eye(w.shape[0])
-    try:
-        return sx @ w.T @ np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDefinite("channel gram matrix is singular") from exc
-
-
 def cem_loss(mix: MixtureState, noise: NoiseModel) -> float:
     """The conditional-entropy training penalty; by construction identical
     to :func:`mi_upper_bound`, kept as a named alias so the trainer's loss
@@ -331,5 +312,5 @@ def bounds_report(
         rel_cond_entropy=-mi,
         mse_floor=mse_floor(cond_entropy_lower(h_x_offset, mi), input_dim),
         h_x_offset=h_x_offset,
-        cem_loss=cem_loss(mix, noise),
+        cem_loss=mi,
     )

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, bounds, data, mixture, network, trainer
-from .errors import CemError, MissingArtifact, ParseError
+from .errors import CemError, MissingArtifact, ParseError, ShapeMismatch
 from .files import write_atomic
 
 # Each config key's default and kind. An "int" key takes an int or an
@@ -322,19 +322,22 @@ def run_floor(spec: RunSpec, manifest: RunManifest, base: Path) -> float | None:
     if spec.noise.std <= 0:
         return None
     mix = mixture.load_mixture(_artifact_path(manifest, base, "mixture"))
-    h_cond = bounds.cond_entropy_lower(
-        spec.h_x_offset, bounds.mi_upper_bound(mix, spec.noise)
-    )
-    return bounds.mse_floor(h_cond, spec.data_dim)
+    return bounds.bounds_report(mix, spec.noise, spec.h_x_offset, spec.data_dim).mse_floor
 
 
 def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.AttackReport:
     manifest, base = _load_manifest(run)
     spec = validate(_with(manifest.config, attack_overrides or {}))
+    ds = spec.dataset()
     encoder = network.load_network(_artifact_path(manifest, base, "encoder"))
+    # The layers build_models makes: data_dim -> hidden (relu) -> d_z (identity).
+    cfg = spec.training
+    layers = [(l.weights.shape, l.activation) for l in encoder.layers]
+    expected = [((cfg.hidden, spec.data_dim), "relu"), ((cfg.d_z, cfg.hidden), "identity")]
+    if layers != expected:
+        raise ShapeMismatch(f"encoder layers {layers} are not the run's {expected}")
     # Read before the attacker trains, so that a bad mixture costs nothing.
     floor = run_floor(spec, manifest, base)
-    ds = spec.dataset()
     attacker = adversary.train_attacker(encoder, spec.noise, ds, spec.attack)
     x_train, _ = ds.train_arrays()
     x_test, _ = ds.test_arrays()

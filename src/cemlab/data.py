@@ -26,10 +26,6 @@ class Dataset:
     train_idx: np.ndarray
     test_idx: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[1]
-
     def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.inputs[self.train_idx], self.labels[self.train_idx]
 
@@ -73,8 +69,12 @@ def synth_blobs(
 
     Class means sit on scaled standard basis vectors (requires d >=
     n_classes), with isotropic within-class noise of scale ``spread``.
-    Deterministic per seed; 80/20 stratified split.
+    Deterministic per seed; 80/20 stratified split. A negative spread, or
+    one too wide for float64 rows, raises ``ValueError``.
     """
+    # Written so that NaN fails too.
+    if not spread >= 0:
+        raise ValueError(f"data_spread must be nonnegative, got {spread!r}")
     if per_class < 2:
         raise ValueError("need at least 2 samples per class")
     if d < n_classes:
@@ -84,13 +84,16 @@ def synth_blobs(
     means[np.arange(n_classes), np.arange(n_classes)] = 1.0
 
     labels = np.repeat(np.arange(n_classes), per_class)
-    raw = means[labels] + spread * rng.standard_normal((labels.size, d))
-    order = rng.permutation(labels.size)
-    raw, labels = raw[order], labels[order]
-
-    # The split draws from rng after the data; normalization draws nothing.
-    train_idx, test_idx = _stratified_split(labels, 0.8, rng)
-    inputs = normalize_unit(raw, train_idx)
+    # Rows too wide for float64 are refused below, without NumPy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = means[labels] + spread * rng.standard_normal((labels.size, d))
+        order = rng.permutation(labels.size)
+        raw, labels = raw[order], labels[order]
+        # The split draws from rng after the data; normalization draws nothing.
+        train_idx, test_idx = _stratified_split(labels, 0.8, rng)
+        inputs = normalize_unit(raw, train_idx)
+    if not (np.isfinite(raw).all() and np.isfinite(inputs).all()):
+        raise ValueError(f"data_spread {spread!r} makes rows that are not finite")
     return Dataset(
         inputs=inputs,
         labels=labels.astype(np.int64),
@@ -98,13 +101,6 @@ def synth_blobs(
         train_idx=train_idx,
         test_idx=test_idx,
     )
-
-
-def save_csv(ds: Dataset, path) -> None:
-    """Write rows as label,v1,...,vd with 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for label, row in zip(ds.labels, ds.inputs):
-            fh.write(f"{int(label)}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def load_csv(path, n_classes: int, seed: int = 0) -> Dataset:

@@ -18,7 +18,7 @@ component by component; :meth:`MixtureState.of` reads it into arrays.
 
 The arithmetic lives in array kernels over the whole mixture
 (:func:`blend_weights`, :func:`blend_coefficients`, and the variance
-blend). :func:`blend_batch` runs them in one go for the training loop;
+blend). :func:`~cemlab.bounds.cem_step` runs them in one go for training;
 :func:`update_weights` and :func:`update_covariance` run them one update
 at a time. Per-component sums repeat NumPy's own order of addition, so
 both give the same bits as a ``np.mean`` per component. The kernels
@@ -505,8 +505,10 @@ def _blend_variances(
 
 
 def _blend(state: MixtureState, assign: BatchAssignment, batch: np.ndarray):
-    """:func:`blend_batch` without its variance check. Every array it
-    returns is new."""
+    """One batch of streaming updates, unchecked: weights, then variances
+    with coefficients from the new weights. Returns the new state (sharing
+    ``means`` and ``ridge``), the coefficients and each row's deviation
+    from its component mean, all new arrays; nothing is written to."""
     n_total = state.dataset_size
     bins = assign.bins
     weights = blend_weights(state.weights, assign.counts, assign.batch_size, n_total)
@@ -517,25 +519,6 @@ def _blend(state: MixtureState, assign: BatchAssignment, batch: np.ndarray):
         weights=weights, means=state.means, var=var, ridge=state.ridge,
         dataset_size=n_total,
     )
-    return blended, coef, dev
-
-
-def blend_batch(
-    state: MixtureState, assign: BatchAssignment, batch: np.ndarray
-) -> tuple[MixtureState, np.ndarray, np.ndarray]:
-    """One batch of streaming updates on the array form: weights, then
-    covariances blended with coefficients from the new weights.
-
-    Returns the new state, the blend coefficients, and each row's deviation
-    from its component mean, which the penalty gradient reuses. The new
-    state shares ``means`` and ``ridge`` with ``state``; its weights and
-    variances, the coefficients and the deviations are new arrays, and
-    neither ``state`` nor ``batch`` is written to. Raises
-    :class:`~cemlab.errors.NonPositiveDefinite` on variances
-    :meth:`Covariance.diagonal` would reject.
-    """
-    blended, coef, dev = _blend(state, assign, batch)
-    check_diagonal(blended.var, blended.ridge)
     return blended, coef, dev
 
 
@@ -584,28 +567,41 @@ def save_mixture(state: MixtureState, path) -> None:
     write_atomic(path, json.dumps(doc, indent=1) + "\n")
 
 
-def load_mixture(path, ridge: float = 1e-12) -> MixtureState:
+# A loaded mixture's ridge, which the checkpoint does not carry.
+_LOAD_RIDGE = 1e-12
+_NUMBER = (int, float)
+
+
+def load_mixture(path) -> MixtureState:
     """Read a mixture checkpoint written by :func:`save_mixture`.
 
-    The checkpoint schema does not carry the ridge; reloaded variances get
-    a tiny factorization guard so bound values stay faithful to the stored
-    entries, and are checked by :func:`~cemlab.numerics.check_diagonal`.
-    What training cannot write raises :class:`ParseError`: no components,
-    a mean or variances without exactly ``dim`` entries, a weight that is
-    not finite and positive, weights whose sum is off 1 by more than
-    ``k * 2**-52`` (renormalized weights stay within half that), a mean
-    that is not finite, or a ``dataset_size`` below ``k``.
+    Reloaded variances get a tiny ridge, so bound values stay faithful to
+    the stored entries, and are checked by
+    :func:`~cemlab.numerics.check_diagonal`. What training cannot write
+    raises :class:`ParseError`: a ``dim`` or ``dataset_size`` not a JSON
+    integer, a weight, mean or variance entry not a JSON number, no
+    components, a mean or variances without exactly ``dim`` entries, a
+    weight not finite and positive, weights whose sum is off 1 by more
+    than ``k * 2**-52`` (renormalized weights stay within half that), a
+    mean not finite, or a ``dataset_size`` below ``k``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        dim, comps = int(doc["dim"]), doc["components"]
+        dim, size, comps = doc["dim"], doc["dataset_size"], doc["components"]
+        # A JSON true is a bool, which type() tells from an int.
+        if type(dim) is not int or type(size) is not int:
+            raise ValueError("dim and dataset_size must be JSON integers")
+        if not all(type(c["weight"]) in _NUMBER and all(
+            type(v) in _NUMBER for key in ("mean", "cov_diag") for v in c[key]
+        ) for c in comps):
+            raise ValueError("weights, means and variances must be JSON numbers")
         state = MixtureState(
-            weights=np.array([float(c["weight"]) for c in comps]),
+            weights=np.array([c["weight"] for c in comps], dtype=np.float64),
             means=np.array([c["mean"] for c in comps], dtype=np.float64),
             var=np.array([c["cov_diag"] for c in comps], dtype=np.float64),
-            ridge=np.full((len(comps), 1), ridge),
-            dataset_size=int(doc["dataset_size"]),
+            ridge=np.full((len(comps), 1), _LOAD_RIDGE),
+            dataset_size=size,
         )
         k = len(comps)
         if k == 0 or not state.means.shape == state.var.shape == (k, dim):

@@ -14,9 +14,10 @@ function here but :func:`noise_inject` takes either form, and each run of
 a stack gets the bits it would get alone, because a stacked matrix product
 multiplies each run's matrices as the unstacked product does.
 
-The package runs :class:`StackedNet` and :func:`predict`; the tape chain
-(:func:`forward`, :func:`backward`, :func:`sgd_step`) is the reference they
-match bit for bit, called only by tests and the benchmark's tracer.
+The package runs :class:`StackedNet` and :func:`predict`, which share one
+layer routine; the tape chain (:func:`forward`, :func:`backward`,
+:func:`sgd_step`) is the reference they match bit for bit, called only by
+tests and the benchmark's tracer.
 
 :class:`StackedNet` trains such a stack in place, with the bits of
 :func:`forward`, :func:`backward` and :func:`sgd_step`. Its buffers are
@@ -106,10 +107,6 @@ class NeuralModule:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].weights.shape[-2]
-
-    @property
-    def param_count(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
 
 
 @dataclass
@@ -217,6 +214,22 @@ def forward(m: NeuralModule, batch: np.ndarray) -> tuple[np.ndarray, TapePass]:
     return a, tape
 
 
+def _layer_forward(a, weights, bias, activation, out=None) -> np.ndarray:
+    """One layer on ``a`` with the bits of :func:`forward`: the product
+    (into ``out``, if given), the bias and the activation, in place."""
+    out = np.matmul(a, weights.swapaxes(-1, -2), out=out)
+    out += bias
+    if activation == "relu":
+        np.maximum(out, 0.0, out=out)
+    elif activation == "sigmoid":
+        # 1 / (1 + exp(-z)), one operation at a time.
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        np.divide(1.0, out, out=out)
+    return out
+
+
 def predict(m: NeuralModule, batch: np.ndarray) -> np.ndarray:
     """The module's output on a batch, with the bits of :func:`forward` but
     no tape: each layer's activation works in place on its own product, so
@@ -226,16 +239,7 @@ def predict(m: NeuralModule, batch: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"input dim {x.shape[-1]} != module in_dim {m.in_dim}")
     a = x
     for layer in m.layers:
-        a = a @ layer.weights.swapaxes(-1, -2)
-        a += layer.bias
-        if layer.activation == "relu":
-            np.maximum(a, 0.0, out=a)
-        elif layer.activation == "sigmoid":
-            # 1 / (1 + exp(-a)), one operation at a time.
-            np.negative(a, out=a)
-            np.exp(a, out=a)
-            a += 1.0
-            np.divide(1.0, a, out=a)
+        a = _layer_forward(a, layer.weights, layer.bias, layer.activation)
     return a
 
 
@@ -398,18 +402,7 @@ class StackedNet:
         n = batch.shape[1]
         self._inputs = a = batch
         for (w, b), act, buf in zip(self._params.views, self.activations, self._outs):
-            out = buf[:, :n]
-            np.matmul(a, w.swapaxes(-1, -2), out=out)
-            out += b
-            if act == "relu":
-                np.maximum(out, 0.0, out=out)
-            elif act == "sigmoid":
-                # 1 / (1 + exp(-z)), one operation at a time.
-                np.negative(out, out=out)
-                np.exp(out, out=out)
-                out += 1.0
-                np.divide(1.0, out, out=out)
-            a = out
+            a = _layer_forward(a, w, b, act, out=buf[:, :n])
         return a
 
     def out_grad(self) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Shared fixtures-by-hand for bound and adversary tests."""
+"""Shared fixtures-by-hand for bound and adversary tests, and the code
+that only tests call."""
 
 import numpy as np
 from scipy.special import logsumexp
 
 from cemlab.bounds import JointGaussianSpec, NoiseModel
+from cemlab.errors import NonPositiveDefinite
 from cemlab.mixture import GaussianComponent, GaussianMixture, MixtureState
 from cemlab.numerics import LOG_2PI, Covariance, McEstimate, seeded_rng
 
@@ -26,6 +28,44 @@ def write_mixture(weights, means, variances, n=100, ridge=0.0):
 def make_mixture(weights, means, variances, n=100, ridge=0.0):
     """The :class:`MixtureState` of :func:`write_mixture`."""
     return MixtureState.of(write_mixture(weights, means, variances, n, ridge))
+
+
+def save_csv(ds, path) -> None:
+    """Write a dataset's rows as label,v1,...,vd with 17 significant
+    digits, the form ``cemlab.data.load_csv`` reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for label, row in zip(ds.labels, ds.inputs):
+            fh.write(f"{int(label)}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def noise_cov(noise: NoiseModel) -> Covariance:
+    """The corruption covariance std^2 * I; PD only for std > 0."""
+    if noise.std <= 0:
+        raise NonPositiveDefinite("noise covariance is PD only for std > 0")
+    return Covariance.diagonal(np.full(noise.dim, noise.std**2), ridge=0.0)
+
+
+def wiener_gain(spec: JointGaussianSpec) -> np.ndarray:
+    """The linear posterior-mean map z -> E[x|z] for zero prior mean."""
+    sx = spec.x_cov_matrix()
+    w = spec.channel
+    gram = w @ sx @ w.T + spec.noise.std**2 * np.eye(w.shape[0])
+    try:
+        return sx @ w.T @ np.linalg.inv(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveDefinite("channel gram matrix is singular") from exc
+
+
+def gaussian_posterior_attacker(spec: JointGaussianSpec):
+    """The exact worst-case adversary for a jointly Gaussian world: the
+    linear posterior-mean map. Its expected per-dimension MSE equals the
+    analytic minimum ``cemlab.bounds.minimal_mse_oracle``."""
+    gain = wiener_gain(spec)
+
+    def posterior_mean(z: np.ndarray) -> np.ndarray:
+        return np.atleast_2d(np.asarray(z, dtype=np.float64)) @ gain.T
+
+    return posterior_mean
 
 
 def _set_weights(doc, weights):
@@ -51,6 +91,11 @@ UNWRITABLE = {
     "negative dataset_size": lambda doc: doc.update(dataset_size=-3),
     "infinite dataset_size": lambda doc: doc.update(dataset_size=float("inf")),
     "nested mean": lambda doc: doc["components"][0].update(mean=[doc["components"][0]["mean"]]),
+    # Casts once loaded these: a fractional size or dim as its integer
+    # part, true as 1.0.
+    "fractional dataset_size": lambda doc: doc.update(dataset_size=doc["dataset_size"] + 0.7),
+    "fractional dim": lambda doc: doc.update(dim=doc["dim"] + 0.9),
+    "true mean entry": lambda doc: doc["components"][0]["mean"].__setitem__(0, True),
 }
 
 

@@ -10,13 +10,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import isotropic_spec, make_mixture, random_mixture
+from helpers import (
+    gaussian_posterior_attacker,
+    isotropic_spec,
+    make_mixture,
+    random_mixture,
+)
 from scipy import stats
 
 from cemlab.adversary import (
     AttackConfig,
     evaluate_attack,
-    gaussian_posterior_attacker,
     train_attacker_many,
 )
 from cemlab.bounds import (

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from helpers import isotropic_spec
+from helpers import gaussian_posterior_attacker, isotropic_spec
 
 from cemlab.adversary import (
     AttackConfig,
     evaluate_attack,
-    gaussian_posterior_attacker,
     psnr,
     reconstruction_mse,
     train_attacker,

@@ -29,7 +29,6 @@ from cemlab.mixture import (
     MixtureState,
     _nearest,
     assign_nearest,
-    blend_batch,
     fit_init,
     fit_init_many,
     update_covariance,
@@ -318,7 +317,6 @@ def test_stacked_step_equals_runs_alone(n_runs, k, d, n_batch, mult, rare, seed)
 
     assign = assign_nearest(batch, stacked.means)
     assert np.array_equal(assign.bins, np.arange(n_runs)[:, None] * k + assign.indices)
-    blended = blend_batch(stacked, assign, batch)
     new, penalty, grad = cem_step(
         stacked, assign, batch,
         np.array([n.std**2 for n in noises])[:, None, None],
@@ -328,10 +326,6 @@ def test_stacked_step_equals_runs_alone(n_runs, k, d, n_batch, mult, rare, seed)
         alone = assign_nearest(batch[r], state.means)
         assert np.array_equal(assign.indices[r], alone.indices)
         assert np.array_equal(assign.counts[r], alone.counts)
-        solo_blend = blend_batch(state, alone, batch[r])
-        for got, want in zip(blended[1:], solo_blend[1:]):
-            assert np.array_equal(got[r], want)
-        assert np.array_equal(blended[0].var[r], solo_blend[0].var)
         solo, solo_penalty, solo_grad = cem_step(
             state, alone, batch[r], noise.std**2, noise.logdet()
         )
@@ -417,9 +411,9 @@ def test_stacked_step_fails_per_run(bad):
 @pytest.mark.parametrize("bad", [None, np.inf, np.nan, 1e200])
 @pytest.mark.parametrize("stacked", [False, True])
 def test_kernels_never_write_to_inputs(stacked, bad):
-    """`blend_batch` and `cem_step` compute in place on arrays of their own:
-    the input state, batch and assignment keep their bytes whether the step
-    succeeds or raises, and no array returned shares memory with them."""
+    """`cem_step` computes in place on arrays of its own: the input state,
+    batch and assignment keep their bytes whether the step succeeds or
+    raises, and no array returned shares memory with them."""
     cases = [random_case(s, 9, 2, 6, 3) for s in (3, 4, 5)]
     states = [replace(mix, dataset_size=12) for mix, _, _ in cases]
     batch = np.stack([b for _, b, _ in cases])
@@ -433,18 +427,14 @@ def test_kernels_never_write_to_inputs(stacked, bad):
         inputs = [state.weights, state.means, state.var, state.ridge, batch,
                   assign.indices, assign.counts]
         before = [a.tobytes() for a in inputs]
-        for kernel in (
-            lambda: blend_batch(state, assign, batch),
-            lambda: cem_step(state, assign, batch, noise_var, noise_logdet),
-        ):
-            if bad is None:
-                new, second, third = kernel()
-                for out in (new.weights, new.var, second, third):
-                    assert not any(np.shares_memory(out, a) for a in inputs)
-            else:
-                with pytest.raises(NonPositiveDefinite, match="finite"):
-                    kernel()
-            assert [a.tobytes() for a in inputs] == before
+        if bad is None:
+            new, penalty, grad = cem_step(state, assign, batch, noise_var, noise_logdet)
+            for out in (new.weights, new.var, penalty, grad):
+                assert not any(np.shares_memory(out, a) for a in inputs)
+        else:
+            with pytest.raises(NonPositiveDefinite, match="finite"):
+                cem_step(state, assign, batch, noise_var, noise_logdet)
+        assert [a.tobytes() for a in inputs] == before
 
 
 def overflowing_case(seed):

@@ -3,8 +3,10 @@ import pytest
 from helpers import (
     isotropic_spec,
     make_mixture,
+    noise_cov,
     random_mixture,
     random_spec,
+    wiener_gain,
     write_mixture,
 )
 
@@ -21,7 +23,6 @@ from cemlab.bounds import (
     mixture_entropy_upper,
     mse_floor,
     posterior_covariance,
-    wiener_gain,
 )
 from cemlab.errors import NonPositiveDefinite, ShapeMismatch
 from cemlab.mixture import (
@@ -55,7 +56,7 @@ class TestGaussianEntropy:
 
     def test_noise_std_zero_rejected(self):
         with pytest.raises(NonPositiveDefinite):
-            gaussian_entropy(NoiseModel(std=0.0, dim=2).cov)
+            gaussian_entropy(noise_cov(NoiseModel(std=0.0, dim=2)))
 
     @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
     def test_noise_std_non_finite_or_negative_rejected(self, bad):
@@ -150,7 +151,7 @@ class TestMiUpperBound:
             mix = random_mixture(rng, k, d)
             noise = NoiseModel(std=float(rng.uniform(0.2, 1.5)), dim=d)
             lhs = mi_upper_bound(mix, noise)
-            rhs = mixture_entropy_upper(mix, noise) - gaussian_entropy(noise.cov)
+            rhs = mixture_entropy_upper(mix, noise) - gaussian_entropy(noise_cov(noise))
             assert abs(lhs - rhs) <= 1e-10
 
     def test_nonnegative(self, rng):

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import UNWRITABLE
+from helpers import UNWRITABLE, save_csv
 
 from cemlab.cli import (
     DEFAULT_CONFIG,
@@ -155,6 +155,20 @@ class TestTrainCommand:
         assert "config error" in err and repr(key) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spread", [-0.05, 1e308])
+    def test_spread_that_cannot_make_data_exit_2_before_writing(self, tmp_path, capsys,
+                                                               spread):
+        # A negative spread was once taken silently, and 1e308 overflowed,
+        # after NumPy's warnings, into "training diverged at epoch 0".
+        cfg_path = write_config(tmp_path / "cfg.json", data_spread=spread)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "config error: data_spread" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_key_accepted(self, tmp_path):
         cmd_train(tiny_config(epochs=2.0), tmp_path / "run")
         assert len(read_history_csv(tmp_path / "run" / "history.csv")) == 2
@@ -214,7 +228,7 @@ class TestTrainCommand:
         # 4-column CSV with data_dim 16 and 4 once gave the same bound and
         # different floors.
         csv_path = tmp_path / "data.csv"
-        cli.data.save_csv(cli.data.synth_blobs(3, 4, 20, 0.05, seed=1), csv_path)
+        save_csv(cli.data.synth_blobs(3, 4, 20, 0.05, seed=1), csv_path)
         for argv in (["train"], ["sweep", "--grid", "0.01"]):
             cfg = write_config(tmp_path / "cfg.json", data_kind="csv",
                                data_csv=str(csv_path), data_dim=16)
@@ -315,11 +329,39 @@ class TestAttackCommand:
         code = main(["attack", str(run_dir)])
         assert code == 1
 
+    @pytest.mark.parametrize("edit", [
+        lambda layers: layers.pop(),
+        lambda layers: layers[-1].update(activation="sigmoid"),
+        lambda layers: layers.append({
+            "shape": [8, 8], "activation": "identity",
+            "weights": np.eye(8).ravel().tolist(), "bias": [0.0] * 8,
+        }),
+    ], ids=["last layer dropped", "sigmoid output", "extra layer"])
+    def test_encoder_training_could_not_write_refused(self, tmp_path, capsys,
+                                                       monkeypatch, edit):
+        # Without its last layer, the encoder once fed a 32-wide attacker
+        # with noise drawn 32 wide, though the run's d_z is 8.
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(epochs=1), run_dir)
+        path = run_dir / "encoder.json"
+        doc = json.loads(path.read_text())
+        edit(doc["layers"])
+        path.write_text(json.dumps(doc))
+        trained = []
+        monkeypatch.setattr(cli.adversary, "train_attacker",
+                            lambda *args: trained.append(args))
+        before = sorted(run_dir.iterdir())
+        assert main(["attack", str(run_dir), "--attack-epochs", "1"]) == 1
+        assert "ShapeMismatch" in capsys.readouterr().err
+        assert trained == []
+        assert sorted(run_dir.iterdir()) == before
+
 
 class TestBoundsCommand:
     @pytest.mark.parametrize("case", [
         "negative weight", "zero weight", "nan weight", "weights sum to 3",
-        "infinite mean", "negative dataset_size",
+        "infinite mean", "negative dataset_size", "fractional dataset_size",
+        "fractional dim", "true mean entry",
     ])
     def test_unwritable_mixture_exit_1(self, tmp_path, capsys, monkeypatch, case):
         # Each once passed: bounds_report.json got NaN, which is not JSON,
@@ -357,6 +399,17 @@ class TestBoundsCommand:
         assert main(["bounds", str(run_dir)]) == 1
         assert "ParseError" in capsys.readouterr().err
         assert not (run_dir / "bounds_report.json").exists()
+
+    def test_attack_floor_equals_bounds_floor(self, tmp_path):
+        # The two commands report one run's floor, each from its own call.
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(epochs=2), run_dir)
+        for offset in (0.0, 2.5):
+            floor = cmd_attack(str(run_dir), {"attack_epochs": 1, "h_x_offset": offset}).floor
+            assert floor.hex() == cmd_bounds(str(run_dir), offset).mse_floor.hex()
+            attack_doc = json.loads((run_dir / "attack_report.json").read_text())
+            bounds_doc = json.loads((run_dir / "bounds_report.json").read_text())
+            assert attack_doc["floor"] == bounds_doc["mse_floor"] == floor
 
     def test_alias_identity_and_file(self, tmp_path):
         run_dir = tmp_path / "run"

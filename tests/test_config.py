@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from helpers import save_csv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -77,7 +78,7 @@ def test_integer_data_csv_exit_2_before_writing(tmp_path):
     # manifest recorded the number, from which no command could rebuild
     # the data.
     csv_path = tmp_path / "data.csv"
-    data.save_csv(data.synth_blobs(3, 4, 6, 0.05, seed=0), csv_path)
+    save_csv(data.synth_blobs(3, 4, 6, 0.05, seed=0), csv_path)
     fd = os.open(csv_path, os.O_RDONLY)
     try:
         cfg = write_config(tmp_path / "cfg.json", data_kind="csv", data_csv=fd)
@@ -146,7 +147,7 @@ def runtime_errors(code: int, err: str, out) -> list[str]:
 def test_bad_config_refused_before_writing(drawn):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        data.save_csv(data.synth_blobs(3, 4, 6, 0.05, seed=1), tmp / "data.csv")
+        save_csv(data.synth_blobs(3, 4, 6, 0.05, seed=1), tmp / "data.csv")
         config = dict(TINY, **drawn)
         if config.get("data_csv") == CSV_FILE:
             config["data_csv"] = str(tmp / "data.csv")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from helpers import save_csv
 
-from cemlab.data import load_csv, normalize_unit, save_csv, synth_blobs
+from cemlab.data import load_csv, normalize_unit, synth_blobs
 from cemlab.errors import LabelOutOfRange, ParseError, ShapeMismatch
 
 

@@ -43,7 +43,7 @@ class TestTrain:
         result = train(cfg, blobs)
         assert result.history == []
         assert result.mixture.weights.shape == (9,)
-        assert result.encoder.param_count > 0
+        assert sum(l.weights.size + l.bias.size for l in result.encoder.layers) > 0
 
     def test_loss_ledger_identity(self, small_blobs):
         cfg = TrainingConfig(
