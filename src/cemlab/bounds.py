@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDefinite, ShapeMismatch
+from .errors import NonFinite, NonPositiveDefinite, ShapeMismatch
 from .mixture import (
     BatchAssignment,
     MixtureState,
@@ -197,10 +197,19 @@ def cond_entropy_lower(h_x: float, mi: float) -> float:
 
 def mse_floor(h_cond: float, d: int) -> float:
     """Reconstruction-MSE floor per input dimension implied by the
-    conditional entropy: exp(2 * h_cond / d) / (2*pi*e)."""
+    conditional entropy: exp(2 * h_cond / d) / (2*pi*e). Raises
+    :class:`NonFinite`, without a NumPy warning, where that is not finite,
+    so that no report carries it."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return float(np.exp(2.0 * h_cond / d - LOG_2PIE))
+    with np.errstate(over="ignore"):
+        floor = float(np.exp(2.0 * h_cond / d - LOG_2PIE))
+    if not np.isfinite(floor):
+        raise NonFinite(
+            f"the MSE floor at conditional entropy {h_cond!r} over {d} "
+            f"dimensions is {floor!r}"
+        )
+    return floor
 
 
 def posterior_covariance(spec: JointGaussianSpec) -> Covariance:

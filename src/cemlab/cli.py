@@ -228,7 +228,9 @@ def _csv_text(rows) -> str:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    """``doc`` as a JSON file's text. NaN and infinities are not JSON, so
+    ``json.dumps`` refuses them rather than writing them as bare words."""
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"
 
 
 def run_id_for(config: dict) -> str:

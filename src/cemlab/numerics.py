@@ -239,15 +239,24 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     expectation and carries a 1/sqrt(n) standard error; results are
     deterministic for a fixed seed. Intended sample sizes are >= 1e4;
     fewer than 2 samples raise :class:`ValueError`, because the standard
-    error is undefined. A full-covariance component, or a mixture whose
-    width is not ``noise.dim``, raises :class:`ShapeMismatch` before any
-    draw, as the closed-form bounds do.
+    error is undefined. So do weights that are negative or NaN, or whose
+    sum is not positive and finite. A full-covariance component, or a
+    mixture whose width is not ``noise.dim``, raises
+    :class:`ShapeMismatch` with the closed-form bounds' text. Every
+    refusal comes before any draw and any NumPy warning.
 
-    The component choices are drawn first for all samples, then the
-    standard normals block by block of ``_MC_BLOCK`` rows; the generator
-    fills them in order, so the stream is that of one (n_samples, d) draw.
-    A sample from component c is ``m_c + s_c * z`` with ``s_c**2 = v_c``,
-    so its quadratic form under component i is the grouped form
+    The stream is that of ``rng = seeded_rng(seed)`` drawing
+    ``rng.choice(k, size=n_samples, p=p)``, with ``p`` the weights over
+    their sum, and then one (n_samples, d) ``rng.standard_normal`` draw. ``choice`` takes one 64-bit output per
+    uniform ``u``, so the normals start ``n_samples`` outputs on: a second
+    generator, given ``rng``'s state and advanced past the uniforms, draws
+    them. Both are drawn block by block of ``_MC_BLOCK`` rows. A sample's
+    component is the number of edges ``cdf[j] <= u`` among the first k-1
+    of ``cdf``, the normalized cumulative weights, which is ``choice``'s
+    ``searchsorted(u, "right")``: ``u < 1 = cdf[-1]`` and the cdf never
+    decreases. A sample from component c is ``m_c + s_c * z`` with
+    ``s_c**2 = v_c``, so its quadratic form under component i is the
+    grouped form
 
         (z*z) . (v_c / v_i) + z . (2 s_c (m_c - m_i) / v_i)
             + sum((m_c - m_i)**2 / v_i),
@@ -257,24 +266,30 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     never a BLAS call (``matmul``, ``@``, ``dot`` or
     ``einsum(optimize=...)``): a BLAS product's last bits can depend on the
     group's row count, so only the plain product keeps the result's bits
-    independent of the block size. The products fill a component-major
-    (k, block) buffer, whose transpose :func:`logsumexp_rows` reduces along
-    whole rows at once.
+    independent of the block size. The features [z*z, z] are stored
+    feature-major, (2d, rows), so each product's inner loop runs along the
+    rows, and the products fill a component-major (k, rows) buffer, whose
+    transpose :func:`logsumexp_rows` reduces along whole rows at once. A
+    one-component mixture keeps row-major (rows, 2d) features: there
+    ``einsum`` drops the component axis and would sum the feature-major
+    product in another order, so its last bits would leave those of the
+    grouped form's row-major reference.
 
     The blocks run through two stages over two alternating buffer sets.
     The calling thread draws a block's normals, then finishes the block
     before it: log-sum-exp and the scatter into -log p(z). One helper
     thread, started per call in a copy of the caller's context (so under
-    its ``np.errstate``), orders and scores each block (:func:`_score_block`)
-    meanwhile; most of both stages runs in NumPy loops that release the
-    GIL. Each block is scored from its own choices and normals into its own
-    rows, so thread timing cannot move a bit. The helper allocates nothing
-    block-sized but the sort's index array: what a thread frees stays in
-    its own malloc arena, so a helper that made the log-sum-exp's
-    temporaries would add a second set of them to the peak RSS. An error
-    in either stage reaches the caller, and the helper has ended when this
-    returns or raises. Memory beyond the (n_samples,) choices and
-    -log p(z) stays fixed.
+    its ``np.errstate``), draws each block's uniforms, counts its choices,
+    and orders and scores it (:func:`_score_block`) meanwhile; most of
+    both stages runs in NumPy loops that release the GIL. Each block is
+    scored from its own uniforms and normals into its own rows, and each
+    generator is drawn by one thread in block order, so thread timing
+    cannot move a bit. The helper allocates nothing block-sized but the
+    sort's index array: what a thread frees stays in its own malloc
+    arena, so a helper that made the log-sum-exp's temporaries would add a
+    second set of them to the peak RSS. An error in either stage reaches
+    the caller, and the helper has ended when this returns or raises.
+    Memory beyond the (n_samples,) -log p(z) stays fixed.
     """
     if n_samples < 2:
         raise ValueError(f"mc_entropy needs n_samples >= 2, got {n_samples}")
@@ -283,8 +298,18 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
 
     state = MixtureState.of(mix)
     check_width(state.var.shape[1], noise.dim)
-    rng = seeded_rng(seed)
     weights, means = state.weights, state.means
+    # Written so that NaN fails too; a negative weight fails first, so the
+    # sum adds no infinities of both signs, and a sum that overflows fails
+    # the last comparison without a warning.
+    with np.errstate(over="ignore"):
+        usable = weights.min() >= 0 and 0 < weights.sum() < np.inf
+    if not usable:
+        raise ValueError(
+            f"mc_entropy needs nonnegative weights with a positive finite sum, "
+            f"got {weights}"
+        )
+    rng = seeded_rng(seed)
     # Raw (unridged) per-component variances: the oracle stays pure math.
     variances = state.var + noise.std**2
     k, d = means.shape
@@ -299,21 +324,30 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     const = np.log(weights) - 0.5 * (
         d * LOG_2PI + np.log(variances).sum(axis=1) + (gap * gap / variances).sum(axis=2)
     )
+    # The cdf Generator.choice builds from p.
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    # The normals' generator: rng's state, advanced past the n_samples
+    # uniforms the helper draws from rng.
+    bits = np.random.PCG64()
+    bits.state = rng.bit_generator.state
+    normals = np.random.Generator(bits.advance(n_samples))
 
-    # The narrowest unsigned type lets the stable sort run as a radix sort;
-    # a stable order is the same whatever the key type.
-    choices = rng.choice(k, size=n_samples, p=weights / weights.sum()).astype(
-        np.min_scalar_type(k - 1)
-    )
     neg_logp = np.empty(n_samples)
     rows = min(n_samples, _MC_BLOCK)
-    # Per set: the normals, the normals sorted by component, the features
-    # [z*z, z], and the component-major (k, rows) log terms.
+    # Per set: the normals, the normals sorted by component, and flat
+    # buffers for the features [z*z, z] and the component-major log terms,
+    # viewed at each block's row count.
     buffer_sets = [
-        (np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, 2 * d)),
-         np.empty((k, rows)))
+        (np.empty((rows, d)), np.empty((rows, d)), np.empty(2 * d * rows),
+         np.empty(k * rows))
         for _ in range(2)
     ]
+    # The helper's own: the uniforms, which of them lie at or above an
+    # edge, and the choices. The narrowest unsigned key lets the stable sort
+    # run as a radix sort; a stable order is the same whatever the key type.
+    choosing = (np.empty(rows), np.empty(rows, dtype=bool),
+                np.empty(rows, dtype=np.min_scalar_type(k - 1)))
     # Imported here: only the oracle needs it, and at import it would add
     # about 0.1 MB to every process's peak RSS.
     import queue
@@ -321,7 +355,7 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     jobs, scored = queue.SimpleQueue(), queue.SimpleQueue()
     helper = threading.Thread(
         target=contextvars.copy_context().run,
-        args=(_score_blocks, jobs, scored, coef, const),
+        args=(_score_blocks, jobs, scored, rng, cdf, choosing, coef, const),
         name="mc_entropy",
     )
     helper.start()
@@ -338,10 +372,10 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     try:
         starts = range(0, n_samples, _MC_BLOCK)
         for i, start in enumerate(starts):
-            block = choices[start:start + _MC_BLOCK]
+            n = min(_MC_BLOCK, n_samples - start)
             buffers = buffer_sets[i % 2]
-            rng.standard_normal(out=buffers[0][: block.size])
-            jobs.put((block, buffers))
+            normals.standard_normal(out=buffers[0][:n])
+            jobs.put((n, buffers))
             if i:
                 finish(starts[i - 1])
         finish(starts[-1])
@@ -353,37 +387,55 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     return McEstimate(value=value, std_error=std_error, n_samples=n_samples, seed=seed)
 
 
-def _score_blocks(jobs, scored, coef, const) -> None:
+def _score_blocks(jobs, scored, *fixed) -> None:
     """The helper thread of :func:`mc_entropy`: scores each block from
     ``jobs`` in turn until ``None``, putting each result, or the first
-    error, on ``scored``."""
+    error, on ``scored``. ``fixed`` holds the arguments every block shares,
+    passed on to :func:`_score_block`."""
     try:
         while (job := jobs.get()) is not None:
-            scored.put(_score_block(*job, coef, const))
+            scored.put(_score_block(*job, *fixed))
     except Exception as exc:
         scored.put(exc)
 
 
-def _score_block(block, buffers, coef, const):
-    """The helper's stage for one block: its rows ordered by source
-    component, as features [z*z, z], and each group's log terms under every
-    component in the (k, rows) buffer. Returns the order and those terms.
-    Beyond the order it allocates nothing block-sized: ``mode="clip"``
-    spares ``np.take`` the copy of its output that ``mode="raise"`` makes,
-    and the order is always in range."""
+def _score_block(n, buffers, rng, cdf, choosing, coef, const):
+    """The helper's stage for the block of the next ``n`` rows: its
+    uniforms drawn from ``rng`` and counted into choices against the
+    ``cdf``'s edges, its rows ordered by source component, as features
+    [z*z, z], and each group's log terms under every component in a
+    contiguous (k, n) view of the log-term buffer. Returns the order and
+    those terms. Beyond the order it allocates nothing block-sized: the
+    group bounds are counted from the edge masks, without ``np.bincount``'s
+    cast of the choices, and ``mode="clip"`` spares ``np.take`` the copy
+    of its output that ``mode="raise"`` makes, and the order is always in
+    range."""
     z, sorted_z, features, log_terms = buffers
-    n, d = block.size, z.shape[1]
-    order = np.argsort(block, kind="stable")
+    u, at_or_above, choice = (b[:n] for b in choosing)
+    k, d = const.shape[0], z.shape[1]
+    rng.random(out=u)
+    choice.fill(0)
+    # starts[c + 1] counts the rows whose choice is at most c.
+    starts = np.full(k + 1, n)
+    starts[0] = 0
+    for j in range(k - 1):
+        np.less_equal(cdf[j], u, out=at_or_above)
+        np.add(choice, at_or_above.view(np.uint8), out=choice)
+        starts[j + 1] = n - np.count_nonzero(at_or_above)
+    order = np.argsort(choice, kind="stable")
     zs = np.take(z[:n], order, axis=0, out=sorted_z[:n], mode="clip")
-    feat = features[:n]
-    np.multiply(zs, zs, out=feat[:, :d])
-    feat[:, d:] = zs
-    terms = log_terms[:, :n]
-    counts = np.bincount(block, minlength=const.shape[0])
-    ends = np.cumsum(counts)
-    for c in np.flatnonzero(counts):
-        group = slice(ends[c] - counts[c], ends[c])
-        np.einsum("nl,li->in", feat[group], coef[c], out=terms[:, group])
+    # A (2d, n) view either way: feature-major, or at k = 1 the transpose
+    # of row-major features (see mc_entropy).
+    if k == 1:
+        feat = features[:2 * d * n].reshape(n, 2 * d).T
+    else:
+        feat = features[:2 * d * n].reshape(2 * d, n)
+    np.copyto(feat[d:], zs.T)
+    np.multiply(feat[d:], feat[d:], out=feat[:d])
+    terms = log_terms[:k * n].reshape(k, n)
+    for c in np.flatnonzero(starts[:-1] < starts[1:]):
+        group = slice(starts[c], starts[c + 1])
+        np.einsum("ln,li->in", feat[:, group], coef[c], out=terms[:, group])
         terms[:, group] *= -0.5
         terms[:, group] += const[c][:, None]
     return order, terms

@@ -169,15 +169,14 @@ def neg_logp_grouped(mix, noise, n_samples, seed):
     coef = np.empty((k, 2 * d, k))
     const = np.empty((k, k))
     for c in range(k):
-        for i in range(k):
-            gap = means[c] - means[i]
-            coef[c, :d, i] = variances[c] / variances[i]
-            coef[c, d:, i] = 2.0 * np.sqrt(variances[c]) * gap / variances[i]
-            const[c, i] = np.log(weights[i]) - 0.5 * (
-                d * LOG_2PI
-                + np.sum(np.log(variances[i]))
-                + np.sum(gap * gap / variances[i])
-            )
+        gap = means[c] - means
+        coef[c, :d] = (variances[c] / variances).T
+        coef[c, d:] = (2.0 * np.sqrt(variances[c]) * gap / variances).T
+        const[c] = np.log(weights) - 0.5 * (
+            d * LOG_2PI
+            + np.sum(np.log(variances), axis=1)
+            + np.sum(gap * gap / variances, axis=1)
+        )
     order = np.argsort(choices, kind="stable")
     zs = z[order]
     feat = np.concatenate([zs * zs, zs], axis=1)

@@ -356,6 +356,23 @@ class TestAttackCommand:
         assert trained == []
         assert sorted(run_dir.iterdir()) == before
 
+    def test_non_finite_floor_refused_before_training(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # This once trained the attacker, exited 0, and wrote "floor":
+        # Infinity, which is not JSON, and an inf cell into attacks.csv.
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(epochs=1, h_x_offset=1e308), run_dir)
+        trained = []
+        monkeypatch.setattr(cli.adversary, "train_attacker",
+                            lambda *args: trained.append(args))
+        before = sorted(run_dir.iterdir())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["attack", str(run_dir), "--attack-epochs", "1"]) == 1
+        assert "NonFinite" in capsys.readouterr().err
+        assert trained == []
+        assert sorted(run_dir.iterdir()) == before
+
 
 class TestBoundsCommand:
     @pytest.mark.parametrize("case", [
@@ -399,6 +416,19 @@ class TestBoundsCommand:
         assert main(["bounds", str(run_dir)]) == 1
         assert "ParseError" in capsys.readouterr().err
         assert not (run_dir / "bounds_report.json").exists()
+
+    # At 1e308 this once exited 0 and wrote "mse_floor": Infinity, which is
+    # not JSON; at 6000 over 16 input dimensions the floor's exp overflows.
+    @pytest.mark.parametrize("offset", ["1e308", "6000"])
+    def test_non_finite_floor_exit_1(self, tmp_path, capsys, offset):
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(epochs=1), run_dir)
+        before = sorted(run_dir.iterdir())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bounds", str(run_dir), "--h-x-offset", offset]) == 1
+        assert "NonFinite" in capsys.readouterr().err
+        assert sorted(run_dir.iterdir()) == before
 
     def test_attack_floor_equals_bounds_floor(self, tmp_path):
         # The two commands report one run's floor, each from its own call.

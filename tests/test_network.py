@@ -525,8 +525,8 @@ class TestLogsumexpRows:
 
     @pytest.mark.parametrize("cols", LAYOUT_COLUMNS)
     def test_transposed_component_major_slice(self, rng, cols):
-        # As mc_entropy passes its (k, rows) buffer, including the last,
-        # narrower block.
+        # A component-major (k, rows) buffer, as mc_entropy passes it, and
+        # a slice of it to fewer rows.
         buf = np.ascontiguousarray(self.rows_with_specials(rng, 50, cols).T)
         self.check_layout(buf.T)
         self.check_layout(buf[:, :37].T)

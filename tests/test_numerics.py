@@ -1,6 +1,8 @@
 import sys
 import threading
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +184,19 @@ class TestMcEntropyRefusals:
         with pytest.raises(ShapeMismatch, match="^mixtures support diagonal covariances only$"):
             mc_entropy(mix, NoiseModel(std=0.5, dim=3), n_samples=10**4, seed=0)
 
+    @pytest.mark.parametrize("weights", [
+        [0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.0, 0.0, 0.0], [1.0, np.inf, 1.0],
+        [1e308, 1e308, 1e308],
+    ], ids=["negative", "nan", "all zero", "infinite", "sum overflows"])
+    def test_bad_weights_refused(self, weights):
+        # rng.choice once refused these, after the generator was seeded and
+        # after np.log's warnings.
+        mix = replace(random_mixture(np.random.default_rng(0), 3, 2), weights=np.array(weights))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^mc_entropy needs nonnegative weights"):
+                mc_entropy(mix, NoiseModel(std=0.5, dim=2), n_samples=10**4, seed=0)
+
 
 def bounded(call, seconds=120):
     """``call()`` in its own thread, joined with a timeout: a pipeline that
@@ -355,6 +370,13 @@ class TestMcEntropyBlocks:
     # Seventeen components: the log-sum-exp's row sums fill two blocks of
     # eight lanes.
     @example(k=17, d=3, seed=2, n_zero_weights=4, zero_variances=False, noise_std=0.05)
+    # One component: feature-major features would sum its products in
+    # another order, and at n=2 the last bit moved.
+    @example(k=1, d=6, seed=0, n_zero_weights=0, zero_variances=False, noise_std=0.05)
+    # Many cdf edges, some of them equal: the zero weights' components.
+    @example(k=64, d=3, seed=3, n_zero_weights=20, zero_variances=False, noise_std=0.05)
+    # The first k whose choices need a uint16 key.
+    @example(k=257, d=1, seed=4, n_zero_weights=0, zero_variances=False, noise_std=0.05)
     def test_matches_whole_array_reference(
         self, n, k, d, seed, n_zero_weights, zero_variances, noise_std
     ):
