@@ -5,15 +5,12 @@ __version__ = "0.1.0"
 
 from .bounds import (
     BoundsReport,
-    JointGaussianSpec,
     NoiseModel,
     cem_loss,
     cem_loss_grad,
     cem_step,
     cond_entropy_lower,
-    gaussian_entropy,
     mi_upper_bound,
-    minimal_mse_oracle,
     mixture_entropy_upper,
     mse_floor,
 )
@@ -28,7 +25,7 @@ from .mixture import (
     update_covariance,
     update_weights,
 )
-from .numerics import Covariance, McEstimate, logdet, mc_entropy, trace
+from .numerics import Covariance, McEstimate, mc_entropy
 from .trainer import LossBreakdown, TrainingConfig, evaluate_utility, train, train_many
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "Dataset",
     "GaussianComponent",
     "GaussianMixture",
-    "JointGaussianSpec",
     "LossBreakdown",
     "McEstimate",
     "MixtureState",
@@ -51,16 +47,12 @@ __all__ = [
     "cond_entropy_lower",
     "evaluate_utility",
     "fit_init",
-    "gaussian_entropy",
     "load_csv",
-    "logdet",
     "mc_entropy",
     "mi_upper_bound",
-    "minimal_mse_oracle",
     "mixture_entropy_upper",
     "mse_floor",
     "synth_blobs",
-    "trace",
     "train",
     "train_many",
     "update_covariance",

@@ -1,7 +1,8 @@
-"""Closed-form information quantities: Gaussian entropy, the mixture-entropy
-upper bound, the mutual-information bound used as the training loss, the
-reconstruction-MSE floor, and the jointly-Gaussian analytic oracle
-(:func:`minimal_mse_oracle`).
+"""Closed-form information quantities: the mixture-entropy upper bound,
+the mutual-information bound used as the training loss, and the
+reconstruction-MSE floor. The jointly-Gaussian reference the floor is
+checked against, the exact posterior and its minimal MSE, lives with the
+tests (``tests/helpers.py``).
 
 The MI bound for a noisy mixture z with components (pi_i, mu_i, S_i) and
 isotropic corruption of variance v is
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, NonPositiveDefinite, ShapeMismatch
+from .errors import NonFinite, NonPositiveDefinite
 from .mixture import (
     BatchAssignment,
     MixtureState,
@@ -40,7 +41,7 @@ from .mixture import (
     blend_coefficients,
     update_covariance,
 )
-from .numerics import LOG_2PI, Covariance, check_diagonal, check_width, logdet
+from .numerics import LOG_2PI, check_diagonal, check_width
 
 LOG_2PIE = LOG_2PI + 1.0
 # A noise std below this has a finite variance std**2.
@@ -87,38 +88,6 @@ class BoundsReport:
             "h_x_offset": float(self.h_x_offset),
             "cem_loss": float(self.cem_loss),
         }
-
-
-@dataclass
-class JointGaussianSpec:
-    """A jointly Gaussian world x ~ N(0, x_cov), z = W x + eps."""
-
-    x_cov: Covariance
-    channel: np.ndarray   # (d_z, d_x)
-    noise: NoiseModel
-
-    def __post_init__(self):
-        self.channel = np.asarray(self.channel, dtype=np.float64)
-        if self.channel.ndim != 2:
-            raise ShapeMismatch("channel must be a matrix")
-        if self.channel.shape[1] != self.x_cov.dim:
-            raise ShapeMismatch(
-                f"channel columns {self.channel.shape[1]} != x dim {self.x_cov.dim}"
-            )
-        if self.channel.shape[0] != self.noise.dim:
-            raise ShapeMismatch(
-                f"channel rows {self.channel.shape[0]} != noise dim {self.noise.dim}"
-            )
-
-    def x_cov_matrix(self) -> np.ndarray:
-        if self.x_cov.is_diagonal:
-            return np.diag(self.x_cov.entries)
-        return np.array(self.x_cov.matrix)
-
-
-def gaussian_entropy(c: Covariance) -> float:
-    """Differential entropy of N(mu, c): 0.5 * log((2*pi*e)^d * det(c))."""
-    return 0.5 * (c.dim * LOG_2PIE + logdet(c))
 
 
 def _widened_ridged(var: np.ndarray, ridge, noise_var) -> np.ndarray:
@@ -210,27 +179,6 @@ def mse_floor(h_cond: float, d: int) -> float:
             f"dimensions is {floor!r}"
         )
     return floor
-
-
-def posterior_covariance(spec: JointGaussianSpec) -> Covariance:
-    """Exact covariance of x given z for the jointly Gaussian world."""
-    sx = spec.x_cov_matrix()
-    w = spec.channel
-    if spec.noise.std <= 0:
-        raise NonPositiveDefinite("posterior requires a PD noise covariance")
-    gram = w @ sx @ w.T + spec.noise.std**2 * np.eye(w.shape[0])
-    try:
-        sol = np.linalg.solve(gram, w @ sx)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDefinite("channel gram matrix is singular") from exc
-    post = sx - sx @ w.T @ sol
-    return Covariance.full(0.5 * (post + post.T), ridge=0.0)
-
-
-def minimal_mse_oracle(spec: JointGaussianSpec) -> float:
-    """Per-dimension MSE of the exact posterior-mean reconstructor."""
-    post = posterior_covariance(spec)
-    return float(np.trace(post.matrix) / spec.x_cov.dim)
 
 
 def cem_loss(mix: MixtureState, noise: NoiseModel) -> float:

@@ -486,10 +486,11 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
 
 
 def read_history_csv(path: Path) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
+    """The rows of a ``history.csv``; a row whose cells do not match the
+    header, or a cell that is not a number, raises :class:`ParseError`."""
+    rows, header = [], None
+    try:
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -497,15 +498,36 @@ def read_history_csv(path: Path) -> list[dict]:
                 header = line.split(",")
                 continue
             values = line.split(",")
-            rows.append(
-                {k: (float(v) if k != "epoch" else int(v))
-                 for k, v in zip(header, values)}
-            )
+            if len(values) != len(header):
+                raise ValueError(f"a row of {len(values)} cells under {len(header)} columns")
+            rows.append({k: (float(v) if k != "epoch" else int(v))
+                         for k, v in zip(header, values)})
+    except ValueError as exc:
+        raise ParseError(f"invalid history {path}: {exc}") from exc
     return rows
 
 
+def _report_numbers(path: Path, keys: tuple[str, ...], doc=None) -> list:
+    """The entries ``keys`` of an artifact: ``doc``, or else the JSON object
+    at ``path``. One that is missing or not a finite number raises
+    :class:`ParseError` naming ``path``."""
+    try:
+        if doc is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        values = [doc[key] for key in keys]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"invalid artifact {path}: {exc!r}") from exc
+    for key, v in zip(keys, values):
+        # Written so that NaN fails too; an integer compares exactly.
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) < np.inf:
+            raise ParseError(f"invalid artifact {path}: {key} is {v!r}, not a finite number")
+    return values
+
+
 def cmd_report(out_dir: Path) -> list[dict]:
-    """Aggregate every run manifest beneath a directory into report.csv."""
+    """Aggregate every run manifest beneath a directory into report.csv; an
+    artifact it cannot read raises :class:`ParseError` before any write."""
     entries = []
     for manifest_path in sorted(out_dir.rglob("manifest.json")):
         base = manifest_path.parent
@@ -526,18 +548,15 @@ def cmd_report(out_dir: Path) -> list[dict]:
         if history_path.exists():
             history = read_history_csv(history_path)
             if history:
-                entry["final_accuracy"] = history[-1]["accuracy"]
-                entry["final_l_c"] = history[-1]["l_c"]
+                entry["final_accuracy"], entry["final_l_c"] = _report_numbers(
+                    history_path, ("accuracy", "l_c"), history[-1])
         attack_path = base / "attack_report.json"
         if attack_path.exists():
-            with open(attack_path, "r", encoding="utf-8") as fh:
-                report = json.load(fh)
-            entry["mse_train"] = report.get("mse_train")
-            entry["mse_infer"] = report.get("mse_infer")
+            entry["mse_train"], entry["mse_infer"] = _report_numbers(
+                attack_path, ("mse_train", "mse_infer"))
         bounds_path = base / "bounds_report.json"
         if bounds_path.exists():
-            with open(bounds_path, "r", encoding="utf-8") as fh:
-                entry["mi_bound"] = json.load(fh).get("mi_bound")
+            [entry["mi_bound"]] = _report_numbers(bounds_path, ("mi_bound",))
         entries.append(entry)
 
     columns = [

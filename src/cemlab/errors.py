@@ -6,7 +6,8 @@ class CemError(Exception):
 
 
 class NonPositiveDefinite(CemError):
-    """Covariance factorization failed even after ridge regularization."""
+    """A covariance is not positive definite: a diagonal entry is not finite,
+    is negative, or is zero with no ridge to lift it."""
 
 
 class DegenerateData(CemError):

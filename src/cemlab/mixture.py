@@ -114,13 +114,10 @@ class MixtureState:
     @staticmethod
     def of(mix: "MixtureState | GaussianMixture") -> "MixtureState":
         """``mix`` itself if it is a state, else the arrays of a hand-written
-        mixture; raises :class:`ShapeMismatch` if any component holds a full
-        covariance."""
+        mixture."""
         if isinstance(mix, MixtureState):
             return mix
         comps = mix.components
-        if not all(c.cov.is_diagonal for c in comps):
-            raise ShapeMismatch("mixtures support diagonal covariances only")
         return MixtureState(
             weights=np.array([c.weight for c in comps]),
             means=np.stack([c.mean for c in comps]),

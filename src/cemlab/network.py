@@ -156,14 +156,10 @@ def init_looks_linear(
     the inputs, which the entropy penalty needs: its pull toward cluster
     means only respects class structure if the initial clusters do.
 
-    The pairing needs an even ``hidden``.
+    The pairing needs an even ``hidden`` and ``d_z <= hidden // 2``, which
+    :class:`~cemlab.trainer.TrainingConfig` guarantees.
     """
     half = hidden // 2
-    if hidden % 2 or half < 1 or d_z > half:
-        raise ShapeMismatch(
-            f"looks-linear init needs an even hidden >= 2 and d_z <= hidden//2, "
-            f"got hidden={hidden}, d_z={d_z}"
-        )
     rng = seeded_rng(seed, 0x11)
     r = _cropped_orthogonal(half, d_in, rng)
     p = _cropped_orthogonal(d_z, half, rng)

@@ -1,5 +1,6 @@
-"""Positive-definite covariance handling, seed derivation, a row-wise
-log-sum-exp, and the Monte-Carlo entropy oracle.
+"""The diagonal covariance of a hand-written mixture component and its
+checks, seed derivation, a row-wise log-sum-exp, and the Monte-Carlo
+entropy oracle.
 
 The oracle samples a diagonal mixture: a
 :class:`~cemlab.mixture.MixtureState`, or what
@@ -14,7 +15,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,67 +77,19 @@ def check_width(width: int, noise_dim: int) -> None:
 
 @dataclass
 class Covariance:
-    """A symmetric PSD covariance with a diagonal or full representation.
-
-    ``ridge`` is added to the diagonal before any factorization or
-    log-determinant, so a constructed instance always has a finite logdet.
-    ``trace`` reports the raw diagonal sum, ridge excluded.
-    """
+    """A diagonal covariance: its (d,) ``entries`` and the ``ridge`` added
+    to them before any logarithm or division, so a constructed instance is
+    positive definite. A hand-written mixture component holds one."""
 
     dim: int
-    entries: np.ndarray | None = None      # (d,) for the diagonal repr
-    matrix: np.ndarray | None = None       # (d, d) for the full repr
+    entries: np.ndarray
     ridge: float = DEFAULT_RIDGE
-    _chol: np.ndarray | None = field(default=None, repr=False)
 
     @staticmethod
     def diagonal(entries, ridge: float = DEFAULT_RIDGE) -> "Covariance":
         e = np.asarray(entries, dtype=np.float64).reshape(-1)
         check_diagonal(e, ridge)
         return Covariance(dim=e.size, entries=e, ridge=ridge)
-
-    @staticmethod
-    def full(matrix, ridge: float = DEFAULT_RIDGE) -> "Covariance":
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeMismatch(f"full covariance must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NonPositiveDefinite("covariance entries must be finite")
-        if not np.allclose(m, m.T, atol=1e-10, rtol=1e-10):
-            raise NonPositiveDefinite("full covariance must be symmetric")
-        d = m.shape[0]
-        ridged = 0.5 * (m + m.T) + ridge * np.eye(d)
-        try:
-            chol = np.linalg.cholesky(ridged)
-        except np.linalg.LinAlgError as exc:
-            raise NonPositiveDefinite(
-                f"Cholesky failed even with ridge {ridge:g}"
-            ) from exc
-        return Covariance(dim=d, matrix=m, ridge=ridge, _chol=chol)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.entries is not None
-
-    def chol(self) -> np.ndarray:
-        """Lower Cholesky factor of the ridged matrix (full repr only)."""
-        if self._chol is None:
-            raise ShapeMismatch("not a full covariance")
-        return self._chol
-
-
-def logdet(c: Covariance) -> float:
-    """Log-determinant of the ridged covariance, in nats."""
-    if c.is_diagonal:
-        return float(np.sum(np.log(c.entries + c.ridge)))
-    return float(2.0 * np.sum(np.log(np.diag(c.chol()))))
-
-
-def trace(c: Covariance) -> float:
-    """Sum of the raw diagonal entries (ridge excluded)."""
-    if c.is_diagonal:
-        return float(np.sum(c.entries))
-    return float(np.trace(c.matrix))
 
 
 @functools.lru_cache(maxsize=16)
@@ -240,10 +193,10 @@ def mc_entropy(mix, noise, n_samples: int, seed: int) -> McEstimate:
     deterministic for a fixed seed. Intended sample sizes are >= 1e4;
     fewer than 2 samples raise :class:`ValueError`, because the standard
     error is undefined. So do weights that are negative or NaN, or whose
-    sum is not positive and finite. A full-covariance component, or a
-    mixture whose width is not ``noise.dim``, raises
-    :class:`ShapeMismatch` with the closed-form bounds' text. Every
-    refusal comes before any draw and any NumPy warning.
+    sum is not positive and finite. A mixture whose width is not
+    ``noise.dim`` raises :class:`ShapeMismatch` with the closed-form
+    bounds' text. Every refusal comes before any draw and any NumPy
+    warning.
 
     The stream is that of ``rng = seeded_rng(seed)`` drawing
     ``rng.choice(k, size=n_samples, p=p)``, with ``p`` the weights over

@@ -343,13 +343,10 @@ def evaluate_utility(
     noise: NoiseModel,
     seed: int,
     split: str = "test",
-    with_noise: bool = True,
 ) -> float:
-    """Mean top-1 accuracy with (by default) inference-time corruption
-    matching the training-time noise."""
+    """Mean top-1 accuracy under inference-time corruption by ``noise``;
+    a zero-std ``noise`` evaluates the clean features."""
     x, y = data.test_arrays() if split == "test" else data.train_arrays()
-    feats = predict(encoder, x)
-    if with_noise:
-        feats = noise_inject(feats, noise, seed)
+    feats = noise_inject(predict(encoder, x), noise, seed)
     logits = predict(decoder, feats)
     return float(np.mean(np.argmax(logits, axis=1) == y))

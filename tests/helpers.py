@@ -1,11 +1,14 @@
 """Shared fixtures-by-hand for bound and adversary tests, and the code
-that only tests call."""
+that only tests call: among it the jointly-Gaussian reference that the
+MSE floor is checked against."""
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from cemlab.bounds import JointGaussianSpec, NoiseModel
-from cemlab.errors import NonPositiveDefinite
+from cemlab.bounds import LOG_2PIE, NoiseModel
+from cemlab.errors import NonPositiveDefinite, ShapeMismatch
 from cemlab.mixture import GaussianComponent, GaussianMixture, MixtureState
 from cemlab.numerics import LOG_2PI, Covariance, McEstimate, seeded_rng
 
@@ -38,16 +41,81 @@ def save_csv(ds, path) -> None:
             fh.write(f"{int(label)}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def noise_cov(noise: NoiseModel) -> Covariance:
-    """The corruption covariance std^2 * I; PD only for std > 0."""
+def noise_cov(noise: NoiseModel) -> np.ndarray:
+    """The (d, d) corruption covariance std^2 * I; PD only for std > 0."""
     if noise.std <= 0:
         raise NonPositiveDefinite("noise covariance is PD only for std > 0")
-    return Covariance.diagonal(np.full(noise.dim, noise.std**2), ridge=0.0)
+    return noise.std**2 * np.eye(noise.dim)
+
+
+@dataclass
+class JointGaussianSpec:
+    """A jointly Gaussian world x ~ N(0, x_cov), z = W x + eps, with
+    ``x_cov`` a (d_x, d_x) array, the channel W (d_z, d_x) and eps the
+    noise."""
+
+    x_cov: np.ndarray
+    channel: np.ndarray
+    noise: NoiseModel
+
+    def __post_init__(self):
+        self.x_cov = np.asarray(self.x_cov, dtype=np.float64)
+        self.channel = np.asarray(self.channel, dtype=np.float64)
+        if self.x_cov.ndim != 2 or self.x_cov.shape[0] != self.x_cov.shape[1]:
+            raise ShapeMismatch(f"x_cov must be square, got {self.x_cov.shape}")
+        _cholesky(self.x_cov)
+        if self.channel.shape != (self.noise.dim, self.x_cov.shape[0]):
+            raise ShapeMismatch(
+                f"channel of shape {self.channel.shape} from x dim "
+                f"{self.x_cov.shape[0]} to noise dim {self.noise.dim}"
+            )
+
+
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of ``cov``, or :class:`NonPositiveDefinite`
+    unless it is symmetric and positive definite."""
+    if not np.allclose(cov, cov.T, atol=1e-10, rtol=1e-10):
+        raise NonPositiveDefinite("covariance must be symmetric")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveDefinite("Cholesky failed: not positive definite") from exc
+
+
+def gaussian_entropy(cov) -> float:
+    """Differential entropy of N(mu, cov), 0.5 * log((2*pi*e)^d * det(cov)),
+    with the log-determinant from the Cholesky factor of the (d, d)
+    ``cov``."""
+    cov = np.asarray(cov, dtype=np.float64)
+    logdet = float(2.0 * np.sum(np.log(np.diag(_cholesky(cov)))))
+    return 0.5 * (cov.shape[0] * LOG_2PIE + logdet)
+
+
+def posterior_covariance(spec: JointGaussianSpec) -> np.ndarray:
+    """Exact covariance of x given z for the jointly Gaussian world,
+    checked positive definite."""
+    sx, w = spec.x_cov, spec.channel
+    if spec.noise.std <= 0:
+        raise NonPositiveDefinite("posterior requires a PD noise covariance")
+    gram = w @ sx @ w.T + spec.noise.std**2 * np.eye(w.shape[0])
+    try:
+        sol = np.linalg.solve(gram, w @ sx)
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveDefinite("channel gram matrix is singular") from exc
+    post = sx - sx @ w.T @ sol
+    post = 0.5 * (post + post.T)
+    _cholesky(post)
+    return post
+
+
+def minimal_mse_oracle(spec: JointGaussianSpec) -> float:
+    """Per-dimension MSE of the exact posterior-mean reconstructor."""
+    return float(np.trace(posterior_covariance(spec)) / spec.x_cov.shape[0])
 
 
 def wiener_gain(spec: JointGaussianSpec) -> np.ndarray:
     """The linear posterior-mean map z -> E[x|z] for zero prior mean."""
-    sx = spec.x_cov_matrix()
+    sx = spec.x_cov
     w = spec.channel
     gram = w @ sx @ w.T + spec.noise.std**2 * np.eye(w.shape[0])
     try:
@@ -59,7 +127,7 @@ def wiener_gain(spec: JointGaussianSpec) -> np.ndarray:
 def gaussian_posterior_attacker(spec: JointGaussianSpec):
     """The exact worst-case adversary for a jointly Gaussian world: the
     linear posterior-mean map. Its expected per-dimension MSE equals the
-    analytic minimum ``cemlab.bounds.minimal_mse_oracle``."""
+    analytic minimum :func:`minimal_mse_oracle`."""
     gain = wiener_gain(spec)
 
     def posterior_mean(z: np.ndarray) -> np.ndarray:
@@ -120,7 +188,7 @@ def isotropic_spec(rng, d=None):
     noise_std = float(rng.uniform(0.1, 1.5))
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     return JointGaussianSpec(
-        x_cov=Covariance.diagonal(np.full(d, sigma_x**2), ridge=0.0),
+        x_cov=np.diag(np.full(d, sigma_x**2)),
         channel=gain * q,
         noise=NoiseModel(std=noise_std, dim=d),
     )
@@ -136,7 +204,7 @@ def random_spec(rng, d_x=None, d_z=None):
     eigs = rng.uniform(0.3, 2.5, size=d_x)
     x_cov = q @ np.diag(eigs) @ q.T
     return JointGaussianSpec(
-        x_cov=Covariance.full(0.5 * (x_cov + x_cov.T), ridge=0.0),
+        x_cov=0.5 * (x_cov + x_cov.T),
         channel=rng.standard_normal((d_z, d_x)),
         noise=NoiseModel(std=float(rng.uniform(0.2, 1.2)), dim=d_z),
     )

@@ -11,9 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import (
+    gaussian_entropy,
     gaussian_posterior_attacker,
     isotropic_spec,
     make_mixture,
+    minimal_mse_oracle,
+    posterior_covariance,
     random_mixture,
 )
 from scipy import stats
@@ -27,11 +30,8 @@ from cemlab.bounds import (
     NoiseModel,
     cem_loss,
     cem_loss_grad,
-    gaussian_entropy,
-    minimal_mse_oracle,
     mixture_entropy_upper,
     mse_floor,
-    posterior_covariance,
 )
 from cemlab.cli import DEFAULT_CONFIG, cmd_sweep, cmd_train
 from cemlab.data import Dataset, synth_blobs
@@ -80,7 +80,7 @@ def test_criterion_1_floor_equality_gaussian_case():
     for _ in range(20):
         spec = isotropic_spec(rng)
         h_cond = gaussian_entropy(posterior_covariance(spec))
-        floor = mse_floor(h_cond, spec.x_cov.dim)
+        floor = mse_floor(h_cond, spec.x_cov.shape[0])
         worst = max(worst, abs(floor - minimal_mse_oracle(spec)))
     report(1, "entropy floor equals posterior MSE for isotropic worlds",
            worst <= 1e-9, f"max |floor - oracle| = {worst:.2e}", started)
@@ -93,8 +93,8 @@ def _gaussian_world_dataset(spec, rng, n_train, n_test):
     the inverse map so its output is exactly W x + noise. MSE in mapped
     units scales by 1 / (2L)^2.
     """
-    d = spec.x_cov.dim
-    sigma = np.sqrt(spec.x_cov.entries)
+    d = spec.x_cov.shape[0]
+    sigma = np.sqrt(np.diag(spec.x_cov))
     half_range = 4.5 * float(sigma.max())
     x = rng.standard_normal((n_train + n_test, d)) * sigma
     x01 = np.clip((x + half_range) / (2 * half_range), 0.0, 1.0)
@@ -131,7 +131,7 @@ def test_criterion_2_floor_one_sidedness_learned_attackers():
 
         posterior_mean = gaussian_posterior_attacker(spec)
         n = 40_000
-        x = rng.standard_normal((n, 4)) * np.sqrt(spec.x_cov.entries)
+        x = rng.standard_normal((n, 4)) * np.sqrt(np.diag(spec.x_cov))
         z = x @ spec.channel.T + spec.noise.std * rng.standard_normal((n, 4))
         pm_mse = float(np.mean((posterior_mean(z) - x) ** 2))
         pm_errors.append(abs(pm_mse - oracle) / oracle)

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from helpers import gaussian_posterior_attacker, isotropic_spec
+from helpers import (
+    JointGaussianSpec,
+    gaussian_posterior_attacker,
+    isotropic_spec,
+    minimal_mse_oracle,
+)
 
 from cemlab.adversary import (
     AttackConfig,
@@ -9,10 +14,9 @@ from cemlab.adversary import (
     reconstruction_mse,
     train_attacker,
 )
-from cemlab.bounds import JointGaussianSpec, NoiseModel, minimal_mse_oracle
+from cemlab.bounds import NoiseModel
 from cemlab.data import Dataset, synth_blobs
 from cemlab.network import Layer, NeuralModule, init_network
-from cemlab.numerics import Covariance
 
 
 def identity_encoder(d):
@@ -151,7 +155,7 @@ class TestEvaluateAttack:
 class TestGaussianPosteriorAttacker:
     def test_noiseless_limit_is_identity(self):
         spec = JointGaussianSpec(
-            x_cov=Covariance.diagonal(np.ones(3), ridge=0.0),
+            x_cov=np.eye(3),
             channel=np.eye(3),
             noise=NoiseModel(std=1e-6, dim=3),
         )
@@ -161,7 +165,7 @@ class TestGaussianPosteriorAttacker:
 
     def test_uninformative_channel_returns_prior_mean(self):
         spec = JointGaussianSpec(
-            x_cov=Covariance.diagonal([1.0, 2.0], ridge=0.0),
+            x_cov=np.diag([1.0, 2.0]),
             channel=np.zeros((2, 2)),
             noise=NoiseModel(std=1.0, dim=2),
         )
@@ -170,7 +174,7 @@ class TestGaussianPosteriorAttacker:
 
     def test_scalar_wiener_gain(self):
         spec = JointGaussianSpec(
-            x_cov=Covariance.diagonal([1.0], ridge=0.0),
+            x_cov=np.eye(1),
             channel=np.array([[1.0]]),
             noise=NoiseModel(std=1.0, dim=1),
         )
@@ -181,7 +185,7 @@ class TestGaussianPosteriorAttacker:
         spec = isotropic_spec(rng, d=4)
         attacker = gaussian_posterior_attacker(spec)
         n = 50_000
-        x = rng.standard_normal((n, 4)) * np.sqrt(spec.x_cov.entries)
+        x = rng.standard_normal((n, 4)) * np.sqrt(np.diag(spec.x_cov))
         z = x @ spec.channel.T + spec.noise.std * rng.standard_normal((n, 4))
         mse = float(np.mean((attacker(z) - x) ** 2))
         assert mse == pytest.approx(minimal_mse_oracle(spec), rel=0.02)

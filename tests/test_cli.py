@@ -6,7 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import UNWRITABLE, save_csv
+from helpers import (
+    UNWRITABLE,
+    JointGaussianSpec,
+    gaussian_entropy,
+    minimal_mse_oracle,
+    save_csv,
+)
 
 from cemlab.cli import (
     DEFAULT_CONFIG,
@@ -474,18 +480,13 @@ class TestBoundsCommand:
         # Isotropic Gaussian world written as a run: x ~ N(0, I_4),
         # z = x + noise. With the true input entropy as offset, the
         # reported floor must equal the analytic posterior MSE.
-        from cemlab.bounds import (
-            JointGaussianSpec,
-            NoiseModel,
-            gaussian_entropy,
-            minimal_mse_oracle,
-        )
+        from cemlab.bounds import NoiseModel
 
         d, noise_std = 4, 0.8
         run_dir = tmp_path / "run"
         config = tiny_config(d_z=d, data_dim=d, noise_std=noise_std)
         spec = JointGaussianSpec(
-            x_cov=Covariance.diagonal(np.ones(d), ridge=0.0),
+            x_cov=np.eye(d),
             channel=np.eye(d),
             noise=NoiseModel(std=noise_std, dim=d),
         )
@@ -546,6 +547,28 @@ class TestBoundsCommand:
             seed=config["attack_seed"],
         )
         assert direct.to_dict() == report.to_dict()
+
+
+def _edit_history_tail(run, edit):
+    lines = (run / "history.csv").read_text().splitlines()
+    lines[-1] = ",".join(edit(lines[-1].split(",")))
+    (run / "history.csv").write_text("\n".join(lines) + "\n")
+
+
+# Edits of a run's artifacts that `cemlab report` cannot read. A history
+# row without its accuracy cell raised an uncaught KeyError; a cell that is
+# not a number, or an attack report that is not JSON, exited 2 as a config
+# error; a report holding a JSON list raised an uncaught AttributeError; and
+# a NaN bound was written into report.csv.
+UNREADABLE = {
+    "short-history-row": lambda run: _edit_history_tail(run, lambda cells: cells[:3]),
+    "non-number-history-cell": lambda run: _edit_history_tail(
+        run, lambda cells: [*cells[:-1], "n/a"]),
+    "attack-report-not-JSON": lambda run: (run / "attack_report.json").write_text("{"),
+    "attack-report-a-list": lambda run: (run / "attack_report.json").write_text("[0.1]"),
+    "bounds-report-a-list": lambda run: (run / "bounds_report.json").write_text("[]"),
+    "nan-bound": lambda run: (run / "bounds_report.json").write_text('{"mi_bound": NaN}'),
+}
 
 
 class TestSweepAndReport:
@@ -644,6 +667,15 @@ class TestSweepAndReport:
         by_seed = {e["seed"]: e for e in entries}
         assert by_seed[0]["mse_infer"] is not None
         assert by_seed[1]["mse_infer"] is None
+
+    @pytest.mark.parametrize("edit", UNREADABLE.values(), ids=UNREADABLE.keys())
+    def test_unreadable_artifact_exit_1_before_writing(self, tmp_path, capsys, edit):
+        out = tmp_path / "runs"
+        cmd_train(tiny_config(epochs=2), out / "r0")
+        edit(out / "r0")
+        assert main(["report", "--out", str(out)]) == 1
+        assert "error: ParseError: invalid" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
 
     def test_report_csv_written_atomically(self, tmp_path, monkeypatch):
         out = tmp_path / "runs"

