@@ -14,7 +14,11 @@ import hashlib
 import io
 import json
 import numbers
+import os
+import pickle
+import signal
 import sys
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -99,11 +103,14 @@ class RunManifest:
                     f"invalid manifest {path}: artifacts must be a JSON object of "
                     "relative paths inside the run directory"
                 )
+            # The run id is written into CSV files' "# run_id=" lines.
+            run_id, output_dir = doc["run_id"], doc["output_dir"]
+            if not (isinstance(run_id, str) and "".join(run_id.splitlines()) == run_id
+                    and isinstance(output_dir, str)):
+                raise ParseError(f"invalid manifest {path}: run_id {run_id!r} must be a "
+                                 f"one-line string and output_dir {output_dir!r} a string")
             return RunManifest(
-                run_id=doc["run_id"],
-                config=config,
-                output_dir=doc["output_dir"],
-                artifacts=artifacts,
+                run_id=run_id, config=config, output_dir=output_dir, artifacts=artifacts,
             )
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ParseError(f"invalid manifest {path}: {exc}") from exc
@@ -425,21 +432,84 @@ def _sweep_point(point: dict, variance: float, out_dir: Path, trained) -> dict:
     }
 
 
-def _attack_points(specs: list[RunSpec], ds: data.Dataset, trained: list) -> list:
-    """Train the trained sweep points' attackers as one stack, with the
-    encoders and dataset in memory. Each training result of ``trained``
-    becomes (spec, dataset, result, attacker), the attacker being the error
-    its attack raised if it failed; errors stay as they are."""
-    outcomes = list(trained)
-    live = [i for i, result in enumerate(trained) if not isinstance(result, Exception)]
+def _train_and_attack(specs: list[RunSpec], ds: data.Dataset) -> list:
+    """Train sweep points on ``ds`` as one stack, then the trained points'
+    attackers as another, with the encoders in memory. Each point's entry
+    is the error its training raised, or (training result, attacker), the
+    attacker being the error its attack raised if that failed."""
+    outcomes = trainer.train_many([spec.training for spec in specs], [ds] * len(specs))
+    live = [i for i, result in enumerate(outcomes) if not isinstance(result, Exception)]
     if live:
         attackers = adversary.train_attacker_many(
-            [trained[i].encoder for i in live], [specs[i].noise for i in live],
+            [outcomes[i].encoder for i in live], [specs[i].noise for i in live],
             [ds] * len(live), [specs[i].attack for i in live],
         )
         for i, attacker in zip(live, attackers):
-            outcomes[i] = (specs[i], ds, trained[i], attacker)
+            outcomes[i] = (outcomes[i], attacker)
     return outcomes
+
+
+def _sweep_workers(n_points: int) -> int:
+    """How many processes share a sweep's points: one per usable CPU, at
+    most one per point. One where there is no ``os.fork``, or where another
+    thread is alive, which a forked child would not have."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(n_points, cpus)
+
+
+def _in_workers(work, chunks: list) -> list:
+    """``work(chunk)`` for each chunk, concatenated in order: the first
+    chunk here, each other one in a forked child. A child pickles its
+    result, or the exception it raised (raised again here), through a pipe
+    and ends with ``os._exit``, so it runs no exit handler and flushes no
+    inherited stdio buffer; one that ends without its result raises
+    ``ChildProcessError``. Every child is reaped (killed first if this
+    raises) before this returns or raises."""
+    children = {}  # pid: pipe reader, of each child not yet reaped
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                try:
+                    try:
+                        payload = pickle.dumps(work(chunk))
+                    except BaseException as exc:  # raised again in the parent
+                        payload = pickle.dumps(exc)
+                    with open(w, "wb") as fh:
+                        fh.write(payload)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        results = list(work(chunks[0]))
+        for pid, reader in list(children.items()):
+            with reader:
+                payload = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code != 0:
+                raise ChildProcessError(f"sweep worker {pid} ended with exit status "
+                                        f"{code} before sending its result")
+            value = pickle.loads(payload)
+            if isinstance(value, BaseException):
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, reader in children.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 _SWEEP_COLUMNS = ["variance", "rel_cond_entropy", "mse_train", "mse_infer", "accuracy"]
@@ -448,11 +518,14 @@ _SWEEP_COLUMNS = ["variance", "rel_cond_entropy", "mse_train", "mse_infer", "acc
 def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
     """Train one fresh model per noise variance and record the robustness
     curve. The config and every point are validated and the points'
-    shared dataset built first; the points train together, as one stacked
-    computation, and are then attacked together, as another. Only then is
-    anything written: in grid order, each point's artifacts and attack
-    report are written, its utility measured, and its row appended to
-    sweep.csv, so an interrupted sweep keeps the rows it finished."""
+    shared dataset built first. Each worker (:func:`_sweep_workers`; this
+    process, then forked children) takes a contiguous chunk of the points,
+    trains them together, as one stacked computation, and then attacks them
+    together, as another; a stack gives each run its solo bits, so no byte
+    depends on the split. Only then is anything written: in grid order,
+    each point's artifacts and attack report are written, its utility
+    measured, and its row appended to sweep.csv, so an interrupted sweep
+    keeps the rows it finished."""
     if not grid:
         raise ValueError("sweep grid is empty")
     # Written so that NaN fails too.
@@ -464,9 +537,13 @@ def cmd_sweep(config: dict, grid, out_dir: Path) -> list[dict]:
     specs = [validate(point) for point in points]
     # The points differ only in noise_std, so they share one dataset.
     ds = specs[0].dataset()
-    # Each point's training result, or the error its training raised.
-    trained = trainer.train_many([spec.training for spec in specs], [ds] * len(specs))
-    attacked = _attack_points(specs, ds, trained)
+    n = _sweep_workers(len(specs))
+    ends = [len(specs) * j // n for j in range(n + 1)]
+    # A RunSpec holds a closure, so specs never cross a pipe.
+    outcomes = _in_workers(lambda chunk: _train_and_attack(chunk, ds),
+                           [specs[a:b] for a, b in zip(ends, ends[1:])])
+    attacked = [outcome if isinstance(outcome, Exception) else (spec, ds, *outcome)
+                for spec, outcome in zip(specs, outcomes)]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"

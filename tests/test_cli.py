@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import shutil
+import threading
 import warnings
 
 
@@ -423,6 +425,29 @@ class TestBoundsCommand:
         assert "ParseError" in capsys.readouterr().err
         assert not (run_dir / "bounds_report.json").exists()
 
+    # Each of these once loaded: `attack` wrote "# run_id=5" into
+    # attacks.csv, `report` listed run 5, and `bounds` ran on a list.
+    @pytest.mark.parametrize("field, value", [
+        ("run_id", 5), ("run_id", "a\nb"), ("output_dir", ["x"]),
+    ], ids=["number-run-id", "two-line-run-id", "list-output-dir"])
+    def test_manifest_run_id_and_output_dir_must_be_strings(
+            self, tmp_path, capsys, field, value):
+        run_dir = tmp_path / "run"
+        cmd_train(tiny_config(epochs=1, attack_epochs=1), run_dir)
+        path = run_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=field):
+            cli.RunManifest.load(path)
+        before = sorted(run_dir.iterdir())
+        for argv in (["bounds", str(run_dir)], ["attack", str(run_dir)],
+                     ["report", "--out", str(tmp_path)]):
+            assert main(argv) == 1
+            assert "ParseError" in capsys.readouterr().err
+        assert sorted(run_dir.iterdir()) == before
+        assert sorted(tmp_path.iterdir()) == [run_dir]
+
     # At 1e308 this once exited 0 and wrote "mse_floor": Infinity, which is
     # not JSON; at 6000 over 16 input dimensions the floor's exp overflows.
     @pytest.mark.parametrize("offset", ["1e308", "6000"])
@@ -731,3 +756,133 @@ class TestSweepAndReport:
         assert len(rows) == 3
         assert rows[0]["epoch"] == 0
         assert rows[-1]["rel_cond_entropy"] == -rows[-1]["l_c"]
+
+
+def _sweep_files(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the CPU count the sweep sees, and counts the children it forks."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        forks.clear()
+        return forks
+
+    return use
+
+
+def _fail_in(where, fail, monkeypatch):
+    """Makes `_train_and_attack` call ``fail`` in the parent or in a child."""
+    parent, attack = os.getpid(), cli._train_and_attack
+
+    def failing(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            fail()
+        return attack(*args)
+
+    monkeypatch.setattr(cli, "_train_and_attack", failing)
+
+
+def _raise_unpicklable():
+    raise RuntimeError(lambda: None)
+
+
+class TestSweepWorkers:
+    """The sweep splits its points over forked workers, one per usable CPU;
+    the split changes no byte, and no child outlives the call."""
+
+    GRID = [0.01, 0.04, 0.09]
+
+    def test_same_bytes_for_any_worker_count(self, tmp_path, workers):
+        out = tmp_path / "sweep"
+        files = {}
+        for n in (1, 2, 3):
+            forks = workers(n)
+            cmd_sweep(tiny_config(momentum=0.9), self.GRID, out)
+            assert len(forks) == n - 1
+            _assert_no_child_left()
+            files[n] = _sweep_files(out)
+            shutil.rmtree(out)
+        assert len(files[1]) == 3 * 7 + 1
+        assert files[2] == files[1] and files[3] == files[1]
+
+    def test_failed_point_in_a_child_gives_the_same_rows(self, tmp_path, workers):
+        config = tiny_config(data_per_class=2, batch_size=2)
+        rows = {}
+        for n in (1, 2):
+            forks = workers(n)
+            rows[n] = cmd_sweep(config, self.GRID[:2], tmp_path / f"w{n}")
+            assert len(forks) == n - 1
+            _assert_no_child_left()
+        assert rows[2] == rows[1]
+        assert all(row["error"].startswith("DegenerateData: ") for row in rows[1])
+        assert ((tmp_path / "w2" / "sweep.csv").read_bytes()
+                == (tmp_path / "w1" / "sweep.csv").read_bytes())
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_error_in_a_worker_raised_before_writing(
+            self, tmp_path, workers, monkeypatch, where):
+        def fail():
+            raise RuntimeError(f"attack failed in the {where}")
+
+        _fail_in(where, fail, monkeypatch)
+        forks = workers(3)
+        out = tmp_path / "sweep"
+        with pytest.raises(RuntimeError, match=f"attack failed in the {where}"):
+            cmd_sweep(tiny_config(), self.GRID, out)
+        assert len(forks) == 2
+        _assert_no_child_left()
+        assert not out.exists()
+
+    # A child that cannot pickle its error ends with status 1, and never
+    # goes on to run the caller's code.
+    @pytest.mark.parametrize("fail, status", [
+        (lambda: os._exit(3), 3), (_raise_unpicklable, 1),
+    ], ids=["exit-3", "unpicklable-error"])
+    def test_child_ending_early_exit_1_before_writing(
+            self, tmp_path, workers, monkeypatch, capsys, fail, status):
+        _fail_in("child", fail, monkeypatch)
+        forks = workers(2)
+        out = tmp_path / "sweep"
+        with pytest.raises(ChildProcessError, match=f"exit status {status} "):
+            cmd_sweep(tiny_config(), self.GRID, out)
+        _assert_no_child_left()
+        cfg_path = write_config(tmp_path / "cfg.json")
+        argv = ["sweep", "--config", str(cfg_path), "--grid", "0.01,0.04", "--out", str(out)]
+        assert main(argv) == 1
+        assert "error: ChildProcessError: " in capsys.readouterr().err
+        assert len(forks) == 2
+        _assert_no_child_left()
+        assert not out.exists()
+
+    def test_one_worker_while_another_thread_runs(self, workers):
+        workers(3)
+        assert cli._sweep_workers(3) == 3
+        assert cli._sweep_workers(2) == 2
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert cli._sweep_workers(3) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
