@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import NoiseModel
 from .data import Dataset
-from .errors import CemError, NonFinite
+from .errors import CemError
 from .network import (
     NeuralModule,
     RunStack,
@@ -126,23 +126,15 @@ def _attack_stack(encoders, noises, datasets, cfgs) -> list[NeuralModule]:
     """The runs of :func:`train_attacker_many` as one stack, which raises
     if any run diverges."""
     stack = _AttackStack(encoders, noises, datasets, cfgs)
-    starts = range(0, stack.n_train, stack.batch_size)
-    # As in training, the finite check reports a divergence; NumPy's
-    # overflow warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfgs[0].epochs):
-            stack.start_epoch(epoch)
-            try:
-                for start in starts:
-                    stack.step(start)
-            except NonFinite as exc:
-                raise NonFinite(f"attack diverged at epoch {epoch}: {exc}") from exc
+    stack.run(cfgs[0].epochs)
     return [stack.attacker.take(r) for r in range(len(cfgs))]
 
 
 class _AttackStack(RunStack):
     """The runs of a :func:`train_attacker_many` call (see
     :class:`RunStack`)."""
+
+    diverging = "attack"
 
     def __init__(self, encoders, noises, datasets, cfgs):
         if not cfgs or not len(encoders) == len(noises) == len(datasets) == len(cfgs):
@@ -157,8 +149,8 @@ class _AttackStack(RunStack):
             for encoder, x, cfg in zip(encoders, xs, cfgs)
         ]
         n_train, d_in = xs[0].shape
-        super().__init__(cfgs, noises, shapes, n_train, encoders[0].out_dim)
-        self.batch_size = cfgs[0].batch_size
+        super().__init__(cfgs, noises, shapes, n_train, encoders[0].out_dim,
+                         cfgs[0].batch_size)
         dims = [encoders[0].out_dim, *cfgs[0].hidden_dims, d_in]
         activations = ["relu"] * len(cfgs[0].hidden_dims) + [cfgs[0].output_activation]
         self.attacker = StackedNet(
@@ -174,16 +166,15 @@ class _AttackStack(RunStack):
 
     def start_epoch(self, epoch: int) -> None:
         """Each run's features and targets in its batch order for
-        ``epoch``, the features with the epoch's fresh noise draw."""
-        feats, self.targets = self.in_epoch_order(12, epoch, self.feats_clean, self.x)
-        self.feats = self.add_noise(feats, self.draw_noise(self.rngs(11, epoch, self.noisy)))
+        ``epoch``, the epoch's fresh noise draw added into the features."""
+        self.feats, self.targets = self.in_epoch_order(12, epoch, self.feats_clean, self.x)
+        self.add_noise(self.feats, self.draw_noise(11, epoch), out=self.feats)
 
-    def step(self, start: int) -> None:
-        """One batch for every run, from ``start`` in each run's epoch
+    def step(self, rows: slice) -> None:
+        """One batch for every run, the ``rows`` of each run's epoch
         order."""
-        batch = slice(start, start + self.batch_size)
-        target = self.targets[:, batch]
-        pred = self.attacker.forward(self.feats[:, batch])
+        target = self.targets[:, rows]
+        pred = self.attacker.forward(self.feats[:, rows])
         n, d = target.shape[1:]
         # The gradient of the per-dimension reconstruction MSE,
         # (2 * (pred - target)) / (n * d).

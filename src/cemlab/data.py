@@ -10,6 +10,7 @@ training rows map to 0.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,8 @@ def synth_blobs(
 def load_csv(path, n_classes: int, seed: int = 0) -> Dataset:
     """Read label,v1,...,vd rows (header optional), build a seeded 80/20
     stratified split, and normalize to [0, 1] with the training rows'
-    range."""
+    range. A value that is not a finite number (``nan`` and ``inf`` too)
+    raises :class:`ParseError` naming its line."""
     labels, rows = [], []
     width = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -128,6 +130,9 @@ def load_csv(path, n_classes: int, seed: int = 0) -> Dataset:
             try:
                 label = int(row[0])
                 values = [float(v) for v in row[1:]]
+                for cell, value in zip(row[1:], values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{cell!r} is not a finite number")
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
             if not 0 <= label < n_classes:

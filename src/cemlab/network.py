@@ -29,6 +29,13 @@ allocated once:
 - per layer, (R, rows, width) buffers for the layer's output and for the
   gradient at it; a batch of fewer rows uses row-prefix views of them.
 
+The views a batch reads (each layer's output, gradient and scratch views,
+its weights' transpose and its gradient views) are built once per row
+count and gradient buffer, since a momentum-0 step swaps the gradient
+buffer with the velocity buffer: a training stack sees at most two row
+counts (a full batch and a short last one), so a batch does only
+arithmetic.
+
 A step is ``forward``, then ``backward`` from the gradient the caller
 writes into ``out_grad()``, then ``step``, which updates the parameters
 in place and raises if one is not finite. What ``forward``, ``out_grad``
@@ -36,16 +43,21 @@ and ``backward`` return are views into the buffers, which the next step
 overwrites.
 
 :class:`RunStack` is what the trainer's and the attacker's stacks share:
-batch order, noise and rates. Both draw a run's noise and batch order for
-an epoch from ``seeded_rng(seed, tag, epoch)`` (:meth:`RunStack.rngs`),
-one generator per (run, tag, epoch). A stack either finishes or raises;
-:func:`stacked_or_alone` then trains each of its runs alone, so that a run
-that fails costs the others nothing but time.
+the epoch loop (:meth:`RunStack.run`, under one ``np.errstate``, which
+names the epoch a run diverged in), batch order, noise and rates. Both
+draw a run's noise and batch order for an epoch from
+``seeded_rng(seed, tag, epoch)`` (:meth:`RunStack.rngs`), one generator
+per (run, tag, epoch). An epoch's inputs are built with one flat ``take``
+per array, and its noise is drawn into one buffer and scaled there. A
+stack either finishes or raises; :func:`stacked_or_alone` then trains
+each of its runs alone, so that a run that fails costs the others nothing
+but time.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import compress
 
@@ -55,6 +67,7 @@ from .errors import (
     CemError,
     LabelOutOfRange,
     NonFinite,
+    NonPositiveDefinite,
     ParseError,
     ShapeMismatch,
     StaleTape,
@@ -210,10 +223,11 @@ def forward(m: NeuralModule, batch: np.ndarray) -> tuple[np.ndarray, TapePass]:
     return a, tape
 
 
-def _layer_forward(a, weights, bias, activation, out=None) -> np.ndarray:
-    """One layer on ``a`` with the bits of :func:`forward`: the product
-    (into ``out``, if given), the bias and the activation, in place."""
-    out = np.matmul(a, weights.swapaxes(-1, -2), out=out)
+def _layer_forward(a, weights_t, bias, activation, out=None) -> np.ndarray:
+    """One layer on ``a`` with the bits of :func:`forward`, given the
+    weights' transpose ``weights_t``: the product (into ``out``, if given),
+    the bias and the activation, in place."""
+    out = np.matmul(a, weights_t, out=out)
     out += bias
     if activation == "relu":
         np.maximum(out, 0.0, out=out)
@@ -235,7 +249,7 @@ def predict(m: NeuralModule, batch: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(f"input dim {x.shape[-1]} != module in_dim {m.in_dim}")
     a = x
     for layer in m.layers:
-        a = _layer_forward(a, layer.weights, layer.bias, layer.activation)
+        a = _layer_forward(a, layer.weights.swapaxes(-1, -2), layer.bias, layer.activation)
     return a
 
 
@@ -353,6 +367,8 @@ class StackedNet:
         self._params = _Flat(np.concatenate([
             a.reshape(n_runs, -1) for l in stacked.layers for a in (l.weights, l.bias)
         ], axis=1), self.shapes)
+        self._param_vector = self._params.data.reshape(-1)
+        self._ones = np.ones_like(self._param_vector)
         self._velocity = _Flat(np.zeros_like(self._params.data), self.shapes)
         self._grad = _Flat(np.empty_like(self._params.data), self.shapes)
         widths = [out for out, _ in self.shapes]
@@ -366,7 +382,9 @@ class StackedNet:
             if act in scratch_dtype else None
             for w, act in zip(widths, self.activations)
         ]
-        self._inputs = None
+        # (row count, gradient buffer) -> the views a batch reads.
+        self._views = {}
+        self._inputs = self._batch = None
 
     @property
     def in_dim(self) -> int:
@@ -391,49 +409,69 @@ class StackedNet:
             for (w, b), act in zip(self._params.views, self.activations)
         ])
 
+    def _views_for(self, n: int) -> tuple:
+        """The views a batch of ``n`` rows reads, built on its first use:
+        per layer, :meth:`forward`'s (transposed weights, bias, activation,
+        output); the loss gradient at the last output; and per layer from
+        the last, :meth:`backward`'s (activation, gradient at the output and
+        its transpose, output, scratch, input (None: the batch), weight and
+        bias gradient, weights, gradient at the input). A momentum-0 step
+        swaps the gradient and velocity buffers, so the gradient buffer is
+        part of the key."""
+        key = (n, self._grad)
+        views = self._views.get(key)
+        if views is None:
+            forward, backward = [], []
+            a, g_in = None, self._in_grad[:, :n]
+            for act, (w, b), (gw, gb), out, g, scratch in zip(
+                self.activations, self._params.views, self._grad.views,
+                self._outs, self._out_grads, self._scratch,
+            ):
+                out, g = out[:, :n], g[:, :n]
+                forward.append((w.swapaxes(-1, -2), b, act, out))
+                backward.append((
+                    act, g, g.swapaxes(-1, -2), out,
+                    None if scratch is None else scratch[:, :n],
+                    a, gw, gb, w, g_in,
+                ))
+                a, g_in = out, g
+            views = self._views[key] = (tuple(forward), g, tuple(reversed(backward)))
+        return views
+
     def forward(self, batch: np.ndarray) -> np.ndarray:
         """The output on an (R, n, in_dim) batch of n <= ``rows`` rows, with
         the bits of :func:`forward`. ``batch`` must stay unchanged until
         :meth:`backward`."""
-        n = batch.shape[1]
         self._inputs = a = batch
-        for (w, b), act, buf in zip(self._params.views, self.activations, self._outs):
-            a = _layer_forward(a, w, b, act, out=buf[:, :n])
+        self._batch = self._views_for(batch.shape[1])
+        for w_t, b, act, out in self._batch[0]:
+            a = _layer_forward(a, w_t, b, act, out)
         return a
 
     def out_grad(self) -> np.ndarray:
         """The buffer for the loss gradient at the last forward's output,
         which the caller fills before :meth:`backward`."""
-        return self._out_grads[-1][:, :self._inputs.shape[1]]
+        return self._batch[1]
 
     def backward(self, input_grad: bool = False) -> np.ndarray | None:
         """Back-propagate ``out_grad()`` into the gradient buffer, with the
         bits of :func:`backward`; the gradient at the input if
         ``input_grad``, else None."""
-        n = self._inputs.shape[1]
-        params, grads = self._params.views, self._grad.views
-        for i in range(len(self.shapes) - 1, -1, -1):
-            g, post = self._out_grads[i][:, :n], self._outs[i][:, :n]
-            if self.activations[i] == "relu":
+        for act, g, g_t, post, scratch, a_prev, gw, gb, w, g_in in self._batch[2]:
+            if act == "relu":
                 # post > 0 is pre > 0 for relu, NaN included.
-                mask = self._scratch[i][:, :n]
-                np.greater(post, 0.0, out=mask)
-                np.multiply(g, mask, out=g)
-            elif self.activations[i] == "sigmoid":
-                one_minus = self._scratch[i][:, :n]
-                np.subtract(1.0, post, out=one_minus)
-                g *= post
-                g *= one_minus
-            a_prev = self._inputs if i == 0 else self._outs[i - 1][:, :n]
-            gw, gb = grads[i]
-            np.matmul(g.swapaxes(-1, -2), a_prev, out=gw)
+                np.greater(post, 0.0, out=scratch)
+                np.multiply(g, scratch, out=g)
+            elif act == "sigmoid":
+                np.subtract(1.0, post, out=scratch)
+                np.multiply(g, post, out=g)
+                np.multiply(g, scratch, out=g)
+            np.matmul(g_t, self._inputs if a_prev is None else a_prev, out=gw)
             # np.sum's reduction, without its Python-level wrapper.
             np.add.reduce(g, axis=-2, keepdims=True, out=gb)
-            if i > 0:
-                np.matmul(g, params[i][0], out=self._out_grads[i - 1][:, :n])
-        if not input_grad:
-            return None
-        return np.matmul(self._out_grads[0][:, :n], params[0][0], out=self._in_grad[:, :n])
+            if a_prev is not None or input_grad:
+                np.matmul(g, w, out=g_in)
+        return g_in if input_grad else None
 
     def step(self, lr, momentum) -> None:
         """The step of :func:`sgd_step` from the last backward's gradient,
@@ -452,23 +490,70 @@ class StackedNet:
         np.multiply(lr, self._velocity.data, out=delta)
         np.subtract(params, delta, out=params)
         # A finite sum means every entry is finite; finite entries whose sum
-        # overflows get the entrywise test.
-        if not (np.isfinite(np.add.reduce(params, axis=None)) or np.isfinite(params).all()):
+        # overflows get the entrywise test. The sum is a dot product with
+        # ones, which costs less than np.add.reduce's pairwise sum.
+        if not (math.isfinite(np.dot(self._param_vector, self._ones))
+                or np.isfinite(params).all()):
             raise NonFinite(_NON_FINITE_UPDATE)
 
 
 class RunStack:
     """The runs of a stacked training call, along a leading run axis. The
-    runs' ``shapes`` must be equal."""
+    runs' ``shapes`` must be equal. :meth:`run` is the epoch loop; a
+    subclass gives :meth:`start_epoch` and :meth:`step`, may give
+    :meth:`refit` and :meth:`end_epoch`, and sets ``diverging``."""
 
-    def __init__(self, cfgs: list, noises: list, shapes: list, n_train: int, width: int):
+    # What a divergence's text says diverged.
+    diverging = ""
+
+    def __init__(self, cfgs: list, noises: list, shapes: list, n_train: int,
+                 width: int, batch_size: int):
         if any(shape != shapes[0] for shape in shapes):
             raise ValueError("the runs of a stack must share their shapes")
         self.cfgs = list(cfgs)
         self.noises = list(noises)
         self.noisy = np.array([noise.std > 0 for noise in noises])
         self.all_noisy = bool(self.noisy.all())
-        self.n_train, self.width = n_train, width
+        self.n_train, self.width, self.batch_size = n_train, width, batch_size
+        # Each epoch's noise draws, (R, n_train, width); a noise-free run's
+        # rows stay zero.
+        self.noise = np.zeros((len(cfgs), n_train, width))
+        self._run_starts = np.arange(len(cfgs))[:, None] * n_train
+
+    def run(self, epochs: int) -> None:
+        """Train every run for ``epochs`` epochs: each epoch, :meth:`refit`,
+        :meth:`start_epoch`, :meth:`step` for each batch's rows and
+        :meth:`end_epoch`; at 0 epochs, one :meth:`refit` alone. A
+        ``NonFinite`` or ``NonPositiveDefinite`` error is raised again as
+        ``NonFinite("<diverging> diverged at epoch <epoch>: ...")``."""
+        batches = [
+            slice(start, start + self.batch_size)
+            for start in range(0, self.n_train, self.batch_size)
+        ]
+        # A diverging run overflows on its way to the finite checks, which
+        # report it; NumPy's warnings would only repeat them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(max(epochs, 1)):
+                # Features whose squares overflow a covariance are a
+                # divergence, not a data defect.
+                try:
+                    self.refit(epoch)
+                    if epochs == 0:
+                        return
+                    self.start_epoch(epoch)
+                    for rows in batches:
+                        self.step(rows)
+                except (NonFinite, NonPositiveDefinite) as exc:
+                    raise NonFinite(
+                        f"{self.diverging} diverged at epoch {epoch}: {exc}"
+                    ) from exc
+                self.end_epoch(epoch, len(batches))
+
+    def refit(self, epoch: int) -> None:
+        """What comes before ``epoch``'s inputs; nothing here."""
+
+    def end_epoch(self, epoch: int, n_batches: int) -> None:
+        """What comes after ``epoch``'s ``n_batches`` steps; nothing here."""
 
     def set_rates(self, lr, momentum) -> None:
         """Each run's lr and momentum as ``step_lr``/``step_momentum``, what
@@ -486,28 +571,36 @@ class RunStack:
         return [seeded_rng(cfg.seed, tag, epoch) for cfg in cfgs]
 
     def in_epoch_order(self, tag: int, epoch: int, *arrays) -> list[np.ndarray]:
-        """``arrays`` with each run's rows in its order for ``epoch``,
-        ``seeded_rng(seed, tag, epoch).permutation``: a batch is a slice."""
+        """Copies of the C-ordered (R, n_train, ...) ``arrays`` with each
+        run's rows in its order for ``epoch``,
+        ``seeded_rng(seed, tag, epoch).permutation``, so that a batch is a
+        slice: one flat ``take`` over the runs' rows each."""
         order = np.stack([rng.permutation(self.n_train) for rng in self.rngs(tag, epoch)])
-        pick = (np.arange(len(self.cfgs))[:, None], order)
-        return [a[pick] for a in arrays]
+        order += self._run_starts
+        flat = order.reshape(-1)
+        return [a.reshape(-1, *a.shape[2:]).take(flat, axis=0).reshape(a.shape)
+                for a in arrays]
 
-    def draw_noise(self, rngs) -> np.ndarray:
-        """Each run's std times (n_train, width) standard normals, from
-        ``rngs``: one generator per noisy run, in stack order. A noise-free
-        run draws nothing and gets zeros."""
-        out = np.zeros((len(self.cfgs), self.n_train, self.width))
-        for r, rng in zip(np.flatnonzero(self.noisy), rngs):
-            np.multiply(self.noises[r].std, rng.standard_normal(out.shape[1:]), out=out[r])
-        return out
+    def draw_noise(self, tag: int, epoch: int) -> np.ndarray:
+        """The ``noise`` buffer, each noisy run's rows refilled with its std
+        times (n_train, width) standard normals from
+        ``seeded_rng(seed, tag, epoch)`` (scaled in place: the products
+        commute, so the bits are std * normals). A noise-free run draws
+        nothing."""
+        for r, rng in zip(np.flatnonzero(self.noisy), self.rngs(tag, epoch, self.noisy)):
+            rng.standard_normal(out=self.noise[r])
+            self.noise[r] *= self.noises[r].std
+        return self.noise
 
-    def add_noise(self, feats: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """``feats + noise`` as a new array, with a noise-free run's features
-        copied untouched (no ``+ 0.0``, which would turn -0.0 into 0.0)."""
-        out = feats + noise
-        if not self.all_noisy:
-            out[~self.noisy] = feats[~self.noisy]
-        return out
+    def add_noise(self, feats: np.ndarray, noise: np.ndarray, out=None) -> np.ndarray:
+        """``feats + noise``, into ``out`` (``feats`` itself, say) or a new
+        array, where a noise-free run's rows are its features untouched (no
+        ``+ 0.0``, which would turn -0.0 into 0.0)."""
+        if self.all_noisy:
+            return np.add(feats, noise, out=out)
+        if out is None:
+            out = feats.copy()
+        return np.add(feats, noise, out=out, where=self.noisy[:, None, None])
 
 
 def stacked_or_alone(train_stack, *runs) -> list:

@@ -386,9 +386,15 @@ def _score_block(n, buffers, rng, cdf, choosing, coef, const):
     np.copyto(feat[d:], zs.T)
     np.multiply(feat[d:], feat[d:], out=feat[:d])
     terms = log_terms[:k * n].reshape(k, n)
-    for c in np.flatnonzero(starts[:-1] < starts[1:]):
-        group = slice(starts[c], starts[c + 1])
+    groups = [(c, slice(starts[c], starts[c + 1]))
+              for c in np.flatnonzero(starts[:-1] < starts[1:])]
+    for c, group in groups:
         np.einsum("ln,li->in", feat[:, group], coef[c], out=terms[:, group])
-        terms[:, group] *= -0.5
-        terms[:, group] += const[c][:, None]
+    # The scale on the whole contiguous block, and each group's constants
+    # row by row: on a group's strided (k, rows) view NumPy's buffered
+    # iterator would allocate.
+    terms *= -0.5
+    for c, group in groups:
+        for row, value in zip(terms[:, group], const[c]):
+            row += value
     return order, terms

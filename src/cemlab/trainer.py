@@ -41,7 +41,7 @@ import numpy as np
 
 from .bounds import NoiseModel, cem_step
 from .data import Dataset
-from .errors import CemError, LabelOutOfRange, NonFinite, NonPositiveDefinite
+from .errors import CemError, LabelOutOfRange, NonFinite
 from .mixture import MixtureState, assign_nearest, fit_init_many
 from .network import (
     NeuralModule,
@@ -174,41 +174,13 @@ def _train_stack(cfgs: list[TrainingConfig], datasets: list[Dataset]) -> list[Tr
     """The runs of :func:`train_many` as one stack, which raises if any run
     fails."""
     stack = _Stack(cfgs, datasets)
-    histories = [[] for _ in cfgs]
-    epochs = cfgs[0].epochs
-    starts = range(0, stack.n_train, stack.batch_size)
-    # A diverging run overflows on its way to the finite checks, which
-    # report it; NumPy's warnings would only repeat them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(max(epochs, 1)):
-            # Features whose squares overflow the covariance are a
-            # divergence, not a data defect.
-            try:
-                stack.refit(epoch)
-                if epochs == 0:
-                    break
-                stack.start_epoch(epoch)
-                for start in starts:
-                    stack.step(start)
-            except (NonFinite, NonPositiveDefinite) as exc:
-                raise NonFinite(f"training diverged at epoch {epoch}: {exc}") from exc
-            for history, cfg, run_sums in zip(histories, cfgs, stack.sums):
-                l_d_mean, l_c_mean, acc_mean = run_sums / len(starts)
-                history.append(
-                    LossBreakdown(
-                        epoch=epoch,
-                        l_d=float(l_d_mean),
-                        l_c=float(l_c_mean),
-                        total=float(l_d_mean + cfg.lam * l_c_mean),
-                        accuracy=float(acc_mean),
-                    )
-                )
+    stack.run(cfgs[0].epochs)
     return [
         TrainResult(
             stack.encoder.take(r), stack.decoder.take(r),
             stack.state.take(r), history,
         )
-        for r, history in enumerate(histories)
+        for r, history in enumerate(stack.histories)
     ]
 
 
@@ -216,6 +188,8 @@ class _Stack(RunStack):
     """The runs of a :func:`train_many` call (see :class:`RunStack`). What
     depends only on the runs, the label check and which parts of a step
     run, is settled once, not in every step."""
+
+    diverging = "training"
 
     def __init__(self, cfgs: list[TrainingConfig], datasets: list[Dataset]):
         if not cfgs or len(cfgs) != len(datasets):
@@ -225,10 +199,10 @@ class _Stack(RunStack):
         n_train = x0.shape[0]
         if n_train == 0:
             raise ValueError("training split is empty")
-        self.batch_size = cfgs[0].batch_size
-        if self.batch_size > n_train:
+        batch_size = cfgs[0].batch_size
+        if batch_size > n_train:
             raise ValueError(
-                f"batch_size {self.batch_size} exceeds training set size {n_train}"
+                f"batch_size {batch_size} exceeds training set size {n_train}"
             )
         shapes = [
             (x.shape, data.n_classes, cfg.resolved_k(data.n_classes), cfg.hidden,
@@ -236,7 +210,7 @@ class _Stack(RunStack):
             for cfg, data, (x, _) in zip(cfgs, datasets, splits)
         ]
         noises = [NoiseModel(std=cfg.noise_std, dim=cfg.d_z) for cfg in cfgs]
-        super().__init__(cfgs, noises, shapes, n_train, cfgs[0].d_z)
+        super().__init__(cfgs, noises, shapes, n_train, cfgs[0].d_z, batch_size)
         n_classes = datasets[0].n_classes
         self.k = shapes[0][2]
         models = [build_models(cfg, x0.shape[1], n_classes) for cfg in cfgs]
@@ -262,8 +236,9 @@ class _Stack(RunStack):
         # singleton clusters from producing near-zero denominators in the
         # penalty gradient.
         self.ridge = np.maximum(1e-6, std**2)
+        self.histories = [[] for _ in cfgs]
         # per epoch
-        self.x_epoch = self.y_epoch = self.noise_epoch = self.sums = None
+        self.x_epoch = self.y_epoch = self.sums = None
         self.any_lam, self.all_lam = bool(self.lam_on.any()), bool(self.lam_on.all())
 
     def refit(self, epoch: int) -> None:
@@ -272,7 +247,7 @@ class _Stack(RunStack):
         feats = predict(self.encoder.module(), self.x)
         if not np.isfinite(feats).all():
             raise NonFinite("non-finite features")
-        noisy = self.add_noise(feats, self.draw_noise(self.rngs(3, epoch, self.noisy)))
+        noisy = self.add_noise(feats, self.draw_noise(3, epoch))
         # Seeds are drawn only for the first fit; later fits warm-start.
         seeds = None if self.state is not None else [
             derived_seed(cfg.seed, 4, epoch) for cfg in self.cfgs
@@ -291,16 +266,15 @@ class _Stack(RunStack):
             [cfg.lr_at(epoch) for cfg in self.cfgs], [cfg.momentum for cfg in self.cfgs]
         )
         self.x_epoch, self.y_epoch = self.in_epoch_order(5, epoch, self.x, self.y)
-        self.noise_epoch = self.draw_noise(self.rngs(6, epoch, self.noisy))
+        self.draw_noise(6, epoch)
         self.sums = np.zeros((len(self.cfgs), 3))  # l_d, l_c, accuracy
 
-    def step(self, start: int) -> None:
-        """One batch for every run, from ``start`` in each run's epoch
+    def step(self, rows: slice) -> None:
+        """One batch for every run, the ``rows`` of each run's epoch
         order."""
-        batch_rows = slice(start, start + self.batch_size)
-        xb, yb = self.x_epoch[:, batch_rows], self.y_epoch[:, batch_rows]
+        xb, yb = self.x_epoch[:, rows], self.y_epoch[:, rows]
         z_hat = self.encoder.forward(xb)
-        zb = self.add_noise(z_hat, self.noise_epoch[:, batch_rows])
+        zb = self.add_noise(z_hat, self.noise[:, rows])
         logits = self.decoder.forward(zb)
 
         assign = assign_nearest(zb, self.state.means)
@@ -334,6 +308,20 @@ class _Stack(RunStack):
         self.sums[:, 0] += l_d
         self.sums[:, 1] += l_c
         self.sums[:, 2] += acc
+
+    def end_epoch(self, epoch: int, n_batches: int) -> None:
+        """Each run's epoch means, appended to its history."""
+        for history, cfg, run_sums in zip(self.histories, self.cfgs, self.sums):
+            l_d_mean, l_c_mean, acc_mean = run_sums / n_batches
+            history.append(
+                LossBreakdown(
+                    epoch=epoch,
+                    l_d=float(l_d_mean),
+                    l_c=float(l_c_mean),
+                    total=float(l_d_mean + cfg.lam * l_c_mean),
+                    accuracy=float(acc_mean),
+                )
+            )
 
 
 def evaluate_utility(

@@ -256,6 +256,24 @@ class TestTrainCommand:
         assert main(["attack", str(run_dir)]) == 2
         assert sorted(run_dir.iterdir()) == before
 
+    def test_non_finite_csv_cell_exit_1_before_writing(self, tmp_path, capsys):
+        # A nan cell once made its column's range NaN, so training ran on a
+        # column of zeros and exited 0; an inf cell failed as a divergence.
+        csv_path = tmp_path / "data.csv"
+        save_csv(cli.data.synth_blobs(3, 4, 20, 0.05, seed=1), csv_path)
+        lines = csv_path.read_text().splitlines()
+        cfg = write_config(tmp_path / "cfg.json", data_kind="csv",
+                           data_csv=str(csv_path), data_dim=4)
+        out = tmp_path / "run"
+        for cell in ("nan", "inf", "-inf"):
+            row = lines[5].split(",")
+            row[2] = cell
+            csv_path.write_text("\n".join([*lines[:5], ",".join(row), *lines[6:]]) + "\n")
+            assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+            assert (f"ParseError: {csv_path}: line 6: '{cell}' is not a finite number"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+
 
 class TestAttackCommand:
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])

@@ -121,10 +121,13 @@ class TestCsv:
             load_csv(path, n_classes=2)
 
     def test_parse_error_on_bad_number(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("0,0.1\n1,zero\n")
-        with pytest.raises(ParseError, match="line 2"):
-            load_csv(path, n_classes=2)
+        # float() reads nan and inf; a nan once made its column's range NaN
+        # and the whole column 0, and an inf failed training as NonFinite.
+        for cell in ("zero", "nan", "inf", "-inf"):
+            path = tmp_path / "bad.csv"
+            path.write_text(f"0,0.1\n1,{cell}\n")
+            with pytest.raises(ParseError, match=f"bad.csv: line 2: .*'{cell}'"):
+                load_csv(path, n_classes=2)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -270,6 +270,28 @@ class TestMcEntropyPipeline:
         assert chosen["over"] == "raise" and chosen["invalid"] == "ignore"
         assert seen == [chosen] * 5
 
+    def test_helper_stage_allocates_only_the_order(self):
+        # Scaling a group's strided (k, rows) view of the terms, and adding
+        # its constants as a column, once allocated 265 KB per 8192-row
+        # block at k=9 inside NumPy's buffered iterator.
+        k, d, n = 9, 8, _MC_BLOCK
+        rng = np.random.default_rng(6)
+        buffers = (rng.standard_normal((n, d)), np.empty((n, d)),
+                   np.empty(2 * d * n), np.empty(k * n))
+        choosing = (np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=np.uint8))
+        cdf = np.arange(1, k + 1) / k
+        coef, const = rng.standard_normal((k, 2 * d, k)), rng.standard_normal((k, k))
+        draws = [np.random.default_rng(s) for s in range(2)]
+        numerics._score_block(n, buffers, draws[0], cdf, choosing, coef, const)
+        tracemalloc.start()
+        try:
+            order, _ = numerics._score_block(n, buffers, draws[1], cdf, choosing, coef, const)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order.nbytes == 8 * n
+        assert peak <= 8 * n + 16 * 1024
+
     def test_concurrent_calls_keep_their_bits(self):
         # More pipelines than cores, switching threads as often as the
         # interpreter allows: a block scored into the wrong buffer set or

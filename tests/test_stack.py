@@ -55,7 +55,13 @@ def assert_same_artifacts(a, b):
         dict(BASE, epochs=6, momentum=0.9, seed=2, lam=4.0, noise_std=0.2),
         dict(BASE, epochs=6, momentum=0.9, seed=5, noise_std=0.0, lam=0.0),
     ],
-], ids=["seed-lam-noise-lr", "none-momentum-short-batch", "shared-lr-momentum"])
+    [  # no epochs: the first refit alone, a noise-free run among noisy ones
+        dict(BASE, epochs=0),
+        dict(BASE, epochs=0, seed=4, noise_std=0.0, lam=0.0),
+        dict(BASE, epochs=0, seed=6, lam=4.0, noise_std=0.2, gmm_iters=3),
+    ],
+], ids=["seed-lam-noise-lr", "none-momentum-short-batch", "shared-lr-momentum",
+        "refit-only"])
 def test_stack_matches_solo_runs(tmp_path, configs):
     train_stack(configs, tmp_path / "stack")
     for i, config in enumerate(configs):
