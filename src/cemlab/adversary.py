@@ -39,10 +39,10 @@ from .numerics import derived_seed
 
 @dataclass
 class AttackConfig:
-    epochs: int = 50
-    lr: float = 0.005
+    epochs: int
+    lr: float
+    seed: int
     hidden_dims: list[int] = field(default_factory=lambda: [64, 64])
-    seed: int = 0
     batch_size: int = 64
     momentum: float = 0.9
     # Sigmoid suits [0,1]-normalized inputs; identity suits unbounded

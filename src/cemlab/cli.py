@@ -28,9 +28,9 @@ from . import adversary, bounds, data, mixture, network, trainer
 from .errors import CemError, MissingArtifact, ParseError, ShapeMismatch
 from .files import write_atomic
 
-# Each config key's default and kind. An "int" key takes an int or an
-# integral float such as 300.0, a "float" key any int or float; a kind
-# ending in "?" also takes null. A bool, a string or a fractional integer
+# Each config key's default, the package's only one, and kind. An "int"
+# key takes an int or an integral float such as 300.0, a "float" key any
+# int or float; a kind ending in "?" also takes null. A bool, a string or a fractional integer
 # is refused, never cast.
 #
 # Desk-scale calibration: at a few hundred training samples the entropy

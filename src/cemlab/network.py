@@ -681,21 +681,30 @@ def save_network(m: NeuralModule, path) -> None:
 
 def load_network(path) -> NeuralModule:
     """Read a checkpoint written by :func:`save_network`; an older file's
-    ``"velocity"`` entry is ignored. A file whose arrays do not have their
-    layer's shape raises :class:`ParseError`."""
+    ``"velocity"`` entry is ignored. What training cannot write raises
+    :class:`ParseError`: arrays without their layer's shape, or a weight or
+    bias entry that is not a finite JSON number."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         layers = []
         for spec in doc["layers"]:
             out, fan_in = spec["shape"]
+            # A JSON true is a bool, which type() tells from an int.
+            if not all(type(v) in (int, float) for key in ("weights", "bias")
+                       for v in spec[key]):
+                raise ValueError("weights and biases must be JSON numbers")
             w, b = (
                 np.array(spec[key], dtype=np.float64).reshape(shape)
                 for key, shape in (("weights", (out, fan_in)), ("bias", (out,)))
             )
+            # Python's json reads NaN and Infinity, which save_network
+            # never writes for a trained network.
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError("weights and biases must be finite")
             layers.append(Layer(weights=w, bias=b, activation=spec["activation"]))
         if not layers:
             raise ValueError("no layers")
         return NeuralModule(layers=layers)
-    except (KeyError, TypeError, ValueError, ShapeMismatch, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ShapeMismatch) as exc:
         raise ParseError(f"invalid network checkpoint {path}: {exc}") from exc

@@ -59,18 +59,18 @@ from .numerics import _row_starts, derived_seed
 
 @dataclass
 class TrainingConfig:
-    lam: float = 16.0           # weight on the entropy penalty
-    noise_std: float = 0.025
-    k: int | None = None        # mixture components; defaults to 3 * n_classes
-    epochs: int = 30
-    batch_size: int = 64
-    lr: float = 0.05            # halved every max(1, epochs // 3) epochs
-    momentum: float = 0.0
-    seed: int = 0
-    d_z: int = 8
-    hidden: int = 32
-    feature_scale: float = 2.0   # encoder init scale per layer
-    gmm_iters: int = 10
+    lam: float                  # weight on the entropy penalty
+    noise_std: float
+    k: int | None               # mixture components; None means 3 * n_classes
+    epochs: int
+    batch_size: int
+    lr: float                   # halved every max(1, epochs // 3) epochs
+    momentum: float
+    seed: int
+    d_z: int
+    hidden: int
+    feature_scale: float        # encoder init scale per layer
+    gmm_iters: int
 
     def __post_init__(self):
         # Written so that NaN fails too.

@@ -210,6 +210,35 @@ def random_spec(rng, d_x=None, d_z=None):
     )
 
 
+def _pairwise_entropy(weights, variances, divergence):
+    """Kolchinsky & Tracey's (2017) pairwise estimate of a diagonal Gaussian
+    mixture's entropy from the (k, k) divergences D(p_i || p_j):
+    sum_i w_i H(p_i) - sum_i w_i log sum_j w_j exp(-D(p_i || p_j))."""
+    h = 0.5 * (variances.shape[1] * LOG_2PIE + np.log(variances).sum(axis=1))
+    return float(weights @ h - weights @ logsumexp(-divergence, b=weights, axis=1))
+
+
+def entropy_bhattacharyya(weights, means, variances):
+    """The pairwise estimate with Bhattacharyya distances, a lower bound on
+    the entropy of the mixture of N(means[i], diag(variances[i]))."""
+    v_i, v_j = variances[:, None], variances[None]
+    v_mid = 0.5 * (v_i + v_j)
+    gap2 = (means[:, None] - means[None]) ** 2
+    distance = gap2 / (8.0 * v_mid) + 0.5 * np.log(v_mid / np.sqrt(v_i * v_j))
+    return _pairwise_entropy(weights, variances, distance.sum(axis=2))
+
+
+def entropy_kl(weights, means, variances):
+    """The pairwise estimate with KL divergences, an upper bound on the
+    mixture's entropy that Huber et al.'s (2008) bound, the one
+    ``bounds.mixture_entropy_upper`` computes, dominates at the same
+    variances."""
+    v_i, v_j = variances[:, None], variances[None]
+    gap2 = (means[:, None] - means[None]) ** 2
+    divergence = 0.5 * (v_i / v_j + gap2 / v_j - 1.0 + np.log(v_j / v_i))
+    return _pairwise_entropy(weights, variances, divergence.sum(axis=2))
+
+
 def _oracle_draws(mix, noise, n_samples, seed):
     """The widened mixture and the oracle's random stream at full length:
     weights, means and variances, the component choices, and the standard

@@ -55,11 +55,11 @@ class TestAttackConfig:
         # ZeroDivisionError, batch_size=0 a bare range() error, and a NaN lr
         # or momentum was reported as a divergence at epoch 0.
         with pytest.raises(ValueError):
-            AttackConfig(**{field: bad})
+            AttackConfig(**{"epochs": 50, "lr": 0.005, "seed": 0, field: bad})
 
     def test_smallest_settings_accepted(self):
-        AttackConfig(epochs=1, hidden_dims=[], batch_size=1, lr=0.0, momentum=-0.5)
-        AttackConfig(hidden_dims=[1])
+        AttackConfig(epochs=1, lr=0.0, seed=0, hidden_dims=[], batch_size=1, momentum=-0.5)
+        AttackConfig(epochs=50, lr=0.005, seed=0, hidden_dims=[1])
 
 
 class TestTrainAttacker:
@@ -92,7 +92,7 @@ class TestTrainAttacker:
         x_train, _ = blobs.train_arrays()
         mses = []
         for epochs in (1, 50):
-            cfg = AttackConfig(epochs=epochs, seed=9)
+            cfg = AttackConfig(epochs=epochs, lr=0.005, seed=9)
             attacker = train_attacker(encoder, noise, blobs, cfg)
             mses.append(reconstruction_mse(attacker, encoder, noise, x_train, seed=0))
         assert mses[1] <= mses[0]
@@ -100,7 +100,7 @@ class TestTrainAttacker:
     def test_deterministic(self, blobs):
         encoder = identity_encoder(8)
         noise = NoiseModel(std=0.05, dim=8)
-        cfg = AttackConfig(epochs=5, seed=21)
+        cfg = AttackConfig(epochs=5, lr=0.005, seed=21)
         a = train_attacker(encoder, noise, blobs, cfg)
         b = train_attacker(encoder, noise, blobs, cfg)
         for la, lb in zip(a.layers, b.layers):
@@ -109,7 +109,7 @@ class TestTrainAttacker:
     def test_labels_never_used(self, blobs):
         encoder = identity_encoder(8)
         noise = NoiseModel(std=0.05, dim=8)
-        cfg = AttackConfig(epochs=5, seed=2)
+        cfg = AttackConfig(epochs=5, lr=0.005, seed=2)
         relabeled = Dataset(
             inputs=blobs.inputs,
             labels=(blobs.labels + 1) % blobs.n_classes,
@@ -130,7 +130,8 @@ class TestEvaluateAttack:
     def test_report_consistency(self, blobs, rng):
         encoder = identity_encoder(8)
         noise = NoiseModel(std=0.1, dim=8)
-        attacker = train_attacker(encoder, noise, blobs, AttackConfig(epochs=5, seed=0))
+        cfg = AttackConfig(epochs=5, lr=0.005, seed=0)
+        attacker = train_attacker(encoder, noise, blobs, cfg)
         x_train, _ = blobs.train_arrays()
         x_test, _ = blobs.test_arrays()
         report = evaluate_attack(
@@ -144,7 +145,8 @@ class TestEvaluateAttack:
     def test_untrained_attacker_is_worse(self, blobs):
         encoder = identity_encoder(8)
         noise = NoiseModel(std=0.05, dim=8)
-        trained = train_attacker(encoder, noise, blobs, AttackConfig(epochs=50, seed=3))
+        cfg = AttackConfig(epochs=50, lr=0.005, seed=3)
+        trained = train_attacker(encoder, noise, blobs, cfg)
         untrained = init_network([8, 64, 64, 8], ["relu", "relu", "sigmoid"], seed=3)
         x_train, _ = blobs.train_arrays()
         mse_trained = reconstruction_mse(trained, encoder, noise, x_train, seed=0)

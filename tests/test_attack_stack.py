@@ -130,9 +130,9 @@ def solo_error(encoder, noise, data, cfg) -> str:
 def test_diverging_run_leaves_the_stack():
     base = dict(epochs=10, hidden_dims=[64, 64], output_activation="identity")
     cfgs = [
-        AttackConfig(seed=1, **base),
+        AttackConfig(seed=1, lr=0.005, **base),
         AttackConfig(seed=2, lr=1e6, **base),
-        AttackConfig(seed=3, momentum=0.0, **base),
+        AttackConfig(seed=3, lr=0.005, momentum=0.0, **base),
     ]
     worlds = [world(s) for s in (4, 5, 6)]
     encoders = [encoder for encoder, _ in worlds]
@@ -171,5 +171,6 @@ def test_stack_rejects_mixed_shapes():
     with pytest.raises(ValueError, match="share their shapes"):
         train_attacker_many(
             [encoder, other], [NoiseModel(std=0.1, dim=D_Z)] * 2, [data, data],
-            [AttackConfig(epochs=1), AttackConfig(epochs=1, hidden_dims=[8])],
+            [AttackConfig(epochs=1, lr=0.005, seed=0),
+             AttackConfig(epochs=1, lr=0.005, seed=0, hidden_dims=[8])],
         )

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from helpers import (
     JointGaussianSpec,
+    entropy_bhattacharyya,
+    entropy_kl,
     gaussian_entropy,
     isotropic_spec,
     make_mixture,
@@ -14,6 +16,7 @@ from helpers import (
     write_mixture,
 )
 
+from cemlab import cli
 from cemlab.bounds import (
     NoiseModel,
     bounds_report,
@@ -34,6 +37,7 @@ from cemlab.mixture import (
     update_weights,
 )
 from cemlab.numerics import Covariance, mc_entropy
+from cemlab.trainer import train_many
 from conftest import central_diff, rel_error
 
 HALF_LOG_2PIE = 1.4189385332046727
@@ -103,6 +107,42 @@ class TestMixtureEntropyUpper:
             noise = NoiseModel(std=0.5, dim=d)
             est = mc_entropy(mix, noise, n_samples=10**5, seed=int(rng.integers(1e6)))
             assert mixture_entropy_upper(mix, noise) >= est.value - 3 * est.std_error
+
+
+def check_entropy_sandwich(mix, noise, seed):
+    """Kolchinsky & Tracey's (2017) sandwich at 2 * 10**5 samples:
+    H_Bhattacharyya <= H <= H_KL, within 3 standard errors of the
+    Monte-Carlo oracle at its variances var + std**2, and H_KL <= the
+    Huber et al. bound at that bound's ridged variances."""
+    weights = mix.weights / mix.weights.sum()
+    widened = mix.var + noise.std**2
+    est = mc_entropy(mix, noise, n_samples=2 * 10**5, seed=seed)
+    margin = 3 * est.std_error
+    assert entropy_bhattacharyya(weights, mix.means, widened) - margin <= est.value
+    assert est.value <= entropy_kl(weights, mix.means, widened) + margin
+    # The two closed forms sum their terms in different orders; a
+    # one-component mixture, where they are equal, may round either way.
+    kl = entropy_kl(mix.weights, mix.means, widened + mix.ridge)
+    assert kl <= mixture_entropy_upper(mix, noise) + 1e-12
+
+
+class TestEntropySandwich:
+    def test_criterion_3_mixtures(self):
+        # Criterion 3's 50 mixtures, drawn from the same stream.
+        rng = np.random.default_rng(303)
+        for _ in range(50):
+            k, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            mix = random_mixture(rng, k, d)
+            noise = NoiseModel(std=float(rng.uniform(0.2, 1.0)), dim=d)
+            check_entropy_sandwich(mix, noise, seed=int(rng.integers(2**31)))
+
+    def test_trained_mixtures(self):
+        specs = [cli.validate(dict(cli.DEFAULT_CONFIG, epochs=20, seed=seed))
+                 for seed in range(3)]
+        results = train_many([spec.training for spec in specs],
+                             [spec.dataset() for spec in specs])
+        for spec, result in zip(specs, results):
+            check_entropy_sandwich(result.mixture, spec.noise, seed=0)
 
 
 @pytest.mark.parametrize("k, d", [(1, 1), (3, 2), (9, 8), (17, 3)])

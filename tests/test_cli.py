@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import threading
 import warnings
@@ -41,6 +42,12 @@ TINY = {
     "data_per_class": 20,
     "attack_epochs": 5,
 }
+
+
+# What attack prints for an encoder.json entry that training cannot write.
+BAD_ENTRY = r"ParseError: invalid network checkpoint \S*encoder\.json: "
+NOT_A_NUMBER = BAD_ENTRY + "weights and biases must be JSON numbers"
+NOT_FINITE = BAD_ENTRY + "weights and biases must be finite"
 
 
 def tiny_config(**overrides):
@@ -355,18 +362,28 @@ class TestAttackCommand:
         code = main(["attack", str(run_dir)])
         assert code == 1
 
-    @pytest.mark.parametrize("edit", [
-        lambda layers: layers.pop(),
-        lambda layers: layers[-1].update(activation="sigmoid"),
-        lambda layers: layers.append({
+    @pytest.mark.parametrize("edit, error", [
+        (lambda layers: layers.pop(), "ShapeMismatch"),
+        (lambda layers: layers[-1].update(activation="sigmoid"), "ShapeMismatch"),
+        (lambda layers: layers.append({
             "shape": [8, 8], "activation": "identity",
             "weights": np.eye(8).ravel().tolist(), "bias": [0.0] * 8,
-        }),
-    ], ids=["last layer dropped", "sigmoid output", "extra layer"])
+        }), "ShapeMismatch"),
+        (lambda layers: layers[1]["weights"].__setitem__(0, "0.5"), NOT_A_NUMBER),
+        (lambda layers: layers[1]["bias"].__setitem__(0, True), NOT_A_NUMBER),
+        (lambda layers: layers[1]["weights"].__setitem__(0, float("nan")), NOT_FINITE),
+        (lambda layers: layers[1]["weights"].__setitem__(0, float("inf")), NOT_FINITE),
+        (lambda layers: layers[1]["bias"].__setitem__(0, 10**400),
+         BAD_ENTRY + "int too large"),
+    ], ids=["last layer dropped", "sigmoid output", "extra layer", "string weight",
+            "true bias", "NaN weight", "Infinity weight", "integer beyond float"])
     def test_encoder_training_could_not_write_refused(self, tmp_path, capsys,
-                                                       monkeypatch, edit):
+                                                       monkeypatch, edit, error):
         # Without its last layer, the encoder once fed a 32-wide attacker
-        # with noise drawn 32 wide, though the run's d_z is 8.
+        # with noise drawn 32 wide, though the run's d_z is 8. A string or a
+        # bool entry was once cast to a float and attacked with exit 0, and
+        # a NaN or Infinity weight, which Python's json reads, surfaced as
+        # the attacker's divergence at epoch 0.
         run_dir = tmp_path / "run"
         cmd_train(tiny_config(epochs=1), run_dir)
         path = run_dir / "encoder.json"
@@ -378,7 +395,7 @@ class TestAttackCommand:
                             lambda *args: trained.append(args))
         before = sorted(run_dir.iterdir())
         assert main(["attack", str(run_dir), "--attack-epochs", "1"]) == 1
-        assert "ShapeMismatch" in capsys.readouterr().err
+        assert re.search(error, capsys.readouterr().err)
         assert trained == []
         assert sorted(run_dir.iterdir()) == before
 

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemlab import cli, data, errors
+from cemlab.adversary import AttackConfig
 from cemlab.cli import main
+from cemlab.trainer import TrainingConfig
 
 TINY = {
     "epochs": 1,
@@ -71,6 +74,28 @@ def test_train_config_error_exit_2_before_writing(tmp_path, values):
     assert code == 2
     assert "config error" in err
     assert not out.exists()
+
+
+# AttackConfig's fields that are config keys, and their keys.
+ATTACK_KEYS = {"epochs": "attack_epochs", "lr": "attack_lr", "seed": "attack_seed"}
+
+
+def test_schema_is_the_one_table_of_defaults():
+    # The dataclasses once held a second set: TrainingConfig() trained 30
+    # epochs at batch 64 and lr 0.05, AttackConfig() 50 epochs at lr 0.005.
+    with pytest.raises(TypeError):
+        TrainingConfig()
+    for key in ATTACK_KEYS:
+        with pytest.raises(TypeError):
+            AttackConfig(**{k: 1 for k in ATTACK_KEYS if k != key})
+    assert all(f.default is f.default_factory is MISSING for f in fields(TrainingConfig))
+    assert {f.name for f in fields(AttackConfig)
+            if f.default is f.default_factory is MISSING} == set(ATTACK_KEYS)
+    spec = cli.validate(cli.DEFAULT_CONFIG)
+    for f in fields(spec.training):
+        assert getattr(spec.training, f.name) == cli._SCHEMA[f.name][0], f.name
+    for name, key in ATTACK_KEYS.items():
+        assert getattr(spec.attack, name) == cli._SCHEMA[key][0], key
 
 
 def test_integer_data_csv_exit_2_before_writing(tmp_path):

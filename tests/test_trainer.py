@@ -8,6 +8,14 @@ from cemlab.network import Layer, NeuralModule, init_network, task_loss
 from cemlab.trainer import TrainingConfig, evaluate_utility, train
 from conftest import central_diff, rel_error
 
+# The settings these tests share; each test names the ones it is about.
+SHARED = dict(lam=16.0, noise_std=0.025, k=None, epochs=30, batch_size=64, lr=0.05,
+              momentum=0.0, seed=0, d_z=8, hidden=32, feature_scale=2.0, gmm_iters=10)
+
+
+def config(**settings) -> TrainingConfig:
+    return TrainingConfig(**dict(SHARED, **settings))
+
 
 @pytest.fixture(scope="module")
 def blobs():
@@ -21,7 +29,7 @@ def small_blobs():
 
 class TestTrain:
     def test_plain_classification_sanity(self, blobs):
-        cfg = TrainingConfig(
+        cfg = config(
             lam=0.0, noise_std=0.0, epochs=25, seed=0, lr=0.05
         )
         result = train(cfg, blobs)
@@ -31,7 +39,7 @@ class TestTrain:
         assert acc >= 0.95
 
     def test_entropy_bound_improves(self, blobs):
-        cfg = TrainingConfig(
+        cfg = config(
             lam=16.0, noise_std=0.025,
             epochs=60, seed=0, lr=0.001, batch_size=16,
         )
@@ -39,14 +47,14 @@ class TestTrain:
         assert result.history[-1].l_c < result.history[0].l_c
 
     def test_zero_epochs_noop(self, blobs):
-        cfg = TrainingConfig(lam=0.0, noise_std=0.0, epochs=0, seed=0)
+        cfg = config(lam=0.0, noise_std=0.0, epochs=0, seed=0)
         result = train(cfg, blobs)
         assert result.history == []
         assert result.mixture.weights.shape == (9,)
         assert sum(l.weights.size + l.bias.size for l in result.encoder.layers) > 0
 
     def test_loss_ledger_identity(self, small_blobs):
-        cfg = TrainingConfig(
+        cfg = config(
             lam=2.0, noise_std=0.05,
             epochs=4, seed=2, lr=0.001, batch_size=16,
         )
@@ -55,7 +63,7 @@ class TestTrain:
             assert row.total == pytest.approx(row.l_d + cfg.lam * row.l_c, abs=1e-9)
 
     def test_reproducible_history(self, small_blobs):
-        cfg = TrainingConfig(
+        cfg = config(
             lam=4.0, noise_std=0.05,
             epochs=5, seed=7, lr=0.001, batch_size=16,
         )
@@ -69,14 +77,14 @@ class TestTrain:
             assert np.array_equal(la.weights, lb.weights)
 
     def test_batch_size_exceeding_split_rejected(self, small_blobs):
-        cfg = TrainingConfig(
+        cfg = config(
             lam=0.0, noise_std=0.0, epochs=1, batch_size=10_000
         )
         with pytest.raises(ValueError):
             train(cfg, small_blobs)
 
     def test_low_k_warns(self, small_blobs):
-        cfg = TrainingConfig(
+        cfg = config(
             lam=0.0, noise_std=0.0, epochs=1, k=2, batch_size=16
         )
         with pytest.warns(UserWarning):
@@ -84,7 +92,7 @@ class TestTrain:
 
     def test_positive_lam_requires_noise(self):
         with pytest.raises(ValueError):
-            TrainingConfig(lam=1.0, noise_std=0.0)
+            config(lam=1.0, noise_std=0.0)
 
     @pytest.mark.parametrize("field", ["lam", "noise_std"])
     @pytest.mark.parametrize("bad", [-0.01, np.nan, np.inf])
@@ -92,7 +100,7 @@ class TestTrain:
         # NaN passes a plain `< 0` test; a NaN noise std with lam > 0 once
         # reached the training step and crashed it.
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            TrainingConfig(**{"lam": 1.0, "noise_std": 0.1, field: bad})
+            config(**{"lam": 1.0, "noise_std": 0.1, field: bad})
 
     @pytest.mark.parametrize("field, bad", [
         ("epochs", -1),
@@ -118,26 +126,26 @@ class TestTrain:
         # Each once crashed training (k=0, batch_size=0, d_z=0, hidden=0),
         # was silently changed (epochs=-1 trained an epoch, gmm_iters=-3 ran
         # none) or surfaced as a divergence at epoch 0 (NaN passes `< 0`).
-        # d_z=17 exceeds the default hidden=32's 16 looks-linear pairs; an
+        # d_z=17 exceeds the shared hidden=32's 16 looks-linear pairs; an
         # odd hidden=33 once gave a 32-unit encoder beside a 33-unit decoder.
         with pytest.raises(ValueError):
-            TrainingConfig(**{field: bad})
+            config(**{field: bad})
 
     def test_smallest_shapes_accepted(self):
-        TrainingConfig(epochs=0, batch_size=1, k=1, gmm_iters=0, lr=0.0,
-                       momentum=-0.5, d_z=1, hidden=2)
-        TrainingConfig(d_z=16, hidden=32)
+        config(epochs=0, batch_size=1, k=1, gmm_iters=0, lr=0.0,
+               momentum=-0.5, d_z=1, hidden=2)
+        config(d_z=16, hidden=32)
 
     def test_lr_halves_every_third_of_the_epochs(self):
-        cfg = TrainingConfig(epochs=30, lr=0.05)
+        cfg = config(epochs=30, lr=0.05)
         assert [cfg.lr_at(e) for e in (0, 9, 10, 19, 20, 29)] == [
             0.05, 0.05, 0.025, 0.025, 0.0125, 0.0125
         ]
         # Fewer than three epochs halve the rate every epoch.
-        assert TrainingConfig(epochs=2, lr=0.05).lr_at(1) == 0.025
+        assert config(epochs=2, lr=0.05).lr_at(1) == 0.025
 
     def test_divergence_reports_epoch(self, small_blobs):
-        cfg = TrainingConfig(
+        cfg = config(
             lam=0.0, noise_std=0.0, epochs=50, seed=0,
             lr=1e12, batch_size=16,
         )
@@ -180,7 +188,7 @@ class TestEvaluateUtility:
         assert acc == 1.0
 
     def test_huge_noise_destroys_information(self, blobs):
-        cfg = TrainingConfig(
+        cfg = config(
             lam=0.0, noise_std=0.0, epochs=10, seed=0, lr=0.05
         )
         result = train(cfg, blobs)
@@ -203,7 +211,7 @@ class TestEvaluateUtility:
 
     def test_noise_flag_disables_corruption(self, blobs):
         # A zero-std noise model evaluates the clean features.
-        cfg = TrainingConfig(
+        cfg = config(
             lam=0.0, noise_std=0.0, epochs=10, seed=0, lr=0.05
         )
         result = train(cfg, blobs)
