@@ -18,7 +18,7 @@ noise-free run draws nothing. Evaluation noise comes from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,13 +70,7 @@ class AttackReport:
     floor: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mse_train": float(self.mse_train),
-            "mse_infer": float(self.mse_infer),
-            "psnr_train": float(self.psnr_train),
-            "psnr_infer": float(self.psnr_infer),
-            "floor": None if self.floor is None else float(self.floor),
-        }
+        return asdict(self)
 
 
 def psnr(mse: float) -> float:

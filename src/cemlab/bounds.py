@@ -28,7 +28,7 @@ same bits and errors as the public chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,13 +81,7 @@ class BoundsReport:
     cem_loss: float
 
     def to_dict(self) -> dict:
-        return {
-            "mi_bound": float(self.mi_bound),
-            "rel_cond_entropy": float(self.rel_cond_entropy),
-            "mse_floor": float(self.mse_floor),
-            "h_x_offset": float(self.h_x_offset),
-            "cem_loss": float(self.cem_loss),
-        }
+        return asdict(self)
 
 
 def _widened_ridged(var: np.ndarray, ridge, noise_var) -> np.ndarray:

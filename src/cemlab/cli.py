@@ -13,13 +13,14 @@ import csv
 import hashlib
 import io
 import json
+import math
 import numbers
 import os
 import pickle
 import signal
 import sys
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,16 +78,8 @@ class RunManifest:
     output_dir: str
     artifacts: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "config": self.config,
-            "output_dir": self.output_dir,
-            "artifacts": self.artifacts,
-        }
-
     def save(self, path: Path) -> None:
-        write_atomic(path, _json_text(self.to_dict()))
+        write_atomic(path, _json_text(asdict(self)))
 
     @staticmethod
     def load(path: Path) -> "RunManifest":
@@ -251,7 +244,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
     config = dict(DEFAULT_CONFIG)
     if path is not None:
         p = Path(path)
-        if not p.exists():
+        # A directory is no config file either: a usage error, not an OSError.
+        if not p.is_file():
             raise FileNotFoundError(f"config file not found: {p}")
         try:
             with open(p, "r", encoding="utf-8") as fh:
@@ -348,20 +342,21 @@ def cmd_attack(run: str, attack_overrides: dict | None = None) -> adversary.Atta
     # Read before the attacker trains, so that a bad mixture costs nothing.
     floor = run_floor(spec, manifest, base)
     attacker = adversary.train_attacker(encoder, spec.noise, ds, spec.attack)
+    return save_attack(base, manifest.run_id, spec, ds, encoder, attacker, floor)
+
+
+def save_attack(base: Path, run_id: str, spec: RunSpec, ds: data.Dataset,
+                encoder: network.NeuralModule, attacker: network.NeuralModule,
+                floor: float | None) -> adversary.AttackReport:
+    """Evaluate a run's attacker on both splits of ``ds`` and write its
+    ``attack_report.json`` and its row of ``attacks.csv``, which must
+    belong to the same run."""
     x_train, _ = ds.train_arrays()
     x_test, _ = ds.test_arrays()
     report = adversary.evaluate_attack(
         attacker, encoder, spec.noise, x_train, x_test,
         seed=spec.attack.seed, floor=floor,
     )
-    save_attack(base, manifest.run_id, spec.attack.seed, report)
-    return report
-
-
-def save_attack(base: Path, run_id: str, attack_seed: int,
-                report: adversary.AttackReport) -> None:
-    """Write a run's ``attack_report.json`` and append its row to
-    ``attacks.csv``, which must belong to the same run."""
     csv_path = base / "attacks.csv"
     fresh = not csv_path.exists()
     if not fresh:
@@ -374,7 +369,7 @@ def save_attack(base: Path, run_id: str, attack_seed: int,
             )
     write_atomic(base / "attack_report.json", _json_text(report.to_dict()))
     rows = [[
-        str(attack_seed),
+        str(spec.attack.seed),
         *map(_cell, (report.mse_train, report.mse_infer, report.psnr_train,
                      report.psnr_infer, report.floor)),
     ]]
@@ -383,6 +378,7 @@ def save_attack(base: Path, run_id: str, attack_seed: int,
                         "psnr_infer", "floor"])
     with open(csv_path, "a", encoding="utf-8", newline="") as fh:
         fh.write((f"# run_id={run_id}\n" if fresh else "") + _csv_text(rows))
+    return report
 
 
 def cmd_bounds(run: str, h_x_offset: float | None = None) -> bounds.BoundsReport:
@@ -411,14 +407,8 @@ def _sweep_point(point: dict, variance: float, out_dir: Path, trained) -> dict:
     manifest = save_run(point, result, out_dir)
     if isinstance(attacker, Exception):
         raise attacker
-    x_train, _ = ds.train_arrays()
-    x_test, _ = ds.test_arrays()
-    floor = run_floor(spec, manifest, out_dir)
-    report = adversary.evaluate_attack(
-        attacker, result.encoder, spec.noise, x_train, x_test,
-        seed=spec.attack.seed, floor=floor,
-    )
-    save_attack(out_dir, manifest.run_id, spec.attack.seed, report)
+    report = save_attack(out_dir, manifest.run_id, spec, ds, result.encoder, attacker,
+                         run_floor(spec, manifest, out_dir))
     accuracy = trainer.evaluate_utility(
         result.encoder, result.decoder, ds, spec.noise, seed=spec.training.seed
     )
@@ -586,41 +576,46 @@ def read_history_csv(path: Path) -> list[dict]:
 
 def _report_numbers(path: Path, keys: tuple[str, ...], doc=None) -> list:
     """The entries ``keys`` of an artifact: ``doc``, or else the JSON object
-    at ``path``. One that is missing or not a finite number raises
-    :class:`ParseError` naming ``path``."""
+    at ``path``. One that is missing or not a finite number (an integer
+    beyond the float range included) raises :class:`ParseError` naming
+    ``path``."""
     try:
         if doc is None:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         values = [doc[key] for key in keys]
-    except (KeyError, TypeError, ValueError) as exc:
+        for key, v in zip(keys, values):
+            # math.isfinite raises OverflowError for an integer beyond the
+            # float range.
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ParseError(
+                    f"invalid artifact {path}: {key} is {v!r}, not a finite number")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid artifact {path}: {exc!r}") from exc
-    for key, v in zip(keys, values):
-        # Written so that NaN fails too; an integer compares exactly.
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not abs(v) < np.inf:
-            raise ParseError(f"invalid artifact {path}: {key} is {v!r}, not a finite number")
     return values
 
 
+_REPORT_COLUMNS = [
+    "run_id", "path", "lam", "noise_std", "seed",
+    "final_accuracy", "final_l_c", "mse_train", "mse_infer", "mi_bound",
+]
+
+
 def cmd_report(out_dir: Path) -> list[dict]:
-    """Aggregate every run manifest beneath a directory into report.csv; an
-    artifact it cannot read raises :class:`ParseError` before any write."""
+    """Aggregate every run manifest beneath a directory into report.csv; a
+    directory that is not there raises ``FileNotFoundError``, and an
+    artifact it cannot read :class:`ParseError`, before any write."""
+    if not out_dir.is_dir():
+        raise FileNotFoundError(f"report directory not found: {out_dir}")
     entries = []
     for manifest_path in sorted(out_dir.rglob("manifest.json")):
         base = manifest_path.parent
         manifest = RunManifest.load(manifest_path)
-        entry = {
-            "run_id": manifest.run_id,
-            "path": str(base),
-            "lam": manifest.config.get("lam"),
-            "noise_std": manifest.config.get("noise_std"),
-            "seed": manifest.config.get("seed"),
-            "final_accuracy": None,
-            "final_l_c": None,
-            "mse_train": None,
-            "mse_infer": None,
-            "mi_bound": None,
-        }
+        entry = dict.fromkeys(_REPORT_COLUMNS)
+        entry.update(
+            run_id=manifest.run_id, path=str(base),
+            **{key: manifest.config.get(key) for key in ("lam", "noise_std", "seed")},
+        )
         history_path = base / manifest.artifacts.get("history", "history.csv")
         if history_path.exists():
             history = read_history_csv(history_path)
@@ -636,11 +631,7 @@ def cmd_report(out_dir: Path) -> list[dict]:
             [entry["mi_bound"]] = _report_numbers(bounds_path, ("mi_bound",))
         entries.append(entry)
 
-    columns = [
-        "run_id", "path", "lam", "noise_std", "seed",
-        "final_accuracy", "final_l_c", "mse_train", "mse_infer", "mi_bound",
-    ]
-    rows = [columns, *([entry[c] for c in columns] for entry in entries)]
+    rows = [_REPORT_COLUMNS, *([entry[c] for c in _REPORT_COLUMNS] for entry in entries)]
     write_atomic(out_dir / "report.csv", _csv_text(rows))
     return entries
 

@@ -50,17 +50,28 @@ def normalize_unit(values: np.ndarray, fit_rows=None) -> np.ndarray:
     return out
 
 
-def _stratified_split(
-    labels: np.ndarray, train_frac: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+def _split_dataset(
+    raw: np.ndarray, labels: np.ndarray, n_classes: int, rng: np.random.Generator
+) -> Dataset:
+    """The dataset of ``raw`` rows and int64 ``labels``, split by class: a
+    permutation of each class's rows drawn from ``rng`` sends its first 80%
+    (rounded) to training and the rest to test. The inputs are normalized
+    with the training rows' range."""
     train, test = [], []
     for c in np.unique(labels):
         members = np.flatnonzero(labels == c)
         members = members[rng.permutation(members.size)]
-        cut = int(round(train_frac * members.size))
+        cut = int(round(0.8 * members.size))
         train.append(members[:cut])
         test.append(members[cut:])
-    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
+    train_idx, test_idx = np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
+    return Dataset(
+        inputs=normalize_unit(raw, train_idx),
+        labels=labels,
+        n_classes=n_classes,
+        train_idx=train_idx,
+        test_idx=test_idx,
+    )
 
 
 def synth_blobs(
@@ -89,19 +100,12 @@ def synth_blobs(
     with np.errstate(over="ignore", invalid="ignore"):
         raw = means[labels] + spread * rng.standard_normal((labels.size, d))
         order = rng.permutation(labels.size)
-        raw, labels = raw[order], labels[order]
+        raw = raw[order]
         # The split draws from rng after the data; normalization draws nothing.
-        train_idx, test_idx = _stratified_split(labels, 0.8, rng)
-        inputs = normalize_unit(raw, train_idx)
-    if not (np.isfinite(raw).all() and np.isfinite(inputs).all()):
+        ds = _split_dataset(raw, labels[order].astype(np.int64), n_classes, rng)
+    if not (np.isfinite(raw).all() and np.isfinite(ds.inputs).all()):
         raise ValueError(f"data_spread {spread!r} makes rows that are not finite")
-    return Dataset(
-        inputs=inputs,
-        labels=labels.astype(np.int64),
-        n_classes=n_classes,
-        train_idx=train_idx,
-        test_idx=test_idx,
-    )
+    return ds
 
 
 def load_csv(path, n_classes: int, seed: int = 0) -> Dataset:
@@ -144,13 +148,5 @@ def load_csv(path, n_classes: int, seed: int = 0) -> Dataset:
     if not rows:
         raise ParseError(f"{path}: no data rows")
     labels = np.array(labels, dtype=np.int64)
-    rng = seeded_rng(seed, 0xDA)
-    train_idx, test_idx = _stratified_split(labels, 0.8, rng)
-    inputs = normalize_unit(np.array(rows, dtype=np.float64), train_idx)
-    return Dataset(
-        inputs=inputs,
-        labels=labels,
-        n_classes=n_classes,
-        train_idx=train_idx,
-        test_idx=test_idx,
-    )
+    return _split_dataset(np.array(rows, dtype=np.float64), labels, n_classes,
+                          seeded_rng(seed, 0xDA))

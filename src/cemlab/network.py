@@ -24,17 +24,16 @@ tests and the benchmark's tracer.
 allocated once:
 
 - one (R, P) parameter buffer, with every layer's weights and bias as
-  views into it, and one velocity buffer, which starts at zero;
-- one (R, P) gradient buffer;
+  views into it, and one (R, P) gradient buffer laid out alike;
+- one (R, P) velocity array, which starts at zero and which only a step
+  with momentum reads or writes;
 - per layer, (R, rows, width) buffers for the layer's output and for the
   gradient at it; a batch of fewer rows uses row-prefix views of them.
 
 The views a batch reads (each layer's output, gradient and scratch views,
 its weights' transpose and its gradient views) are built once per row
-count and gradient buffer, since a momentum-0 step swaps the gradient
-buffer with the velocity buffer: a training stack sees at most two row
-counts (a full batch and a short last one), so a batch does only
-arithmetic.
+count: a training stack sees at most two (a full batch and a short last
+one), so a batch does only arithmetic.
 
 A step is ``forward``, then ``backward`` from the gradient the caller
 writes into ``out_grad()``, then ``step``, which updates the parameters
@@ -369,7 +368,7 @@ class StackedNet:
         ], axis=1), self.shapes)
         self._param_vector = self._params.data.reshape(-1)
         self._ones = np.ones_like(self._param_vector)
-        self._velocity = _Flat(np.zeros_like(self._params.data), self.shapes)
+        self._velocity = np.zeros_like(self._params.data)
         self._grad = _Flat(np.empty_like(self._params.data), self.shapes)
         widths = [out for out, _ in self.shapes]
         self._outs = [np.empty((n_runs, rows, w)) for w in widths]
@@ -382,7 +381,7 @@ class StackedNet:
             if act in scratch_dtype else None
             for w, act in zip(widths, self.activations)
         ]
-        # (row count, gradient buffer) -> the views a batch reads.
+        # Row count -> the views a batch reads.
         self._views = {}
         self._inputs = self._batch = None
 
@@ -415,11 +414,8 @@ class StackedNet:
         output); the loss gradient at the last output; and per layer from
         the last, :meth:`backward`'s (activation, gradient at the output and
         its transpose, output, scratch, input (None: the batch), weight and
-        bias gradient, weights, gradient at the input). A momentum-0 step
-        swaps the gradient and velocity buffers, so the gradient buffer is
-        part of the key."""
-        key = (n, self._grad)
-        views = self._views.get(key)
+        bias gradient, weights, gradient at the input)."""
+        views = self._views.get(n)
         if views is None:
             forward, backward = [], []
             a, g_in = None, self._in_grad[:, :n]
@@ -435,7 +431,7 @@ class StackedNet:
                     a, gw, gb, w, g_in,
                 ))
                 a, g_in = out, g
-            views = self._views[key] = (tuple(forward), g, tuple(reversed(backward)))
+            views = self._views[n] = (tuple(forward), g, tuple(reversed(backward)))
         return views
 
     def forward(self, batch: np.ndarray) -> np.ndarray:
@@ -479,15 +475,15 @@ class StackedNet:
         one value per run. Raises if an updated parameter is not finite."""
         if (lr < 0).any() if isinstance(lr, np.ndarray) else lr < 0:
             raise ValueError("learning rate must be nonnegative")
-        if not momentum.any() if isinstance(momentum, np.ndarray) else momentum == 0:
-            # The velocity is the gradient itself.
-            self._velocity, self._grad = self._grad, self._velocity
-        else:
-            np.multiply(momentum, self._velocity.data, out=self._velocity.data)
-            self._velocity.data += self._grad.data
-        # The gradient buffer is free again: it holds lr times the velocity.
+        # The velocity is the gradient itself at zero momentum; either way
+        # the gradient buffer then takes lr times the velocity.
         delta, params = self._grad.data, self._params.data
-        np.multiply(lr, self._velocity.data, out=delta)
+        if not momentum.any() if isinstance(momentum, np.ndarray) else momentum == 0:
+            np.multiply(lr, delta, out=delta)
+        else:
+            np.multiply(momentum, self._velocity, out=self._velocity)
+            self._velocity += delta
+            np.multiply(lr, self._velocity, out=delta)
         np.subtract(params, delta, out=params)
         # A finite sum means every entry is finite; finite entries whose sum
         # overflows get the entrywise test. The sum is a dot product with

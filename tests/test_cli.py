@@ -96,6 +96,15 @@ class TestTrainCommand:
         assert code == 2
         assert "nope.json" in capsys.readouterr().err
 
+    def test_config_directory_exit_2_before_writing(self, tmp_path, capsys):
+        # A directory given as the config once exited 1 with IsADirectoryError.
+        config_dir = tmp_path / "cfg.json"
+        config_dir.mkdir()
+        code = main(["train", "--config", str(config_dir), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config file not found: {config_dir}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_defense_exit_2(self, tmp_path):
         cfg_path = write_config(tmp_path / "cfg.json", defense="warp")
         code = main(["train", "--config", str(cfg_path),
@@ -628,6 +637,9 @@ UNREADABLE = {
     "attack-report-a-list": lambda run: (run / "attack_report.json").write_text("[0.1]"),
     "bounds-report-a-list": lambda run: (run / "bounds_report.json").write_text("[]"),
     "nan-bound": lambda run: (run / "bounds_report.json").write_text('{"mi_bound": NaN}'),
+    # An integer beyond the float range was written into report.csv whole.
+    "integer-bound-beyond-float": lambda run: (run / "bounds_report.json").write_text(
+        '{"mi_bound": 1%s}' % ("0" * 400)),
 }
 
 
@@ -736,6 +748,14 @@ class TestSweepAndReport:
         assert main(["report", "--out", str(out)]) == 1
         assert "error: ParseError: invalid" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
+
+    def test_report_missing_directory_exit_2(self, tmp_path, capsys):
+        # This once named write_atomic's temporary file, not the directory.
+        out = tmp_path / "nowhere"
+        assert main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"report directory not found: {out}" in err and ".tmp" not in err
+        assert not out.exists()
 
     def test_report_csv_written_atomically(self, tmp_path, monkeypatch):
         out = tmp_path / "runs"
